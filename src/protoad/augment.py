@@ -76,12 +76,6 @@ class StrongAugConfig:
                 f"strong noise_sigma {self.noise_sigma} must be >= 4x weak "
                 f"noise_sigma {weak.noise_sigma}")
 
-    @classmethod
-    def for_weak(cls, weak: WeakAugConfig, **overrides) -> "StrongAugConfig":
-        cfg = cls(noise_sigma=6.0 * max(weak.noise_sigma, 1e-12), **overrides)
-        cfg.validate_against(weak)
-        return cfg
-
 
 class ShiftFamily:
     """A fixed family of orthogonal transforms; slot 0 is the identity."""
@@ -122,9 +116,6 @@ class ShiftFamily:
             raise ValidationError(f"shift index {index} out of range [0, {self.count})")
         return as_f64(x, "sample") @ self.matrices[index].T
 
-    def apply_batch(self, X: np.ndarray, index: int) -> np.ndarray:
-        return self.apply(X, index)
-
     def expand(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Stack shift_k(X) for every k; returns (count*n rows, shift ids)."""
         X = as_f64(X, "batch")
@@ -147,10 +138,6 @@ def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator) -> n
         cols = np.argsort(rng.random((n, d)), axis=1)[:, :n_mask]
         out[np.arange(n)[:, None], cols] = 0.0
     return out
-
-
-def weak(x: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator) -> np.ndarray:
-    return weak_batch(np.asarray(x, dtype=np.float64)[None, :], cfg, rng)[0]
 
 
 def strong_batch(X: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) -> np.ndarray:
@@ -179,7 +166,3 @@ def strong_batch(X: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) 
                 pick = rng.random(len(rows)) < 0.5
                 out[rows] = out[rows] * np.where(pick, shrink, blow)[:, None]
     return out
-
-
-def strong(x: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) -> np.ndarray:
-    return strong_batch(np.asarray(x, dtype=np.float64)[None, :], cfg, rng)[0]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
@@ -20,13 +19,11 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import encoder as enc
 from . import objective as obj
-from . import prototypes as proto
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, PRESETS, RunConfig, preset
-from .data import Dataset, ValidationError, read_dataset, write_dataset
-from .evalharness import auroc, finetune_loop, prototype_inputs, test_auroc_probe
+from .data import ValidationError, read_dataset, write_dataset
+from .evalharness import auroc, finetune_loop, prototype_inputs
 from .mathcore import NumericError
 from .pipeline import (build_splits, run_ablation, run_grid, run_pollution_sweep,
                        run_single)
@@ -81,7 +78,13 @@ def _parse_value(raw: str):
 
 
 def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
-    """preset -> config file -> checkpoint snapshot -> flags -> --set pairs."""
+    """The effective configuration of one command.
+
+    The preset is the starting point. A checkpoint snapshot (``base``)
+    replaces it whole, and a ``--config`` file replaces either whole. Then
+    dedicated flags apply, then ``--set`` pairs, so a ``--set`` beats its
+    flag. ``PROTOAD_SEED`` applies last, and only when ``--seed`` is absent.
+    """
     rc = preset(args.preset)
     if base:
         rc = RunConfig.from_dict(base)
@@ -98,11 +101,7 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
         key, raw = pair.split("=", 1)
         overrides[key.strip()] = _parse_value(raw.strip())
     if overrides:
-        known = {f.name for f in dataclasses.fields(RunConfig)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        rc = rc.replace(**overrides)
+        rc = RunConfig.from_dict({**rc.to_dict(), **overrides})
     if getattr(args, "seed", None) is None and ENV_SEED in os.environ:
         rc = rc.replace(seed=int(os.environ[ENV_SEED]))
     return rc.validated()
@@ -155,8 +154,8 @@ def cmd_pretrain(args) -> int:
         rc = rc.replace(input_dim=train.dim).validated()
     weak, _ = rc.resolve_augs(train.features)
     shifts = rc.shift_family()
-    params0 = enc.init(rc.seed + 2, rc.encoder_dims())
-    result = pretrain_loop(train, params0, weak, shifts, rc.pretrain_config())
+    result = pretrain_loop(train, rc.initial_params(), weak, shifts,
+                           rc.pretrain_config())
     save_checkpoint(args.out, config=rc.to_dict(), epoch=rc.pretrain_epochs,
                     params=result.params, rng_state={"seed": rc.seed})
     metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
@@ -181,7 +180,7 @@ def cmd_finetune(args) -> int:
     protos = ckpt.prototypes
     if protos is None:
         emb = prototype_inputs(ckpt.params, train, shifts)
-        protos = proto.fit(emb, rc.n_prototypes, seed=rc.seed + 4)
+        protos = rc.fit_prototypes(emb)
     outcome = finetune_loop(ckpt.params, protos, train, valid, weak, strong,
                             shifts, rc.finetune_config())
     save_checkpoint(args.out, config=rc.to_dict(),
@@ -204,10 +203,9 @@ def cmd_score(args) -> int:
         raise ConfigError("checkpoint has no prototypes; run finetune first")
     weak, _ = rc.resolve_augs(ds.features)
     shifts = rc.shift_family()
-    rng = np.random.default_rng(np.random.SeedSequence([rc.seed, 6]))
     scores = obj.score_ensemble(ds.features, ckpt.params, ckpt.prototypes.vectors,
                                 rc.effective_score_tau, weak, shifts,
-                                rc.n_ensemble, rng, mode=rc.ensemble_mode)
+                                rc.n_ensemble, rc.score_rng(), mode=rc.ensemble_mode)
     order = np.argsort(ds.ids, kind="mergesort")
     with open(args.out, "w", encoding="utf-8") as fh:
         for i in order:

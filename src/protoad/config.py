@@ -10,9 +10,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
+from . import encoder as enc
+from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .data import ScenarioConfig, SyntheticSpec, ValidationError
 from .encoder import EncoderDims
@@ -170,6 +174,19 @@ class RunConfig:
         return EncoderDims(input=self.input_dim, hidden=self.hidden_dim,
                            embed=self.embed_dim,
                            shifts=self.shift_count if self.shift_mode else 1)
+
+    def initial_params(self) -> enc.EncoderParams:
+        """Encoder weights before pre-training."""
+        return enc.init(self.seed + 2, self.encoder_dims())
+
+    def fit_prototypes(self, embeddings, k: Optional[int] = None) -> proto.PrototypeSet:
+        """Spherical k-means prototypes; ``k`` defaults to ``n_prototypes``."""
+        return proto.fit(embeddings, self.n_prototypes if k is None else k,
+                         seed=self.seed + 4)
+
+    def score_rng(self) -> np.random.Generator:
+        """The random stream of ensembled test-time scoring."""
+        return np.random.default_rng(np.random.SeedSequence([self.seed, 6]))
 
     def resolve_augs(self, features) -> Tuple[WeakAugConfig, StrongAugConfig]:
         """Absolute augmentation magnitudes, scaled to the data spread."""

@@ -9,9 +9,8 @@ contamination, and hold out a labeled test split.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -144,14 +143,6 @@ class Dataset:
     def eval_normal_labels(self) -> np.ndarray:
         """Binary labels for AUROC: 1 = normal (class 0), 0 = anomaly."""
         return (self._true_class == 0).astype(np.int64)
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path) -> None:
-        write_dataset(path, self)
-
-    @staticmethod
-    def load(path) -> "Dataset":
-        return read_dataset(path)
 
 
 def generate(spec: SyntheticSpec) -> Pool:
@@ -334,11 +325,8 @@ def build_scenario(
         budget = min(total_anom_pool, len(train_normal))
         n_labeled_anom = int(round(config.gamma_l * budget))
         labeled_anom = _even_draw(rng, anom_train_pools, n_labeled_anom)
-        taken = set(labeled_anom.tolist())
-        anom_train_pools = {
-            c: np.array([i for i in v if i not in taken], dtype=np.int64)
-            for c, v in anom_train_pools.items()
-        }
+        anom_train_pools = {c: v[~np.isin(v, labeled_anom)]
+                            for c, v in anom_train_pools.items()}
         labeled_anom_feats = pool.features[labeled_anom]
         labeled_anom_ids = pool.ids[labeled_anom]
         labeled_anom_classes = pool.true_class[labeled_anom]

@@ -69,10 +69,6 @@ class EncoderParams:
     def zeros_like(self) -> "EncoderParams":
         return EncoderParams(*(np.zeros_like(getattr(self, f)) for f in self.FIELDS))
 
-    def add_scaled(self, other: "EncoderParams", scale: float) -> None:
-        for f in self.FIELDS:
-            getattr(self, f).__iadd__(scale * getattr(other, f))
-
 
 def init(seed: int, dims: EncoderDims) -> EncoderParams:
     """Kaiming-style init: weights ~ N(0, 2/fan_in), zero biases."""

@@ -1,4 +1,4 @@
-"""Fine-tuning, metrics, early stopping, and the experiment drivers.
+"""Fine-tuning, metrics, early stopping, and test-time scoring.
 
 AUROC is computed rank-wise (average ranks for ties), so every reported
 number is invariant under monotone transforms of the scores. The early-stop
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch, weak_batch
 from .data import LABELED_ANOMALY, Dataset, ValidationError
 from .mathcore import as_f64, logsumexp_rows
-from .pretrain import PretrainConfig, pretrain_loop
 
 
 # --------------------------------------------------------------------------
@@ -30,17 +29,9 @@ from .pretrain import PretrainConfig, pretrain_loop
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_vals = values[order]
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)
+    return (last - 0.5 * (counts - 1))[inverse]
 
 
 def auroc(scores, labels) -> float:
@@ -121,6 +112,10 @@ def earlystop_score(
 # Fine-tuning loop
 # --------------------------------------------------------------------------
 
+_ADAM_BETAS = (0.9, 0.999)
+_ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class FinetuneConfig:
     epochs: int = 50
@@ -129,14 +124,10 @@ class FinetuneConfig:
     tau: float = 0.5
     loss_name: str = "elsa"
     shift_mode: bool = False
-    shift_loss_weight: float = 1.0
     refresh_period: Optional[int] = 1
-    refresh_cold: bool = False
     c_mode: str = "canonical"
     strict_scores: bool = True
     seed: int = 0
-    adam_betas: Tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
@@ -228,8 +219,6 @@ def finetune_loop(
     per-epoch test metric; it never influences training or model selection.
     """
     params = params.copy()
-    protos = proto.PrototypeSet(protos.vectors.copy(), protos.last_refresh_epoch,
-                                list(protos.objective_trace), protos.norm_tol)
     C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
     if cfg.shift_mode and (shifts is None or shifts.count < 2):
         raise ValidationError("shift mode requires a shift family with >= 2 transforms")
@@ -237,7 +226,7 @@ def finetune_loop(
     rng = _sub_rng(cfg.seed, 1)
     m_state = params.zeros_like()
     v_state = params.zeros_like()
-    beta1, beta2 = cfg.adam_betas
+    beta1, beta2 = _ADAM_BETAS
     step = 0
 
     trace: List[MetricsRecord] = []
@@ -264,7 +253,7 @@ def finetune_loop(
         if cfg.refresh_period is not None:
             emb = prototype_inputs(params, train, shifts if cfg.shift_mode else None)
             new_protos = proto.refresh(protos, emb, epoch, cfg.refresh_period,
-                                       seed=cfg.seed, cold_start=cfg.refresh_cold)
+                                       seed=cfg.seed)
             refreshed = new_protos is not protos
             protos = new_protos
 
@@ -298,9 +287,7 @@ def finetune_loop(
             d_logits = None
             if cfg.shift_mode:
                 logits = enc.head_logits(params, cache)
-                ce, d_logits = obj.loss_shift(logits, shift_ids)
-                d_logits = cfg.shift_loss_weight * d_logits
-                breakdown.shift_term = cfg.shift_loss_weight * ce
+                breakdown.shift_term, d_logits = obj.loss_shift(logits, shift_ids)
                 breakdown.total += breakdown.shift_term
             grads = enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits)
 
@@ -316,7 +303,7 @@ def finetune_loop(
                 v *= beta2
                 v += (1.0 - beta2) * g * g
                 getattr(params, f).__isub__(
-                    cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.adam_eps))
+                    cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS))
             epoch_losses.append(breakdown)
 
         mean_loss = {
@@ -328,10 +315,7 @@ def finetune_loop(
             best_score = trace[-1].earlystop_auroc
             best_epoch = epoch
             best_params = params.copy()
-            best_protos = proto.PrototypeSet(protos.vectors.copy(),
-                                             protos.last_refresh_epoch,
-                                             list(protos.objective_trace),
-                                             protos.norm_tol)
+            best_protos = protos
 
     return RunResult(
         best_checkpoint_epoch=best_epoch,

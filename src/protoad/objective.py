@@ -39,32 +39,6 @@ def c_constant(n_prototypes: int, tau: float, mode: str = "canonical") -> float:
     return math.log(n_prototypes) + 1.0 / tau
 
 
-@dataclass(frozen=True)
-class ScoreConfig:
-    """Temperature and prototype count for energy scoring."""
-
-    tau: float = 0.5
-    n_prototypes: int = 16
-    c_mode: str = "canonical"
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
-        if self.n_prototypes < 1:
-            raise ValidationError("n_prototypes must be >= 1")
-        if self.c_mode not in C_MODES:
-            raise ValidationError(f"unknown c-mode {self.c_mode!r}")
-
-    @property
-    def C(self) -> float:
-        return c_constant(self.n_prototypes, self.tau, self.c_mode)
-
-    @property
-    def positive_scores(self) -> bool:
-        """Whether ln k > 1/tau, i.e. energy scores are guaranteed positive."""
-        return math.log(self.n_prototypes) > 1.0 / self.tau
-
-
 @dataclass
 class LossBreakdown:
     total: float
@@ -287,7 +261,7 @@ def score_ensemble(
     if mode == "scores":
         acc = np.zeros(n)
         for k in range(k_s):
-            shifted = shifts.apply_batch(X, k) if shifts is not None else X
+            shifted = shifts.apply(X, k) if shifts is not None else X
             for _ in range(n_samples):
                 emb = enc.embed(params, weak_batch(shifted, weak_cfg, rng))
                 acc += energy_score(emb, P, tau)

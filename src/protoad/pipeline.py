@@ -18,7 +18,6 @@ import numpy as np
 
 from . import encoder as enc
 from . import objective as obj
-from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .config import RunConfig
 from .data import (Pool, ScenarioSplit, build_scenario, generate)
@@ -64,14 +63,18 @@ class PipelineContext:
     split_digest: str
 
 
-def prepare(rc: RunConfig) -> PipelineContext:
-    """Generate data, pretrain the encoder, and embed the clustering pool."""
+def prepare(rc: RunConfig, split: Optional[ScenarioSplit] = None) -> PipelineContext:
+    """Pretrain the encoder and embed the clustering pool.
+
+    The split is generated from ``rc`` unless the caller brings its own.
+    """
     rc = rc.validated()
-    split = build_splits(rc)
+    if split is None:
+        split = build_splits(rc)
     weak, strong = rc.resolve_augs(split.train.features)
     shifts = rc.shift_family()
-    params0 = enc.init(rc.seed + 2, rc.encoder_dims())
-    pre = pretrain_loop(split.train, params0, weak, shifts, rc.pretrain_config())
+    pre = pretrain_loop(split.train, rc.initial_params(), weak, shifts,
+                        rc.pretrain_config())
     emb = prototype_inputs(pre.params, split.train, shifts)
     return PipelineContext(rc=rc, split=split, weak=weak, strong=strong,
                            shifts=shifts, pretrained=pre,
@@ -99,7 +102,6 @@ def finetune_and_eval(
     loss_name: Optional[str] = None,
     score_name: Optional[str] = None,
     n_prototypes: Optional[int] = None,
-    record_test_probe: bool = True,
 ) -> Tuple[RunResult, Dict]:
     """Fine-tune from the shared context and score the test set.
 
@@ -114,11 +116,11 @@ def finetune_and_eval(
     k = n_prototypes if n_prototypes is not None else rc.n_prototypes
     tau = rc.effective_score_tau
 
-    protos = proto.fit(ctx.cluster_embeddings, k, seed=rc.seed + 4)
+    protos = rc.fit_prototypes(ctx.cluster_embeddings, k)
     strict = rc.strict_scores and math.log(k) > 1.0 / tau
     ft_cfg = dataclasses.replace(rc.finetune_config(), loss_name=loss_name,
                                  strict_scores=strict)
-    probe = test_auroc_probe(ctx.split.test, tau) if record_test_probe else None
+    probe = test_auroc_probe(ctx.split.test, tau)
 
     outcome = finetune_loop(ctx.pretrained.params, protos, ctx.split.train,
                             ctx.split.validation, ctx.weak, ctx.strong,
@@ -131,8 +133,7 @@ def finetune_and_eval(
     scores = evaluate_scores(score_name, outcome.best_params,
                              outcome.best_prototypes, ctx.split.test, reference,
                              ctx.weak, ctx.shifts, tau, rc.n_ensemble,
-                             np.random.default_rng(np.random.SeedSequence([rc.seed, 6])),
-                             ensemble_mode=rc.ensemble_mode)
+                             rc.score_rng(), ensemble_mode=rc.ensemble_mode)
     final = auroc(scores, ctx.split.test.eval_normal_labels())
     outcome.final_auroc = final
     report = {
@@ -172,22 +173,10 @@ def _grid_cell(args) -> Dict:
     anomaly = sorted(int(c) for c in pool.classes() if c != 0)
     mix = [c for i, c in enumerate(anomaly) if i % n_mixes == mix_idx]
     split = build_scenario(pool, cell_rc.scenario_config(), anomaly_classes=mix)
-    ctx = _prepare_from_split(cell_rc, split)
+    ctx = prepare(cell_rc, split)
     _, report = finetune_and_eval(ctx)
     report.update({"normal_config": normal_idx, "anomaly_mix": mix})
     return report
-
-
-def _prepare_from_split(rc: RunConfig, split: ScenarioSplit) -> PipelineContext:
-    weak, strong = rc.resolve_augs(split.train.features)
-    shifts = rc.shift_family()
-    params0 = enc.init(rc.seed + 2, rc.encoder_dims())
-    pre = pretrain_loop(split.train, params0, weak, shifts, rc.pretrain_config())
-    emb = prototype_inputs(pre.params, split.train, shifts)
-    return PipelineContext(rc=rc, split=split, weak=weak, strong=strong,
-                           shifts=shifts, pretrained=pre, cluster_embeddings=emb,
-                           split_digest=split_hash(split.train, split.validation,
-                                                   split.test))
 
 
 def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3,

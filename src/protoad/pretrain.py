@@ -14,7 +14,7 @@ cross-entropy term teaches the head to recover the shift index.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -80,6 +80,9 @@ def decompose_loss(batch: ContrastiveBatch) -> Tuple[float, float]:
     return float(np.mean(-pos)), float(np.mean(lse))
 
 
+_PROBE_SIZE = 128    # clean samples in the fixed per-epoch probe batch
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     epochs: int = 200
@@ -89,7 +92,6 @@ class PretrainConfig:
     tau: float = 0.5
     shift_mode: bool = False
     seed: int = 0
-    probe_size: int = 128
     debug_identity: bool = False
 
     def __post_init__(self):
@@ -166,7 +168,7 @@ def pretrain_loop(
 
     rng = np.random.default_rng(cfg.seed)
     probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
-    probe_idx = probe_rng.permutation(len(feats))[:min(cfg.probe_size, len(feats))]
+    probe_idx = probe_rng.permutation(len(feats))[:min(_PROBE_SIZE, len(feats))]
     probe_clean = feats[probe_idx]
     pv1, pv2, probe_ids = _two_views(probe_clean, weak_cfg, shifts, cfg.shift_mode, probe_rng)
 

@@ -22,6 +22,9 @@ _MAX_ITER = 100
 class PrototypeSet:
     """k unit-norm prototype vectors plus refresh bookkeeping.
 
+    ``vectors`` is read-only: ``fit`` and ``refresh`` build new sets, so one
+    set can be shared (for instance as a best-epoch snapshot) without copying.
+
     ``norm_tol`` loosens the unit-norm check for vectors that round-tripped
     through 32-bit storage; freshly fitted sets satisfy the default 1e-9.
     """
@@ -38,6 +41,7 @@ class PrototypeSet:
         norms = np.linalg.norm(self.vectors, axis=1)
         if np.any(np.abs(norms - 1.0) > self.norm_tol):
             raise ValidationError(f"prototypes must be unit-norm within {self.norm_tol}")
+        self.vectors.setflags(write=False)
 
     @property
     def k(self) -> int:
@@ -70,13 +74,13 @@ def _seed_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return X[np.array(chosen)].copy()
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int
+def _lloyd(X: np.ndarray, centroids: np.ndarray
            ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
     """Alternate cosine assignment and normalized-mean updates until stable."""
     k = len(centroids)
     assign = None
     trace: List[float] = []
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         sims = X @ centroids.T
         new_assign = np.argmax(sims, axis=1)
         trace.append(float(np.mean(sims[np.arange(len(X)), new_assign])))
@@ -105,7 +109,6 @@ def fit(
     k: int,
     seed: int = 0,
     init_vectors: Optional[np.ndarray] = None,
-    max_iter: int = _MAX_ITER,
     n_init: int = 4,
 ) -> PrototypeSet:
     """Spherical k-means over unit rows. Deterministic under (inputs, k, seed).
@@ -131,7 +134,7 @@ def fit(
 
     best = None
     for centroids in starts:
-        c, assign, trace = _lloyd(X, centroids, max_iter)
+        c, assign, trace = _lloyd(X, centroids)
         if best is None or trace[-1] > best[2][-1]:
             best = (c, assign, trace)
     centroids, _, trace = best

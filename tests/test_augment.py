@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from protoad.augment import (ShiftFamily, StrongAugConfig, WeakAugConfig,
-                             strong, strong_batch, weak, weak_batch)
+                             strong_batch, weak_batch)
+from protoad.config import RunConfig
 from protoad.data import ValidationError
 
 
@@ -11,15 +12,15 @@ from protoad.data import ValidationError
 def test_weak_identity_configuration():
     x = np.array([1.0, -2.0, 3.0, 0.5])
     cfg = WeakAugConfig.identity()
-    out = weak(x, cfg, np.random.default_rng(0))
-    assert np.array_equal(out, x)
+    out = weak_batch(x[None, :], cfg, np.random.default_rng(0))
+    assert np.array_equal(out, x[None, :])
 
 
 def test_weak_deterministic_under_seed():
     x = np.linspace(-1, 1, 32)
     cfg = WeakAugConfig()
-    a = weak(x, cfg, np.random.default_rng(7))
-    b = weak(x, cfg, np.random.default_rng(7))
+    a = weak_batch(x[None, :], cfg, np.random.default_rng(7))
+    b = weak_batch(x[None, :], cfg, np.random.default_rng(7))
     assert np.array_equal(a, b)
 
 
@@ -111,14 +112,15 @@ def test_shift_expand_layout():
 def test_strong_zero_probability_is_identity():
     cfg = StrongAugConfig(apply_probability=0.0)
     x = np.linspace(-2, 2, 16)
-    assert np.array_equal(strong(x, cfg, np.random.default_rng(0)), x)
+    assert np.array_equal(strong_batch(x[None, :], cfg, np.random.default_rng(0)),
+                          x[None, :])
 
 
 def test_strong_deterministic_under_seed():
     cfg = StrongAugConfig()
     x = np.linspace(-2, 2, 16)
-    a = strong(x, cfg, np.random.default_rng(3))
-    b = strong(x, cfg, np.random.default_rng(3))
+    a = strong_batch(x[None, :], cfg, np.random.default_rng(3))
+    b = strong_batch(x[None, :], cfg, np.random.default_rng(3))
     assert np.array_equal(a, b)
 
 
@@ -126,8 +128,7 @@ def test_strong_dominates_weak_displacement():
     # Monte-Carlo estimate over 1000 samples: mean displacement ratio >= 4.
     rng = np.random.default_rng(0)
     X = rng.normal(size=(1000, 32))
-    weak_cfg = WeakAugConfig()
-    strong_cfg = StrongAugConfig.for_weak(weak_cfg)
+    weak_cfg, strong_cfg = RunConfig().resolve_augs(X)
     wd = np.linalg.norm(weak_batch(X, weak_cfg, np.random.default_rng(1)) - X,
                         axis=1).mean()
     sd = np.linalg.norm(strong_batch(X, strong_cfg, np.random.default_rng(2)) - X,

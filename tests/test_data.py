@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from protoad.data import (LABELED_ANOMALY, LABELED_NORMAL, UNLABELED, Dataset,
-                          Pool, ScenarioConfig, SyntheticSpec, ValidationError,
+from protoad.data import (LABELED_ANOMALY, LABELED_NORMAL, UNLABELED, Pool,
+                          ScenarioConfig, SyntheticSpec, ValidationError,
                           build_scenario, generate, read_cifar10_binary,
                           read_dataset, relabel_pool, write_dataset)
 from protoad.mathcore import NumericError

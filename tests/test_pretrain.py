@@ -5,9 +5,8 @@ import pytest
 
 from protoad import encoder as enc
 from protoad.augment import ShiftFamily, WeakAugConfig
-from protoad.data import (LABELED_ANOMALY, Dataset, ScenarioConfig,
-                          SyntheticSpec, ValidationError, build_scenario,
-                          generate)
+from protoad.data import (LABELED_ANOMALY, ScenarioConfig, SyntheticSpec,
+                          ValidationError, build_scenario, generate)
 from protoad.mathcore import grad_check, l2_normalize
 from protoad.pretrain import (ContrastiveBatch, PretrainConfig,
                               contrastive_loss, decompose_loss, pretrain_loop)

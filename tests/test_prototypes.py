@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -151,3 +149,10 @@ def test_refresh_warm_start_tracks_drifting_embeddings():
     cold = proto.fit(drifted, k=3, seed=0)
     assert np.allclose(np.linalg.norm(warm.vectors, axis=1), 1.0, atol=1e-9)
     assert warm.objective_trace[-1] >= cold.objective_trace[-1] - 1e-9
+
+
+def test_prototype_vectors_are_read_only():
+    # Sets are shared instead of copied (e.g. as a best-epoch snapshot).
+    state = proto.fit(_unit_rows(20, 4, np.random.default_rng(0)), k=2, seed=0)
+    with pytest.raises(ValueError):
+        state.vectors[0, 0] = 0.0
