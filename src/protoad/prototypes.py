@@ -22,8 +22,9 @@ _MAX_ITER = 100
 class PrototypeSet:
     """k unit-norm prototype vectors plus refresh bookkeeping.
 
-    ``vectors`` is read-only: ``fit`` and ``refresh`` build new sets, so one
-    set can be shared (for instance as a best-epoch snapshot) without copying.
+    ``vectors`` is a read-only copy of the input: ``fit`` and ``refresh``
+    build new sets, so one set can be shared (for instance as a best-epoch
+    snapshot) without copying it again, and no caller's array is frozen.
 
     ``norm_tol`` loosens the unit-norm check for vectors that round-tripped
     through 32-bit storage; freshly fitted sets satisfy the default 1e-9.
@@ -35,7 +36,7 @@ class PrototypeSet:
     norm_tol: float = 1e-9
 
     def __post_init__(self):
-        self.vectors = as_f64(self.vectors, "prototypes")
+        self.vectors = as_f64(self.vectors, "prototypes").copy()
         if self.vectors.ndim != 2 or len(self.vectors) < 1:
             raise ValidationError("prototype set must be a nonempty 2-D array")
         norms = np.linalg.norm(self.vectors, axis=1)

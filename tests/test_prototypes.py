@@ -156,3 +156,6 @@ def test_prototype_vectors_are_read_only():
     state = proto.fit(_unit_rows(20, 4, np.random.default_rng(0)), k=2, seed=0)
     with pytest.raises(ValueError):
         state.vectors[0, 0] = 0.0
+    own = np.eye(2)
+    proto.PrototypeSet(own)
+    own[0, 0] = 1.0    # the caller's array stays writable
