@@ -110,14 +110,15 @@ class Dataset:
 
     Training code sees ``features``, ``semi`` and ``ids`` only. Ground-truth
     classes are reachable solely through the ``eval_*`` accessors, which no
-    training path calls.
+    training path calls. The arrays are read-only copies of the inputs, so
+    no caller's array is frozen.
     """
 
     def __init__(self, features, semi, ids, true_class):
-        self.features = as_f64(features, "dataset features")
-        self.semi = np.asarray(semi, dtype=np.int64)
-        self.ids = np.asarray(ids, dtype=np.int64)
-        self._true_class = np.asarray(true_class, dtype=np.int64)
+        self.features = as_f64(features, "dataset features").copy()
+        self.semi = np.array(semi, dtype=np.int64)
+        self.ids = np.array(ids, dtype=np.int64)
+        self._true_class = np.array(true_class, dtype=np.int64)
         n = len(self.features)
         if not (len(self.semi) == len(self.ids) == len(self._true_class) == n):
             raise ValidationError("dataset arrays must share one length")

@@ -166,8 +166,6 @@ class RunResult:
     trace: List[MetricsRecord]
     best_params: enc.EncoderParams
     best_prototypes: proto.PrototypeSet
-    final_params: enc.EncoderParams
-    final_prototypes: proto.PrototypeSet
 
     def __post_init__(self):
         if self.best_checkpoint_epoch not in {m.epoch for m in self.trace}:
@@ -213,10 +211,11 @@ def finetune_loop(
     Every batch sample is expanded into two weak views, each view over all
     shifting transforms when shift mode is on; semi-labels repeat across the
     expansion. Prototypes are refit from the current (non-anomalous)
-    embeddings every ``refresh_period`` epochs. The early-stop score is
-    recorded each epoch and the best-scoring snapshot is returned alongside
-    the final state. ``eval_probe``, when given, is only used to log a
-    per-epoch test metric; it never influences training or model selection.
+    embeddings every ``refresh_period`` epochs; the training set is embedded
+    only on the epochs that refit. The early-stop score is recorded each
+    epoch and the best-scoring snapshot is returned. ``eval_probe``, when
+    given, is only used to log a per-epoch test metric; it never influences
+    training or model selection.
     """
     params = params.copy()
     C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
@@ -249,13 +248,11 @@ def finetune_loop(
     best_protos = protos
 
     for epoch in range(1, cfg.epochs + 1):
-        refreshed = False
-        if cfg.refresh_period is not None:
+        refreshed = protos.refresh_due(epoch, cfg.refresh_period)
+        if refreshed:
             emb = prototype_inputs(params, train, shifts if cfg.shift_mode else None)
-            new_protos = proto.refresh(protos, emb, epoch, cfg.refresh_period,
-                                       seed=cfg.seed)
-            refreshed = new_protos is not protos
-            protos = new_protos
+            protos = proto.refresh(protos, emb, epoch, cfg.refresh_period,
+                                   seed=cfg.seed)
 
         order = rng.permutation(len(train))
         epoch_losses: List[obj.LossBreakdown] = []
@@ -323,8 +320,6 @@ def finetune_loop(
         trace=trace,
         best_params=best_params,
         best_prototypes=best_protos,
-        final_params=params,
-        final_prototypes=protos,
     )
 
 

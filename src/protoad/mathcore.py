@@ -36,19 +36,24 @@ def logsumexp(values) -> float:
 
 
 def logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp for a 2-D array."""
+    """Row-wise logsumexp for a 2-D array; ``matrix`` is left unchanged."""
     m = as_f64(matrix, "logsumexp input")
     if m.ndim != 2 or m.shape[1] == 0:
         raise NumericError("empty reduction")
     shift = np.max(m, axis=1, keepdims=True)
-    return (shift + np.log(np.sum(np.exp(m - shift), axis=1, keepdims=True)))[:, 0]
+    e = m - shift
+    np.exp(e, out=e)
+    return (shift + np.log(np.sum(e, axis=1, keepdims=True)))[:, 0]
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise softmax for a 2-D array; ``matrix`` is left unchanged."""
     m = as_f64(matrix, "softmax input")
     shift = np.max(m, axis=1, keepdims=True)
-    e = np.exp(m - shift)
-    return e / np.sum(e, axis=1, keepdims=True)
+    e = m - shift
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=1, keepdims=True)
+    return e
 
 
 def l2_normalize(v) -> np.ndarray:

@@ -122,7 +122,9 @@ def uniformity_scores_self(E: np.ndarray) -> np.ndarray:
     sims = E @ E.T
     np.fill_diagonal(sims, -np.inf)
     shift = np.max(sims, axis=1, keepdims=True)
-    return (shift + np.log(np.sum(np.exp(sims - shift), axis=1, keepdims=True)))[:, 0]
+    sims -= shift
+    np.exp(sims, out=sims)
+    return (shift + np.log(np.sum(sims, axis=1, keepdims=True)))[:, 0]
 
 
 def _split_semi(semi: np.ndarray, n: int) -> np.ndarray:

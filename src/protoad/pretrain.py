@@ -46,27 +46,34 @@ class ContrastiveBatch:
 
 
 def _pair_terms(batch: ContrastiveBatch):
-    """Shared plumbing: similarity logits, per-anchor logsumexp, softmax."""
+    """Shared plumbing: similarity logits, per-anchor logsumexp, softmax.
+
+    One n x n buffer goes from logits to softmax in place; ``pos`` is read
+    before the buffer is overwritten. The returned softmax is a fresh array
+    the caller owns.
+    """
     E = np.vstack([batch.view1, batch.view2])
     two_m = len(E)
     partner = (np.arange(two_m) + two_m // 2) % two_m
-    sims = (E @ E.T) / batch.tau
-    np.fill_diagonal(sims, -np.inf)
-    shift = np.max(sims, axis=1, keepdims=True)
-    ex = np.exp(sims - shift)
-    z = ex.sum(axis=1, keepdims=True)
+    w = E @ E.T
+    w /= batch.tau
+    np.fill_diagonal(w, -np.inf)
+    shift = np.max(w, axis=1, keepdims=True)
+    pos = w[np.arange(two_m), partner]
+    w -= shift
+    np.exp(w, out=w)
+    z = w.sum(axis=1, keepdims=True)
     lse = (shift + np.log(z))[:, 0]
-    pos = sims[np.arange(two_m), partner]
-    return E, partner, pos, lse, ex / z
+    w /= z
+    return E, partner, pos, lse, w
 
 
 def contrastive_loss(batch: ContrastiveBatch
                      ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Loss averaged over both view directions, plus gradients per view."""
-    E, partner, pos, lse, w = _pair_terms(batch)
+    E, partner, pos, lse, g = _pair_terms(batch)
     two_m = len(E)
     loss = float(np.mean(lse - pos))
-    g = w.copy()
     g[np.arange(two_m), partner] -= 1.0
     g /= two_m * batch.tau
     d_embed = g @ E + g.T @ E

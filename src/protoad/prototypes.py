@@ -48,6 +48,14 @@ class PrototypeSet:
     def k(self) -> int:
         return len(self.vectors)
 
+    def refresh_due(self, epoch: int, period: Optional[int]) -> bool:
+        """Whether ``refresh`` at ``epoch`` would refit (``period=None``: never)."""
+        if period is None:
+            return False
+        if period < 1:
+            raise ValidationError("refresh period must be >= 1")
+        return epoch - self.last_refresh_epoch >= period
+
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(m, axis=1, keepdims=True)
@@ -161,11 +169,7 @@ def refresh(
     ``period=None`` disables refreshing. Warm-starts from the current
     prototypes unless ``cold_start`` is set.
     """
-    if period is None:
-        return state
-    if period < 1:
-        raise ValidationError("refresh period must be >= 1")
-    if epoch - state.last_refresh_epoch < period:
+    if not state.refresh_due(epoch, period):
         return state
     init_vectors = None if cold_start else state.vectors
     fitted = fit(embeddings, state.k, seed=seed, init_vectors=init_vectors)

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from protoad.data import (LABELED_ANOMALY, LABELED_NORMAL, UNLABELED, Pool,
-                          ScenarioConfig, SyntheticSpec, ValidationError,
+from protoad.data import (LABELED_ANOMALY, LABELED_NORMAL, UNLABELED, Dataset,
+                          Pool, ScenarioConfig, SyntheticSpec, ValidationError,
                           build_scenario, generate, read_cifar10_binary,
                           read_dataset, relabel_pool, write_dataset)
 from protoad.mathcore import NumericError
@@ -168,6 +168,20 @@ def test_true_class_hidden_from_training_surface():
     public = [a for a in dir(split.train) if not a.startswith("_")]
     exposed = [a for a in public if "true" in a or "label" in a]
     assert all(a.startswith("eval_") for a in exposed)
+
+
+def test_dataset_copies_instead_of_freezing_caller_arrays():
+    a = np.zeros((3, 2))
+    semi = np.array([UNLABELED, LABELED_NORMAL, LABELED_ANOMALY])
+    ids = np.arange(3)
+    ds = Dataset(a, semi, ids, np.zeros(3, dtype=np.int64))
+    a[0, 0] = 5.0
+    semi[0] = LABELED_NORMAL
+    ids[0] = 7
+    assert ds.features[0, 0] == 0.0
+    assert ds.semi[0] == UNLABELED and ds.ids[0] == 0
+    with pytest.raises(ValueError):
+        ds.features[0, 0] = 1.0
 
 
 # ----------------------------------------------------------- file format

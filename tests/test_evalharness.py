@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from protoad import evalharness, pipeline
+from protoad.config import preset
 from protoad.data import ValidationError
 from protoad.evalharness import auroc, spearman
 
@@ -41,3 +43,35 @@ def test_auroc_needs_both_classes():
 def test_spearman_with_ties_uses_average_ranks():
     # Ranks of [1, 1, 2] are [1.5, 1.5, 3], identical to those of [0, 0, 5].
     assert spearman([1.0, 1.0, 2.0], [0.0, 0.0, 5.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_finetune_embeds_training_set_only_on_refresh_epochs(monkeypatch):
+    # ELSA+ refreshes every 3 epochs; the pinned trace is the one the loop
+    # gave when it re-embedded the training set on every epoch.
+    rc = preset("smoke").replace(mode="elsa_plus", finetune_epochs=7)
+    assert rc.effective_refresh_period == 3
+    ctx = pipeline.prepare(rc)
+    calls = []
+    embed = evalharness.prototype_inputs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return embed(*args, **kwargs)
+
+    monkeypatch.setattr(evalharness, "prototype_inputs", counting)
+    outcome, report = pipeline.finetune_and_eval(ctx)
+    flags = [m.prototype_refresh_flag for m in outcome.trace]
+    assert flags == [False, False, False, True, False, False, True, False]
+    assert len(calls) == sum(flags)
+    assert outcome.best_checkpoint_epoch == 4
+    assert report["final_auroc"] == pytest.approx(0.8763020833333334, abs=1e-9)
+    assert report["earlystop_trace"] == pytest.approx(
+        [5 / 9, 5 / 9, 4 / 9, 3 / 9, 7 / 9, 3 / 9, 5 / 9, 4 / 9], abs=1e-9)
+    assert report["test_auroc_trace"] == pytest.approx(
+        [0.8216145833333334, 0.8177083333333334, 0.8177083333333334,
+         0.80859375, 0.8059895833333334, 0.8072916666666666, 0.79296875,
+         0.79296875], abs=1e-9)
+    assert [m.loss["total"] for m in outcome.trace[1:]] == pytest.approx(
+        [1.19956858502301, 1.034646474814548, 0.929219154734214,
+         1.1863361688099796, 1.0095746186844359, 0.9851666499971138,
+         0.9552057663584911], abs=1e-9)

@@ -64,6 +64,23 @@ def test_softmax_rows_sums_to_one():
     assert np.allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("shape, scale", [((5, 7), 1.0), ((40, 3), 30.0),
+                                          ((1, 1), 1.0), ((64, 200), 5.0)])
+def test_row_reductions_keep_input_and_match_out_of_place_formula(shape, scale):
+    rng = np.random.default_rng(shape[0])
+    m = rng.normal(size=shape) * scale
+    before = m.copy()
+    shift = np.max(m, axis=1, keepdims=True)
+    ex = np.exp(m - shift)
+    lse = logsumexp_rows(m)
+    assert np.array_equal(m, before)
+    assert np.array_equal(
+        lse, (shift + np.log(np.sum(ex, axis=1, keepdims=True)))[:, 0])
+    p = softmax_rows(m)
+    assert np.array_equal(m, before)
+    assert np.array_equal(p, ex / np.sum(ex, axis=1, keepdims=True))
+
+
 def test_l2_normalize_basic():
     assert np.allclose(l2_normalize([3.0, 4.0]), [0.6, 0.8])
 

@@ -87,6 +87,43 @@ def test_decompose_flat_fixture():
     assert align == pytest.approx(-2.0, abs=1e-12)
 
 
+def _out_of_place_oracle(batch):
+    """The original kernel, one fresh n x n array per step: (loss, g1, g2, pos, lse)."""
+    E = np.vstack([batch.view1, batch.view2])
+    two_m = len(E)
+    partner = (np.arange(two_m) + two_m // 2) % two_m
+    sims = (E @ E.T) / batch.tau
+    np.fill_diagonal(sims, -np.inf)
+    shift = np.max(sims, axis=1, keepdims=True)
+    ex = np.exp(sims - shift)
+    z = ex.sum(axis=1, keepdims=True)
+    lse = (shift + np.log(z))[:, 0]
+    pos = sims[np.arange(two_m), partner]
+    g = (ex / z).copy()
+    g[np.arange(two_m), partner] -= 1.0
+    g /= two_m * batch.tau
+    d_embed = g @ E + g.T @ E
+    m = two_m // 2
+    return float(np.mean(lse - pos)), d_embed[:m], d_embed[m:], pos, lse
+
+
+@pytest.mark.parametrize("m, z, tau", [(512, 16, 0.5), (37, 5, 0.07),
+                                       (2, 3, 1.0), (129, 7, 0.2)])
+def test_contrastive_matches_out_of_place_oracle_bit_for_bit(m, z, tau):
+    batch = _random_batch(m, z, tau, seed=m)
+    views = (batch.view1.copy(), batch.view2.copy())
+    loss, g1, g2 = contrastive_loss(batch)
+    o_loss, o_g1, o_g2, o_pos, o_lse = _out_of_place_oracle(batch)
+    assert loss == o_loss
+    assert np.array_equal(g1, o_g1)
+    assert np.array_equal(g2, o_g2)
+    align, uniform = decompose_loss(batch)
+    assert align == float(np.mean(-o_pos))
+    assert uniform == float(np.mean(o_lse))
+    assert np.array_equal(batch.view1, views[0])
+    assert np.array_equal(batch.view2, views[1])
+
+
 # ------------------------------------------------------------------ loop
 
 def _train_split(seed=0, samples=120, anomaly_classes=2):

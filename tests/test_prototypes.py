@@ -137,6 +137,20 @@ def test_refresh_period_three():
     assert refreshed_at == [3, 6, 9]
 
 
+@pytest.mark.parametrize("period", [None, 1, 3])
+def test_refresh_due_says_when_refresh_refits(period):
+    rng = np.random.default_rng(13)
+    X = _unit_rows(20, 4, rng)
+    state = proto.fit(X, k=2, seed=0)
+    for epoch in range(1, 10):
+        due = state.refresh_due(epoch, period)
+        nxt = proto.refresh(state, X, epoch=epoch, period=period)
+        assert due == (nxt is not state)
+        state = nxt
+    with pytest.raises(ValidationError):
+        state.refresh_due(10, 0)
+
+
 def test_refresh_warm_start_tracks_drifting_embeddings():
     # Small drift, as between fine-tuning epochs: the warm start keeps pace
     # with a cold refit.
