@@ -54,3 +54,27 @@ def test_unknown_set_key_exits_with_validation_code(tmp_path):
     assert code == 3
     assert "unknown config keys: ['nope']" in err.getvalue()
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value, key, expected", [
+    ("--seed", "7", "seed", 7),
+    ("--tau", "0.6", "tau", 0.6),
+    ("--gamma-l", "0.2", "gamma_l", 0.2),
+    ("--gamma-p", "0.1", "gamma_p", 0.1),
+    ("--scenario", "s3", "scenario", "s3"),
+    ("--mode", "elsa", "mode", "elsa"),
+    ("--prototypes", "12", "n_prototypes", 12),
+    ("--loss", "deepsad", "loss_name", "deepsad"),
+    ("--score", "cosine", "score_name", "cosine"),
+    ("--c-mode", "appendix", "c_mode", "appendix"),
+    ("--pretrain-epochs", "2", "pretrain_epochs", 2),
+    ("--finetune-epochs", "5", "finetune_epochs", 5),
+    ("--samples-per-class", "40", "samples_per_class", 40),
+    ("--input-dim", "12", "input_dim", 12),
+    ("--n-ensemble", "3", "n_ensemble", 3),
+    ("--ensemble-mode", "embeddings", "ensemble_mode", "embeddings"),
+])
+def test_dedicated_flag_sets_its_config_key(flag, value, key, expected):
+    assert getattr(preset("smoke"), key) != expected
+    rc = cli.resolve_config(_args("--preset", "smoke", flag, value))
+    assert getattr(rc, key) == expected

@@ -147,3 +147,46 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
     result = json.loads((tmp_path / "eval.json").read_text())
     assert result["count"] == 64
     _close(result["auroc"], 0.8619791666666666)
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("elsa", {
+        "pre.ckpt": "e03d2e0d632fea4c12f61e37fe97b79a1a7d89356efad69fa4f9dfde843c3338",
+        "ft.ckpt": "48a305e3dbb6dacadddabe27e211464174262253591363c864df658ba074a641",
+        "scores.jsonl": "ce6b551f1fb2568e08d65c289cd1a0fdc38a88e1dad909eb93019987d1f9455b",
+        "embeddings.jsonl":
+            "ea1a5e0e31a199833a09aefae72d2c6461a6499cdc88e7cc275ee47803a8b91c",
+        "auroc": 0.4596354166666667,
+    }),
+    ("elsa_plus", {
+        "pre.ckpt": "84310c1944cbdf0d155391cee8c1e5fdd82c97ececf6f77c293fac40a86bf5d0",
+        "ft.ckpt": "2a7b2a944c9b58c1276112c884db2053081cd59642f1bb3e847346f52680d43b",
+        "scores.jsonl": "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a",
+        "embeddings.jsonl":
+            "2dc32b463bd2f73cbe71ef7a61d9c50447b770efc682bc4170686ab10438cfa7",
+        "auroc": 0.8619791666666666,
+    }),
+])
+def test_golden_cli_chain_by_mode(mode, expected, tmp_path, monkeypatch):
+    # Both modes through the CLI, plus ensemble scoring in "embeddings" mode.
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    p = lambda name: str(tmp_path / name)
+    common = ["--preset", "smoke", "--seed", "3", "--mode", mode]
+    score = ["score", "--checkpoint", p("ft.ckpt"), "--input", p("data.test.ds")]
+    steps = [
+        ["gen-data", *common, "--out", p("data")],
+        ["pretrain", *common, "--data", p("data"), "--out", p("pre.ckpt")],
+        ["finetune", "--checkpoint", p("pre.ckpt"), "--data", p("data"),
+         "--out", p("ft.ckpt")],
+        [*score, "--out", p("scores.jsonl")],
+        [*score, "--ensemble-mode", "embeddings", "--out", p("embeddings.jsonl")],
+        ["eval", "--scores", p("scores.jsonl"), "--input", p("data.test.ds"),
+         "--out", p("eval.json")],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(argv) for argv in steps]
+    assert codes == [0] * len(steps)
+    for name in ("pre.ckpt", "ft.ckpt", "scores.jsonl", "embeddings.jsonl"):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == \
+            expected[name], name
+    _close(json.loads((tmp_path / "eval.json").read_text())["auroc"], expected["auroc"])

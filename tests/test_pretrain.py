@@ -5,9 +5,11 @@ import pytest
 
 from protoad import encoder as enc
 from protoad.augment import ShiftFamily, WeakAugConfig
+from protoad.config import preset
 from protoad.data import (LABELED_ANOMALY, ScenarioConfig, SyntheticSpec,
                           ValidationError, build_scenario, generate)
 from protoad.mathcore import grad_check, l2_normalize
+from protoad.pipeline import build_splits
 from protoad.pretrain import (ContrastiveBatch, PretrainConfig,
                               contrastive_loss, decompose_loss, pretrain_loop)
 
@@ -166,6 +168,24 @@ def test_pretrain_probe_loss_trend():
     means = probe[1:].reshape(cfg.epochs // window, window).mean(axis=1)
     trend = np.concatenate(([probe[0]], means))
     assert np.all(np.diff(trend) < 0), trend
+
+
+@pytest.mark.parametrize("mode, probe_loss, shift_accuracy", [
+    ("elsa", [4.2663609495166614, 4.1117221108955295, 3.8616108070821022,
+              3.723297379569744, 3.689483516165706], [None] * 5),
+    ("elsa_plus", [5.660374284929303, 5.4518266459342914, 4.9910824953824235,
+                   4.9467386087023, 5.056294228253002],
+     [0.3203125, 0.4453125, 0.66015625, 0.7734375, 0.8046875]),
+])
+def test_pretrain_probe_trace_pinned(mode, probe_loss, shift_accuracy):
+    # Exact per-epoch probe values of a 4-epoch smoke pre-train.
+    rc = preset("smoke").replace(mode=mode, seed=1)
+    split = build_splits(rc)
+    weak, _ = rc.resolve_augs(split.train.features)
+    result = pretrain_loop(split.train, rc.initial_params(), weak,
+                           rc.shift_family(), rc.pretrain_config())
+    assert [m.probe_loss for m in result.metrics] == probe_loss
+    assert [m.shift_accuracy for m in result.metrics] == shift_accuracy
 
 
 def test_pretrain_never_touches_labeled_anomalies():
