@@ -111,15 +111,25 @@ class ShiftFamily:
             mats.append(q)
         return cls(mats)
 
+    def _checked(self, x, what: str) -> np.ndarray:
+        x = as_f64(x, what)
+        if x.shape[-1] != self.dim:
+            raise ValidationError(f"{what} width {x.shape[-1]} != shift dim {self.dim}")
+        return x
+
     def apply(self, x: np.ndarray, index: int) -> np.ndarray:
         if not (0 <= index < self.count):
             raise ValidationError(f"shift index {index} out of range [0, {self.count})")
-        return as_f64(x, "sample") @ self.matrices[index].T
+        x = self._checked(x, "sample")
+        return x if index == 0 else x @ self.matrices[index].T
 
     def expand(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Stack shift_k(X) for every k; returns (count*n rows, shift ids)."""
-        X = as_f64(X, "batch")
-        rows = np.vstack([X @ self.matrices[k].T for k in range(self.count)])
+        """Stack shift_k(X) for every k; returns (count*n rows, shift ids).
+
+        Slot 0 is exactly the identity, so its block is ``X`` itself.
+        """
+        X = self._checked(X, "batch")
+        rows = np.vstack([X] + [X @ q.T for q in self.matrices[1:]])
         ids = np.repeat(np.arange(self.count), len(X))
         return rows, ids
 

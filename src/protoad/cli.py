@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -37,16 +38,6 @@ METRICS_SCHEMA = 1
 # Config plumbing
 # --------------------------------------------------------------------------
 
-_FLAG_TO_KEY = {
-    "seed": "seed", "tau": "tau", "gamma_l": "gamma_l", "gamma_p": "gamma_p",
-    "scenario": "scenario", "mode": "mode", "prototypes": "n_prototypes",
-    "loss": "loss_name", "score": "score_name", "c_mode": "c_mode",
-    "pretrain_epochs": "pretrain_epochs", "finetune_epochs": "finetune_epochs",
-    "samples_per_class": "samples_per_class", "input_dim": "input_dim",
-    "n_ensemble": "n_ensemble", "ensemble_mode": "ensemble_mode",
-}
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", default="default", choices=sorted(PRESETS))
     p.add_argument("--config", help="JSON config file overriding the preset")
@@ -58,9 +49,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma-p", type=float, dest="gamma_p")
     p.add_argument("--scenario", choices=("s1", "s2", "s3"))
     p.add_argument("--mode", choices=("elsa", "elsa_plus"))
-    p.add_argument("--prototypes", type=int)
-    p.add_argument("--loss", choices=obj.LOSSES)
-    p.add_argument("--score", choices=obj.SCORES)
+    p.add_argument("--prototypes", type=int, dest="n_prototypes")
+    p.add_argument("--loss", choices=obj.LOSSES, dest="loss_name")
+    p.add_argument("--score", choices=obj.SCORES, dest="score_name")
     p.add_argument("--c-mode", choices=obj.C_MODES, dest="c_mode")
     p.add_argument("--pretrain-epochs", type=int, dest="pretrain_epochs")
     p.add_argument("--finetune-epochs", type=int, dest="finetune_epochs")
@@ -91,10 +82,10 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
     if args.config:
         rc = RunConfig.from_json_file(args.config)
     overrides = {}
-    for flag, key in _FLAG_TO_KEY.items():
-        value = getattr(args, flag, None)
+    for field in dataclasses.fields(RunConfig):
+        value = getattr(args, field.name, None)
         if value is not None:
-            overrides[key] = value
+            overrides[field.name] = value
     for pair in args.set:
         if "=" not in pair:
             raise ConfigError(f"--set expects KEY=VALUE, got {pair!r}")
@@ -159,7 +150,8 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(args.out, config=rc.to_dict(), epoch=rc.pretrain_epochs,
                     params=result.params, rng_state={"seed": rc.seed})
     metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
-    _write_metrics(metrics_path, "pretrain", [m.as_dict() for m in result.metrics])
+    _write_metrics(metrics_path, "pretrain",
+                   [dataclasses.asdict(m) for m in result.metrics])
     if rc.pretrain_epochs:
         print(f"wrote {args.out}; final loss {result.metrics[-1].loss:.6f}")
     else:
@@ -189,7 +181,8 @@ def cmd_finetune(args) -> int:
                     prototypes=outcome.best_prototypes,
                     rng_state={"seed": rc.seed})
     metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
-    _write_metrics(metrics_path, "finetune", [m.as_dict() for m in outcome.trace])
+    _write_metrics(metrics_path, "finetune",
+                   [dataclasses.asdict(m) for m in outcome.trace])
     print(f"wrote {args.out}; best epoch {outcome.best_checkpoint_epoch} "
           f"(earlystop {max(m.earlystop_auroc for m in outcome.trace):.4f})")
     return 0

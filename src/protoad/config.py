@@ -201,10 +201,10 @@ class RunConfig:
         strong.validate_against(weak)
         return weak, strong
 
-    def shift_family(self) -> Optional[ShiftFamily]:
-        if not self.shift_mode:
-            return None
-        return ShiftFamily.random(self.input_dim, self.shift_count, seed=self.seed + 77)
+    def shift_family(self) -> ShiftFamily:
+        """The shifting transforms; ELSA runs with the identity alone."""
+        return ShiftFamily.random(self.input_dim, self.encoder_dims().shifts,
+                                  seed=self.seed + 77)
 
     def pretrain_config(self) -> PretrainConfig:
         return PretrainConfig(epochs=self.pretrain_epochs,
@@ -212,7 +212,6 @@ class RunConfig:
                               lr=self.pretrain_lr,
                               momentum=self.pretrain_momentum,
                               tau=self.effective_pretrain_tau,
-                              shift_mode=self.shift_mode,
                               seed=self.seed + 3)
 
     def finetune_config(self) -> FinetuneConfig:
@@ -221,7 +220,6 @@ class RunConfig:
                               lr=self.finetune_lr,
                               tau=self.effective_score_tau,
                               loss_name=self.loss_name,
-                              shift_mode=self.shift_mode,
                               refresh_period=self.effective_refresh_period,
                               c_mode=self.c_mode,
                               strict_scores=self.strict_scores,

@@ -8,6 +8,7 @@ the fine-tuning loop keeps whichever epoch maximizes it.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from . import objective as obj
 from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch, weak_batch
 from .data import LABELED_ANOMALY, Dataset, ValidationError
-from .mathcore import as_f64, logsumexp_rows
+from .mathcore import as_f64
 
 
 # --------------------------------------------------------------------------
@@ -79,7 +80,7 @@ def earlystop_score(
     validation: Dataset,
     weak_cfg: WeakAugConfig,
     strong_cfg: StrongAugConfig,
-    shifts: Optional[ShiftFamily],
+    shifts: ShiftFamily,
     rng: np.random.Generator,
 ) -> float:
     """Label-free validation AUROC: originals vs strong distortions.
@@ -92,17 +93,15 @@ def earlystop_score(
     if len(validation) == 0:
         raise ValidationError("validation set is empty")
     X = validation.features
-    view_a = weak_batch(X, weak_cfg, rng)
-    view_b = weak_batch(strong_batch(X, strong_cfg, rng), weak_cfg, rng)
 
-    def per_view(rows):
-        expanded = shifts.expand(rows)[0] if shifts is not None else rows
-        emb = enc.embed(params, expanded)
-        per_shift = logsumexp_rows(emb @ protos.vectors.T)
-        k = shifts.count if shifts is not None else 1
-        return per_shift.reshape(k, len(rows)).sum(axis=0)
+    def energy(rows):
+        # "embeddings" mode scores raw similarities and ignores tau.
+        return obj.score_ensemble(rows, params, protos.vectors, 1.0, weak_cfg,
+                                  shifts, 1, rng, mode="embeddings")
 
-    scores = np.concatenate([per_view(view_a), per_view(view_b)])
+    # Draw order: weak(X), then strong(X), then weak(strong(X)).
+    originals = energy(X)
+    scores = np.concatenate([originals, energy(strong_batch(X, strong_cfg, rng))])
     labels = np.concatenate([np.ones(len(X), dtype=np.int64),
                              np.zeros(len(X), dtype=np.int64)])
     return auroc(scores, labels)
@@ -123,7 +122,6 @@ class FinetuneConfig:
     lr: float = 1e-4
     tau: float = 0.5
     loss_name: str = "elsa"
-    shift_mode: bool = False
     refresh_period: Optional[int] = 1
     c_mode: str = "canonical"
     strict_scores: bool = True
@@ -149,20 +147,10 @@ class MetricsRecord:
     mean_score_anomaly: Optional[float] = None
     mean_score_normal: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return {"epoch": self.epoch, "loss": self.loss,
-                "earlystop_auroc": self.earlystop_auroc,
-                "test_auroc": self.test_auroc,
-                "prototype_refresh_flag": self.prototype_refresh_flag,
-                "wallclock": self.wallclock,
-                "mean_score_anomaly": self.mean_score_anomaly,
-                "mean_score_normal": self.mean_score_normal}
-
 
 @dataclass
 class RunResult:
     best_checkpoint_epoch: int
-    final_auroc: Optional[float]
     trace: List[MetricsRecord]
     best_params: enc.EncoderParams
     best_prototypes: proto.PrototypeSet
@@ -178,17 +166,15 @@ def clustering_pool(dataset: Dataset) -> np.ndarray:
 
 
 def prototype_inputs(params: enc.EncoderParams, dataset: Dataset,
-                     shifts: Optional[ShiftFamily]) -> np.ndarray:
+                     shifts: ShiftFamily) -> np.ndarray:
     """Embeddings the prototypes are fit on.
 
-    With a shift family the training set is enlarged by every shifting
-    transform, so the clustering pool covers the shifted copies too (they
-    are meant to claim prototypes of their own).
+    The training set is enlarged by every shifting transform, so the
+    clustering pool covers the shifted copies too (they are meant to claim
+    prototypes of their own).
     """
     feats = dataset.features[clustering_pool(dataset)]
-    if shifts is not None and shifts.count > 1:
-        feats = shifts.expand(feats)[0]
-    return enc.embed(params, feats)
+    return enc.embed(params, shifts.expand(feats)[0])
 
 
 def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
@@ -202,25 +188,23 @@ def finetune_loop(
     validation: Dataset,
     weak_cfg: WeakAugConfig,
     strong_cfg: StrongAugConfig,
-    shifts: Optional[ShiftFamily],
+    shifts: ShiftFamily,
     cfg: FinetuneConfig,
     eval_probe: Optional[Callable[[enc.EncoderParams, proto.PrototypeSet], float]] = None,
 ) -> RunResult:
     """Energy fine-tuning with labeled anomalies (Step-3 of the pipeline).
 
     Every batch sample is expanded into two weak views, each view over all
-    shifting transforms when shift mode is on; semi-labels repeat across the
-    expansion. Prototypes are refit from the current (non-anomalous)
-    embeddings every ``refresh_period`` epochs; the training set is embedded
-    only on the epochs that refit. The early-stop score is recorded each
+    shifting transforms; semi-labels repeat across the expansion. Prototypes
+    are refit from the current (non-anomalous) embeddings every
+    ``refresh_period`` epochs; the training set is embedded only on the
+    epochs that refit. The early-stop score is recorded each
     epoch and the best-scoring snapshot is returned. ``eval_probe``, when
     given, is only used to log a per-epoch test metric; it never influences
     training or model selection.
     """
     params = params.copy()
     C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
-    if cfg.shift_mode and (shifts is None or shifts.count < 2):
-        raise ValidationError("shift mode requires a shift family with >= 2 transforms")
 
     rng = _sub_rng(cfg.seed, 1)
     m_state = params.zeros_like()
@@ -240,7 +224,8 @@ def finetune_loop(
                                    prototype_refresh_flag=refreshed,
                                    wallclock=time.time() - t0))
 
-    record(0, obj.LossBreakdown(float("nan"), float("nan"), float("nan")).as_dict(),
+    record(0, dataclasses.asdict(obj.LossBreakdown(float("nan"), float("nan"),
+                                                   float("nan"))),
            refreshed=False)
     best_epoch = 0
     best_score = trace[0].earlystop_auroc
@@ -250,7 +235,7 @@ def finetune_loop(
     for epoch in range(1, cfg.epochs + 1):
         refreshed = protos.refresh_due(epoch, cfg.refresh_period)
         if refreshed:
-            emb = prototype_inputs(params, train, shifts if cfg.shift_mode else None)
+            emb = prototype_inputs(params, train, shifts)
             protos = proto.refresh(protos, emb, epoch, cfg.refresh_period,
                                    seed=cfg.seed)
 
@@ -261,28 +246,18 @@ def finetune_loop(
             X = train.features[take]
             semi = train.semi[take]
 
-            views = []
-            ids_parts = []
-            for _ in range(2):
-                v = weak_batch(X, weak_cfg, rng)
-                if cfg.shift_mode:
-                    rows, ids = shifts.expand(v)
-                else:
-                    rows, ids = v, np.zeros(len(v), dtype=np.int64)
-                views.append(rows)
-                ids_parts.append(ids)
-            all_rows = np.vstack(views)
-            shift_ids = np.concatenate(ids_parts)
-            reps = len(all_rows) // len(X)
-            semi_rep = np.tile(semi, reps)
+            view1, ids = shifts.expand(weak_batch(X, weak_cfg, rng))
+            view2, _ = shifts.expand(weak_batch(X, weak_cfg, rng))
+            shift_ids = np.tile(ids, 2)
+            semi_rep = np.tile(semi, 2 * shifts.count)
 
-            cache = enc.forward(params, all_rows)
+            cache = enc.forward(params, np.vstack([view1, view2]))
             scores, ds_de = obj.energy_score_grad(cache.embed, protos.vectors, cfg.tau)
             breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, semi_rep,
                                                    C, strict=cfg.strict_scores)
             d_embed = d_scores[:, None] * ds_de
             d_logits = None
-            if cfg.shift_mode:
+            if shifts.count > 1:
                 logits = enc.head_logits(params, cache)
                 breakdown.shift_term, d_logits = obj.loss_shift(logits, shift_ids)
                 breakdown.total += breakdown.shift_term
@@ -304,9 +279,9 @@ def finetune_loop(
             epoch_losses.append(breakdown)
 
         mean_loss = {
-            key: float(np.mean([b.as_dict()[key] for b in epoch_losses]))
+            key: float(np.mean([getattr(b, key) for b in epoch_losses]))
             for key in ("total", "anomaly_term", "normal_term", "shift_term")
-        } if epoch_losses else obj.LossBreakdown(0.0, 0.0, 0.0).as_dict()
+        } if epoch_losses else dataclasses.asdict(obj.LossBreakdown(0.0, 0.0, 0.0))
         record(epoch, mean_loss, refreshed)
         if trace[-1].earlystop_auroc > best_score:
             best_score = trace[-1].earlystop_auroc
@@ -316,7 +291,6 @@ def finetune_loop(
 
     return RunResult(
         best_checkpoint_epoch=best_epoch,
-        final_auroc=None,
         trace=trace,
         best_params=best_params,
         best_prototypes=best_protos,
@@ -334,7 +308,7 @@ def evaluate_scores(
     test: Dataset,
     reference: Optional[np.ndarray],
     weak_cfg: WeakAugConfig,
-    shifts: Optional[ShiftFamily],
+    shifts: ShiftFamily,
     tau: float,
     n_ensemble: int,
     rng: np.random.Generator,

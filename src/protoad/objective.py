@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -45,10 +45,6 @@ class LossBreakdown:
     anomaly_term: float
     normal_term: float
     shift_term: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {"total": self.total, "anomaly_term": self.anomaly_term,
-                "normal_term": self.normal_term, "shift_term": self.shift_term}
 
 
 def _rows(e) -> Tuple[np.ndarray, bool]:
@@ -238,7 +234,7 @@ def score_ensemble(
     prototypes: np.ndarray,
     tau: float,
     weak_cfg: WeakAugConfig,
-    shifts: Optional[ShiftFamily],
+    shifts: ShiftFamily,
     n_samples: int,
     rng: np.random.Generator,
     mode: str = "scores",
@@ -258,12 +254,12 @@ def score_ensemble(
     X, single = _rows(X)
     P = as_f64(prototypes, "prototypes")
     n = len(X)
-    k_s = shifts.count if shifts is not None else 1
+    k_s = shifts.count
 
     if mode == "scores":
         acc = np.zeros(n)
         for k in range(k_s):
-            shifted = shifts.apply(X, k) if shifts is not None else X
+            shifted = shifts.apply(X, k)
             for _ in range(n_samples):
                 emb = enc.embed(params, weak_batch(shifted, weak_cfg, rng))
                 acc += energy_score(emb, P, tau)
@@ -271,8 +267,7 @@ def score_ensemble(
     else:
         zbar = np.zeros((k_s * n, P.shape[1]))
         for _ in range(n_samples):
-            weak_x = weak_batch(X, weak_cfg, rng)
-            rows = (shifts.expand(weak_x)[0] if shifts is not None else weak_x)
+            rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
             zbar += enc.embed(params, rows)
         zbar /= n_samples
         per_shift = logsumexp_rows(zbar @ P.T).reshape(k_s, n)

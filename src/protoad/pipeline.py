@@ -57,7 +57,7 @@ class PipelineContext:
     split: ScenarioSplit
     weak: WeakAugConfig
     strong: StrongAugConfig
-    shifts: Optional[ShiftFamily]
+    shifts: ShiftFamily
     pretrained: PretrainResult
     cluster_embeddings: np.ndarray
     split_digest: str
@@ -135,7 +135,6 @@ def finetune_and_eval(
                              ctx.weak, ctx.shifts, tau, rc.n_ensemble,
                              rc.score_rng(), ensemble_mode=rc.ensemble_mode)
     final = auroc(scores, ctx.split.test.eval_normal_labels())
-    outcome.final_auroc = final
     report = {
         "loss_name": loss_name,
         "score_name": score_name,
@@ -160,8 +159,8 @@ def run_single(rc: RunConfig) -> Dict:
         "gamma_l": rc.gamma_l,
         "gamma_p": rc.gamma_p,
         "pretrain_baseline_auroc": pretrain_uniformity_baseline(ctx),
-        "pretrain_trace": [m.as_dict() for m in ctx.pretrained.metrics],
-        "finetune_trace": [m.as_dict() for m in outcome.trace],
+        "pretrain_trace": [dataclasses.asdict(m) for m in ctx.pretrained.metrics],
+        "finetune_trace": [dataclasses.asdict(m) for m in outcome.trace],
     })
     return report
 

@@ -7,9 +7,10 @@ excluded). It decomposes exactly into an alignment term (pull positives
 together) and a uniformity term (push everything apart); the decomposition
 identity is checked in debug mode on every batch.
 
-With shift mode on, every view is additionally expanded over the shifting
-transforms, shifted copies act as negatives of each other, and a
-cross-entropy term teaches the head to recover the shift index.
+Every view is expanded over the shifting transforms (ELSA's family is the
+identity alone). With more than one transform, shifted copies act as
+negatives of each other and a cross-entropy term teaches the head to recover
+the shift index.
 """
 from __future__ import annotations
 
@@ -97,7 +98,6 @@ class PretrainConfig:
     lr: float = 0.05
     momentum: float = 0.9
     tau: float = 0.5
-    shift_mode: bool = False
     seed: int = 0
     debug_identity: bool = False
 
@@ -121,14 +121,6 @@ class PretrainEpochRecord:
     shift_accuracy: Optional[float]
     wallclock: float
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch, "loss": self.loss, "align": self.align,
-            "uniform": self.uniform, "probe_loss": self.probe_loss,
-            "probe_uniformity_mean": self.probe_uniformity_mean,
-            "shift_accuracy": self.shift_accuracy, "wallclock": self.wallclock,
-        }
-
 
 @dataclass
 class PretrainResult:
@@ -137,12 +129,9 @@ class PretrainResult:
     used_ids: np.ndarray
 
 
-def _two_views(X, weak_cfg, shifts, shift_mode, rng):
+def _two_views(X, weak_cfg, shifts, rng):
     """Expand a raw batch into two independently weak-augmented views."""
-    if shift_mode:
-        rows, ids = shifts.expand(X)
-    else:
-        rows, ids = X, np.zeros(len(X), dtype=np.int64)
+    rows, ids = shifts.expand(X)
     v1 = weak_batch(rows, weak_cfg, rng)
     v2 = weak_batch(rows, weak_cfg, rng)
     return v1, v2, ids
@@ -152,7 +141,7 @@ def pretrain_loop(
     dataset: Dataset,
     params: enc.EncoderParams,
     weak_cfg: WeakAugConfig,
-    shifts: Optional[ShiftFamily],
+    shifts: ShiftFamily,
     cfg: PretrainConfig,
 ) -> PretrainResult:
     """Minibatch SGD (with momentum) on the contrastive loss.
@@ -164,8 +153,6 @@ def pretrain_loop(
     """
     if len(dataset) == 0:
         raise ValidationError("empty dataset")
-    if cfg.shift_mode and (shifts is None or shifts.count < 2):
-        raise ValidationError("shift mode requires a shift family with >= 2 transforms")
     params = params.copy()
     keep = np.flatnonzero(dataset.semi != LABELED_ANOMALY)
     if len(keep) < 2:
@@ -177,7 +164,7 @@ def pretrain_loop(
     probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     probe_idx = probe_rng.permutation(len(feats))[:min(_PROBE_SIZE, len(feats))]
     probe_clean = feats[probe_idx]
-    pv1, pv2, probe_ids = _two_views(probe_clean, weak_cfg, shifts, cfg.shift_mode, probe_rng)
+    pv1, pv2, _ = _two_views(probe_clean, weak_cfg, shifts, probe_rng)
 
     velocity = params.zeros_like()
     metrics: List[PretrainEpochRecord] = []
@@ -185,17 +172,17 @@ def pretrain_loop(
     def probe_record(epoch, ep_loss, ep_align, ep_uniform, t0):
         emb1 = enc.embed(params, pv1)
         emb2 = enc.embed(params, pv2)
-        p_loss, _, _ = contrastive_loss(ContrastiveBatch(emb1, emb2, cfg.tau))
+        _, _, pos, lse, _ = _pair_terms(ContrastiveBatch(emb1, emb2, cfg.tau))
         clean_emb = enc.embed(params, probe_clean)
         p_unif = float(np.mean(uniformity_scores_self(clean_emb)))
         acc = None
-        if cfg.shift_mode:
+        if shifts.count > 1:
             rows, ids = shifts.expand(probe_clean)
             logits = enc.shift_logits(params, rows)
             acc = float(np.mean(np.argmax(logits, axis=1) == ids))
         metrics.append(PretrainEpochRecord(
             epoch=epoch, loss=ep_loss, align=ep_align, uniform=ep_uniform,
-            probe_loss=p_loss, probe_uniformity_mean=p_unif,
+            probe_loss=float(np.mean(lse - pos)), probe_uniformity_mean=p_unif,
             shift_accuracy=acc, wallclock=time.time() - t0))
 
     t0 = time.time()
@@ -208,7 +195,7 @@ def pretrain_loop(
             take = order[start:start + cfg.batch_size]
             if len(take) < 2:
                 continue
-            v1, v2, ids = _two_views(feats[take], weak_cfg, shifts, cfg.shift_mode, rng)
+            v1, v2, ids = _two_views(feats[take], weak_cfg, shifts, rng)
             n_rows = len(v1)
             cache = enc.forward(params, np.vstack([v1, v2]))
             batch = ContrastiveBatch(cache.embed[:n_rows], cache.embed[n_rows:], cfg.tau)
@@ -220,7 +207,7 @@ def pretrain_loop(
                     raise AssertionError("contrastive decomposition identity violated")
             d_logits = None
             total = loss
-            if cfg.shift_mode:
+            if shifts.count > 1:
                 logits = enc.head_logits(params, cache)
                 ce, d_logits = loss_shift(logits, np.tile(ids, 2))
                 total += ce

@@ -87,6 +87,14 @@ def test_shift_family_rejects_non_identity_first():
         ShiftFamily([rot90, np.eye(2)])
 
 
+def test_shift_rejects_wrong_width():
+    fam = ShiftFamily.random(dim=4, count=1)
+    with pytest.raises(ValidationError):
+        fam.expand(np.zeros((2, 5)))
+    with pytest.raises(ValidationError):
+        fam.apply(np.zeros(5), 0)
+
+
 def test_shifts_mutually_distinguishable():
     fam = ShiftFamily.random(dim=16, count=4, seed=5)
     rng = np.random.default_rng(6)
@@ -105,6 +113,11 @@ def test_shift_expand_layout():
     assert rows.shape == (15, 8)
     assert np.array_equal(ids, np.repeat([0, 1, 2], 5))
     assert np.array_equal(rows[:5], X)
+    assert fam.apply(X, 0) is X
+    # ELSA's family is the identity alone: its expansion equals X exactly.
+    rows, ids = ShiftFamily.random(dim=8, count=1).expand(X)
+    assert np.array_equal(rows, X)
+    assert np.array_equal(ids, np.zeros(5, dtype=np.int64))
 
 
 # ----------------------------------------------------------------- strong

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+from protoad import encoder as enc
 from protoad import evalharness, pipeline
+from protoad import prototypes as proto
+from protoad.augment import (ShiftFamily, StrongAugConfig, WeakAugConfig,
+                             strong_batch, weak_batch)
 from protoad.config import preset
-from protoad.data import ValidationError
-from protoad.evalharness import auroc, spearman
+from protoad.data import Dataset, ValidationError
+from protoad.evalharness import auroc, earlystop_score, spearman
+from protoad.mathcore import logsumexp_rows
 
 
 def _pairwise_auroc(scores, labels):
@@ -43,6 +48,38 @@ def test_auroc_needs_both_classes():
 def test_spearman_with_ties_uses_average_ranks():
     # Ranks of [1, 1, 2] are [1.5, 1.5, 3], identical to those of [0, 0, 5].
     assert spearman([1.0, 1.0, 2.0], [0.0, 0.0, 5.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _earlystop_oracle(params, protos, validation, weak_cfg, strong_cfg, shifts, rng):
+    """The early-stop formula written out: summed raw-similarity energies."""
+    X = validation.features
+    view_a = weak_batch(X, weak_cfg, rng)
+    view_b = weak_batch(strong_batch(X, strong_cfg, rng), weak_cfg, rng)
+
+    def per_view(rows):
+        emb = enc.embed(params, shifts.expand(rows)[0])
+        per_shift = logsumexp_rows(emb @ protos.vectors.T)
+        return per_shift.reshape(shifts.count, len(rows)).sum(axis=0)
+
+    scores = np.concatenate([per_view(view_a), per_view(view_b)])
+    labels = np.repeat([1, 0], len(X))
+    return auroc(scores, labels)
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_earlystop_score_matches_oracle(count):
+    rng = np.random.default_rng(count)
+    X = rng.normal(size=(40, 6))
+    validation = Dataset(X, np.zeros(40, dtype=np.int64), np.arange(40),
+                         np.zeros(40, dtype=np.int64))
+    shifts = ShiftFamily.random(6, count=count, seed=3)
+    params = enc.init(1, enc.EncoderDims(input=6, hidden=16, embed=5, shifts=count))
+    protos = proto.fit(enc.embed(params, shifts.expand(X)[0]), 4, seed=2)
+    weak, strong = WeakAugConfig(noise_sigma=0.1), StrongAugConfig(noise_sigma=0.6)
+    args = (params, protos, validation, weak, strong, shifts)
+    got = earlystop_score(*args, np.random.default_rng(8))
+    assert got == _earlystop_oracle(*args, np.random.default_rng(8))
+    assert 0.0 < got < 1.0
 
 
 def test_finetune_embeds_training_set_only_on_refresh_epochs(monkeypatch):

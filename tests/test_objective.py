@@ -335,7 +335,8 @@ def test_ensemble_degenerate_equals_plain_energy():
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     plain = obj.energy_score(enc.embed(params, X), P, 0.5)
     ens = obj.score_ensemble(X, params, P, 0.5, WeakAugConfig.identity(),
-                             None, 1, np.random.default_rng(0))
+                             ShiftFamily.random(6, count=1), 1,
+                             np.random.default_rng(0))
     assert np.allclose(ens, plain, atol=1e-12)
 
 

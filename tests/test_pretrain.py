@@ -14,6 +14,7 @@ from protoad.pretrain import (ContrastiveBatch, PretrainConfig,
                               contrastive_loss, decompose_loss, pretrain_loop)
 
 LN_E2_PLUS_2 = 2.2395447662218845  # log(e^2 + 2), 40-digit evaluation
+ONE_SLOT = ShiftFamily.random(8, count=1)    # ELSA: the identity alone
 
 
 def _orthogonal_fixture():
@@ -144,7 +145,7 @@ def test_pretrain_zero_epochs_leaves_encoder_unchanged():
     split = _train_split()
     params = enc.init(0, _dims())
     cfg = PretrainConfig(epochs=0, batch_size=32, seed=0)
-    result = pretrain_loop(split.train, params, WeakAugConfig(), None, cfg)
+    result = pretrain_loop(split.train, params, WeakAugConfig(), ONE_SLOT, cfg)
     assert np.array_equal(result.params.to_vector(), params.to_vector())
     assert len(result.metrics) == 1
 
@@ -161,7 +162,8 @@ def test_pretrain_probe_loss_trend():
                                                 seed=0))
     params = enc.init(1, enc.EncoderDims(input=32, hidden=64, embed=16, shifts=1))
     cfg = PretrainConfig(epochs=25, batch_size=128, seed=1)
-    result = pretrain_loop(split.train, params, WeakAugConfig(), None, cfg)
+    result = pretrain_loop(split.train, params, WeakAugConfig(),
+                           ShiftFamily.random(32, count=1), cfg)
     probe = np.array([m.probe_loss for m in result.metrics])
     assert probe[-1] < probe[0]
     window = 5
@@ -194,7 +196,7 @@ def test_pretrain_never_touches_labeled_anomalies():
     assert anomaly_ids
     params = enc.init(2, _dims())
     cfg = PretrainConfig(epochs=2, batch_size=32, seed=2)
-    result = pretrain_loop(split.train, params, WeakAugConfig(), None, cfg)
+    result = pretrain_loop(split.train, params, WeakAugConfig(), ONE_SLOT, cfg)
     assert not (set(result.used_ids.tolist()) & anomaly_ids)
 
 
@@ -202,7 +204,7 @@ def test_pretrain_deterministic():
     split = _train_split()
     cfg = PretrainConfig(epochs=3, batch_size=32, seed=5)
     runs = [pretrain_loop(split.train, enc.init(3, _dims()), WeakAugConfig(),
-                          None, cfg) for _ in range(2)]
+                          ONE_SLOT, cfg) for _ in range(2)]
     assert np.array_equal(runs[0].params.to_vector(), runs[1].params.to_vector())
     losses = [[m.loss for m in r.metrics[1:]] for r in runs]  # epoch 0 is NaN
     assert losses[0] == losses[1]
@@ -214,21 +216,13 @@ def test_pretrain_shift_mode_head_learns():
     split = _train_split(samples=150)
     shifts = ShiftFamily.random(8, count=4, seed=0)
     params = enc.init(4, _dims(shifts=4))
-    cfg = PretrainConfig(epochs=20, batch_size=32, seed=4, shift_mode=True)
+    cfg = PretrainConfig(epochs=20, batch_size=32, seed=4)
     result = pretrain_loop(split.train, params, WeakAugConfig(), shifts, cfg)
     # held-out data: the validation split, expanded over all shifts
     rows, ids = shifts.expand(split.validation.features)
     logits = enc.shift_logits(result.params, rows)
     acc = float(np.mean(np.argmax(logits, axis=1) == ids))
     assert acc > 1.0 / shifts.count + 0.2
-
-
-def test_pretrain_shift_mode_requires_family():
-    split = _train_split()
-    params = enc.init(5, _dims(shifts=4))
-    cfg = PretrainConfig(epochs=1, batch_size=32, shift_mode=True)
-    with pytest.raises(ValidationError):
-        pretrain_loop(split.train, params, WeakAugConfig(), None, cfg)
 
 
 def test_pretrain_training_energy_rises():
@@ -238,7 +232,7 @@ def test_pretrain_training_energy_rises():
     split = _train_split(samples=200)
     params = enc.init(6, _dims())
     cfg = PretrainConfig(epochs=25, batch_size=32, seed=6)
-    result = pretrain_loop(split.train, params, WeakAugConfig(), None, cfg)
+    result = pretrain_loop(split.train, params, WeakAugConfig(), ONE_SLOT, cfg)
     s_cont = [m.probe_uniformity_mean for m in result.metrics]
     energy = [-s for s in s_cont]
     assert energy[-1] > energy[0]
@@ -248,4 +242,4 @@ def test_pretrain_debug_identity_runs():
     split = _train_split()
     params = enc.init(7, _dims())
     cfg = PretrainConfig(epochs=1, batch_size=32, seed=7, debug_identity=True)
-    pretrain_loop(split.train, params, WeakAugConfig(), None, cfg)
+    pretrain_loop(split.train, params, WeakAugConfig(), ONE_SLOT, cfg)
