@@ -126,10 +126,13 @@ class ShiftFamily:
     def expand(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Stack shift_k(X) for every k; returns (count*n rows, shift ids).
 
-        Slot 0 is exactly the identity, so its block is ``X`` itself.
+        Slot 0 is exactly the identity, so its block is ``X`` itself; a
+        one-slot family returns ``X`` uncopied, so callers must not write
+        into the rows.
         """
         X = self._checked(X, "batch")
-        rows = np.vstack([X] + [X @ q.T for q in self.matrices[1:]])
+        rows = X if self.count == 1 else np.vstack(
+            [X] + [X @ q.T for q in self.matrices[1:]])
         ids = np.repeat(np.arange(self.count), len(X))
         return rows, ids
 

@@ -76,13 +76,22 @@ def energy_score(e, prototypes: np.ndarray, tau: float) -> np.ndarray | float:
 
 def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch scores plus dS/dE rows: softmax(logits) @ P / tau."""
+    """Batch scores plus dS/dE rows: softmax(logits) @ P / tau.
+
+    One max-shifted exp serves both: scores = shift + log(z) and
+    softmax = exp / z, the same operations as ``logsumexp_rows`` and
+    ``softmax_rows`` run on the logits one after the other.
+    """
     E = as_f64(E, "embeddings")
     P = as_f64(prototypes, "prototypes")
-    logits = (E @ P.T) / tau
-    scores = logsumexp_rows(logits)
-    dE = softmax_rows(logits) @ P / tau
-    return scores, dE
+    w = (E @ P.T) / tau
+    shift = np.max(w, axis=1, keepdims=True)
+    w -= shift
+    np.exp(w, out=w)
+    z = np.sum(w, axis=1, keepdims=True)
+    scores = (shift + np.log(z))[:, 0]
+    w /= z
+    return scores, w @ P / tau
 
 
 def score_cosine(e, prototypes: np.ndarray) -> np.ndarray | float:

@@ -7,6 +7,24 @@ excluded). It decomposes exactly into an alignment term (pull positives
 together) and a uniformity term (push everything apart); the decomposition
 identity is checked in debug mode on every batch.
 
+The n x n kernel rests on three facts, all in float64:
+
+* The logits ``L = E @ (E / tau).T`` go through GEMM; ``E @ E.T`` would go
+  through syrk, which is several times slower at these shapes.
+* By Cauchy-Schwarz every logit is at most ``c = max_i ||e_i||^2 / tau``, so
+  one scalar shift makes ``exp(L - c)`` overflow-free for unit rows or not,
+  and ``logsumexp_i = c + log(z_i)`` with ``z`` the row sums of
+  ``X = exp(L - c)`` (diagonal zeroed).
+* With one global shift ``X`` is symmetric, so both gradient directions
+  come from one product:
+  ``g @ E + g.T @ E = (X @ E / z + X @ (E / z) - 2 E[partner]) / (2m tau)``.
+
+The price of the scalar shift is a finite domain: a row sum ``z`` falls
+below the smallest normal float64 once every off-diagonal logit of its row
+is more than about 708 below ``c``. For unit rows that takes ``tau`` below
+about 0.0028; the kernel then raises ``NumericError`` instead of returning
+inf or nan.
+
 Every view is expanded over the shifting transforms (ELSA's family is the
 identity alone). With more than one transform, shifted copies act as
 negatives of each other and a cross-entropy term teaches the head to recover
@@ -23,7 +41,7 @@ import numpy as np
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import LABELED_ANOMALY, Dataset, ValidationError
-from .mathcore import as_f64
+from .mathcore import NumericError, as_f64
 from .objective import loss_shift, uniformity_scores_self
 
 
@@ -46,45 +64,56 @@ class ContrastiveBatch:
             raise ValidationError("tau must be positive")
 
 
-def _pair_terms(batch: ContrastiveBatch):
-    """Shared plumbing: similarity logits, per-anchor logsumexp, softmax.
+_TINY = np.finfo(np.float64).tiny   # smallest normal float64
 
-    One n x n buffer goes from logits to softmax in place; ``pos`` is read
-    before the buffer is overwritten. The returned softmax is a fresh array
-    the caller owns.
+
+def _pair_terms(batch: ContrastiveBatch):
+    """Shared plumbing: ``(E, partner, pos, lse, z, X)``.
+
+    ``X = exp(L - c)`` is the one n x n buffer, with its diagonal zeroed;
+    ``z`` holds its row sums and ``lse = c + log(z)``. The shift ``c`` is the
+    largest diagonal logit, ``max_i ||e_i||^2 / tau``, which bounds every
+    logit by Cauchy-Schwarz; being one scalar, it leaves ``X`` symmetric,
+    which the gradient relies on. ``pos`` is read before the buffer is
+    overwritten. Raises ``NumericError`` when a row sum is no longer a
+    normal float64 (for unit rows: ``tau`` below about 0.0028).
     """
     E = np.vstack([batch.view1, batch.view2])
     two_m = len(E)
     partner = (np.arange(two_m) + two_m // 2) % two_m
-    w = E @ E.T
-    w /= batch.tau
-    np.fill_diagonal(w, -np.inf)
-    shift = np.max(w, axis=1, keepdims=True)
-    pos = w[np.arange(two_m), partner]
-    w -= shift
-    np.exp(w, out=w)
-    z = w.sum(axis=1, keepdims=True)
-    lse = (shift + np.log(z))[:, 0]
-    w /= z
-    return E, partner, pos, lse, w
+    X = E @ (E / batch.tau).T.copy()
+    c = float(np.max(np.diagonal(X)))
+    pos = X[np.arange(two_m), partner]
+    X -= c
+    np.exp(X, out=X)
+    np.fill_diagonal(X, 0.0)
+    z = X.sum(axis=1)
+    if np.min(z) < _TINY:
+        raise NumericError(f"contrastive row sum underflows at tau={batch.tau}")
+    lse = c + np.log(z)
+    return E, partner, pos, lse, z, X
 
 
 def contrastive_loss(batch: ContrastiveBatch
                      ) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Loss averaged over both view directions, plus gradients per view."""
-    E, partner, pos, lse, g = _pair_terms(batch)
-    two_m = len(E)
+    """Loss averaged over both view directions, plus gradients per view.
+
+    One GEMM against ``[E, E / z]`` serves both gradient directions; see the
+    module docstring for the symmetry identity.
+    """
+    E, partner, pos, lse, z, X = _pair_terms(batch)
+    two_m, d = E.shape
     loss = float(np.mean(lse - pos))
-    g[np.arange(two_m), partner] -= 1.0
-    g /= two_m * batch.tau
-    d_embed = g @ E + g.T @ E
+    XE = X @ np.hstack([E, E / z[:, None]])
+    d_embed = XE[:, :d] / z[:, None] + XE[:, d:] - 2.0 * E[partner]
+    d_embed /= two_m * batch.tau
     m = two_m // 2
     return loss, d_embed[:m], d_embed[m:]
 
 
 def decompose_loss(batch: ContrastiveBatch) -> Tuple[float, float]:
     """(alignment, uniformity) terms; their sum equals the contrastive loss."""
-    _, _, pos, lse, _ = _pair_terms(batch)
+    _, _, pos, lse, _, _ = _pair_terms(batch)
     return float(np.mean(-pos)), float(np.mean(lse))
 
 
@@ -172,7 +201,7 @@ def pretrain_loop(
     def probe_record(epoch, ep_loss, ep_align, ep_uniform, t0):
         emb1 = enc.embed(params, pv1)
         emb2 = enc.embed(params, pv2)
-        _, _, pos, lse, _ = _pair_terms(ContrastiveBatch(emb1, emb2, cfg.tau))
+        _, _, pos, lse, _, _ = _pair_terms(ContrastiveBatch(emb1, emb2, cfg.tau))
         clean_emb = enc.embed(params, probe_clean)
         p_unif = float(np.mean(uniformity_scores_self(clean_emb)))
         acc = None

@@ -162,16 +162,14 @@ def refresh(
     epoch: int,
     period: Optional[int],
     seed: int = 0,
-    cold_start: bool = False,
 ) -> PrototypeSet:
     """Refit prototypes when ``period`` epochs have passed since the last fit.
 
-    ``period=None`` disables refreshing. Warm-starts from the current
-    prototypes unless ``cold_start`` is set.
+    ``period=None`` disables refreshing. The refit warm-starts from the
+    current prototypes.
     """
     if not state.refresh_due(epoch, period):
         return state
-    init_vectors = None if cold_start else state.vectors
-    fitted = fit(embeddings, state.k, seed=seed, init_vectors=init_vectors)
+    fitted = fit(embeddings, state.k, seed=seed, init_vectors=state.vectors)
     return PrototypeSet(vectors=fitted.vectors, last_refresh_epoch=epoch,
                         objective_trace=fitted.objective_trace)

@@ -114,9 +114,10 @@ def test_shift_expand_layout():
     assert np.array_equal(ids, np.repeat([0, 1, 2], 5))
     assert np.array_equal(rows[:5], X)
     assert fam.apply(X, 0) is X
-    # ELSA's family is the identity alone: its expansion equals X exactly.
+    # ELSA's family is the identity alone: its expansion is X, uncopied.
     rows, ids = ShiftFamily.random(dim=8, count=1).expand(X)
     assert np.array_equal(rows, X)
+    assert np.shares_memory(rows, X)
     assert np.array_equal(ids, np.zeros(5, dtype=np.int64))
 
 

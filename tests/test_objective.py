@@ -8,7 +8,8 @@ from protoad import objective as obj
 from protoad.augment import ShiftFamily, WeakAugConfig
 from protoad.data import ValidationError
 from protoad.evalharness import spearman
-from protoad.mathcore import NumericError, grad_check, l2_normalize
+from protoad.mathcore import (NumericError, grad_check, l2_normalize,
+                              logsumexp_rows, softmax_rows)
 
 
 def _unit(v):
@@ -115,6 +116,21 @@ def test_energy_grad():
 
     report = grad_check(f, rng.normal(size=12), h=1e-5)
     assert report.max_rel_error < 1e-6
+
+
+def test_energy_score_grad_matches_two_pass_oracle_bit_for_bit():
+    # Oracle: logsumexp_rows for the scores, softmax_rows for dS/dE, each
+    # with its own max, exp and sum over the same logits.
+    rng = np.random.default_rng(3)
+    E = rng.normal(size=(1024, 16))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    P = rng.normal(size=(16, 16))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    for tau in (0.5, 0.07):
+        logits = (E @ P.T) / tau
+        scores, dE = obj.energy_score_grad(E, P, tau)
+        assert np.array_equal(scores, logsumexp_rows(logits))
+        assert np.array_equal(dE, softmax_rows(logits) @ P / tau)
 
 
 # ------------------------------------------------------------- loss_elsa

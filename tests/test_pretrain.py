@@ -8,7 +8,7 @@ from protoad.augment import ShiftFamily, WeakAugConfig
 from protoad.config import preset
 from protoad.data import (LABELED_ANOMALY, ScenarioConfig, SyntheticSpec,
                           ValidationError, build_scenario, generate)
-from protoad.mathcore import grad_check, l2_normalize
+from protoad.mathcore import NumericError, grad_check, l2_normalize
 from protoad.pipeline import build_splits
 from protoad.pretrain import (ContrastiveBatch, PretrainConfig,
                               contrastive_loss, decompose_loss, pretrain_loop)
@@ -24,12 +24,13 @@ def _orthogonal_fixture():
                             tau=0.5)
 
 
-def _random_batch(m, z, tau, seed):
+def _random_batch(m, z, tau, seed, norms=(1.0, 1.0)):
+    """Random rows with norms drawn uniformly from ``norms`` (unit by default)."""
     rng = np.random.default_rng(seed)
     v1 = rng.normal(size=(m, z))
     v2 = rng.normal(size=(m, z))
-    v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
-    v2 /= np.linalg.norm(v2, axis=1, keepdims=True)
+    v1 *= rng.uniform(*norms, size=(m, 1)) / np.linalg.norm(v1, axis=1, keepdims=True)
+    v2 *= rng.uniform(*norms, size=(m, 1)) / np.linalg.norm(v2, axis=1, keepdims=True)
     return ContrastiveBatch(view1=v1, view2=v2, tau=tau)
 
 
@@ -52,8 +53,7 @@ def test_contrastive_needs_two_samples():
         ContrastiveBatch(np.ones((1, 3)), np.ones((1, 3)), tau=0.5)
 
 
-def test_contrastive_grad():
-    batch = _random_batch(4, 5, 0.5, seed=0)
+def _grad_check_contrastive(batch):
     m, z = batch.view1.shape
 
     def f(flat):
@@ -65,6 +65,15 @@ def test_contrastive_grad():
     point = np.vstack([batch.view1, batch.view2]).ravel()
     report = grad_check(f, point, h=1e-5)
     assert report.max_rel_error < 1e-5
+
+
+def test_contrastive_grad():
+    _grad_check_contrastive(_random_batch(4, 5, 0.5, seed=0))
+
+
+def test_contrastive_grad_sharp_tau_odd_rows():
+    # tau=0.07 sharpens the logits; 2m = 10 rows is not a multiple of 8.
+    _grad_check_contrastive(_random_batch(5, 5, 0.07, seed=0))
 
 
 def test_decompose_identity_on_random_batches():
@@ -91,7 +100,7 @@ def test_decompose_flat_fixture():
 
 
 def _out_of_place_oracle(batch):
-    """The original kernel, one fresh n x n array per step: (loss, g1, g2, pos, lse)."""
+    """The original row-max kernel, one fresh n x n array per step: (loss, g1, g2, pos, lse)."""
     E = np.vstack([batch.view1, batch.view2])
     two_m = len(E)
     partner = (np.arange(two_m) + two_m // 2) % two_m
@@ -110,21 +119,59 @@ def _out_of_place_oracle(batch):
     return float(np.mean(lse - pos)), d_embed[:m], d_embed[m:], pos, lse
 
 
+def _assert_rel_close(got, want, rel=1e-12):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), (got, want)
+
+
+# Non-unit rows (norms in [0.5, 2]) put the Cauchy-Schwarz shift c above
+# 1/tau and leave short rows far below it; 2m = 74, 4, 258, 122 and 10 rows
+# are not multiples of 8.
+@pytest.mark.parametrize("norms", [(1.0, 1.0), (0.5, 2.0)], ids=["unit", "norms"])
 @pytest.mark.parametrize("m, z, tau", [(512, 16, 0.5), (37, 5, 0.07),
-                                       (2, 3, 1.0), (129, 7, 0.2)])
-def test_contrastive_matches_out_of_place_oracle_bit_for_bit(m, z, tau):
-    batch = _random_batch(m, z, tau, seed=m)
+                                       (2, 3, 1.0), (129, 7, 0.2),
+                                       (61, 16, 0.5), (5, 16, 0.07)])
+def test_contrastive_matches_out_of_place_oracle(m, z, tau, norms):
+    batch = _random_batch(m, z, tau, seed=m, norms=norms)
     views = (batch.view1.copy(), batch.view2.copy())
     loss, g1, g2 = contrastive_loss(batch)
     o_loss, o_g1, o_g2, o_pos, o_lse = _out_of_place_oracle(batch)
-    assert loss == o_loss
-    assert np.array_equal(g1, o_g1)
-    assert np.array_equal(g2, o_g2)
+    _assert_rel_close(loss, o_loss)
+    _assert_rel_close(g1, o_g1)
+    _assert_rel_close(g2, o_g2)
     align, uniform = decompose_loss(batch)
-    assert align == float(np.mean(-o_pos))
-    assert uniform == float(np.mean(o_lse))
+    _assert_rel_close(align, float(np.mean(-o_pos)))
+    _assert_rel_close(uniform, float(np.mean(o_lse)))
     assert np.array_equal(batch.view1, views[0])
     assert np.array_equal(batch.view2, views[1])
+
+
+def test_contrastive_long_rows_do_not_overflow():
+    # Rows of norm 3 at tau=0.01 reach logits near 900: a shift of 1/tau,
+    # right only for unit rows, would overflow exp; c = max ||e||^2 / tau
+    # does not.
+    rng = np.random.default_rng(11)
+    v = rng.normal(size=16) + 0.1 * rng.normal(size=(40, 16))
+    v *= 3.0 / np.linalg.norm(v, axis=1, keepdims=True)
+    batch = ContrastiveBatch(v[:20], v[20:], tau=0.01)
+    loss, g1, g2 = contrastive_loss(batch)
+    o_loss, o_g1, o_g2, _, _ = _out_of_place_oracle(batch)
+    _assert_rel_close(loss, o_loss)
+    _assert_rel_close(g1, o_g1)
+    _assert_rel_close(g2, o_g2)
+
+
+def test_contrastive_underflowing_row_sum_raises():
+    # Each anchor's nearest other rows are orthogonal to it, so its row sum
+    # is 2 exp(-1/tau), which is 0 at tau=0.001; the old row-max kernel
+    # survived.
+    e = np.eye(2)
+    batch = ContrastiveBatch(view1=e, view2=-e, tau=0.001)
+    assert np.isfinite(_out_of_place_oracle(batch)[0])
+    with pytest.raises(NumericError):
+        contrastive_loss(batch)
+    with pytest.raises(NumericError):
+        decompose_loss(batch)
 
 
 # ------------------------------------------------------------------ loop
@@ -173,7 +220,7 @@ def test_pretrain_probe_loss_trend():
 
 
 @pytest.mark.parametrize("mode, probe_loss, shift_accuracy", [
-    ("elsa", [4.2663609495166614, 4.1117221108955295, 3.8616108070821022,
+    ("elsa", [4.2663609495166614, 4.1117221108955295, 3.8616108070821027,
               3.723297379569744, 3.689483516165706], [None] * 5),
     ("elsa_plus", [5.660374284929303, 5.4518266459342914, 4.9910824953824235,
                    4.9467386087023, 5.056294228253002],
