@@ -3,10 +3,18 @@
 Forward: x -> ReLU(W1 x + b1) -> ReLU(W2 . + b2) -> W3 . + b3 = feature,
 embedding = feature / ||feature||. The shift head is a linear map on the
 pre-normalization feature. Gradients are hand-derived; ``backward`` takes
-upstream gradients w.r.t. embeddings, features and/or head logits and
+upstream gradients w.r.t. embeddings and/or head logits and
 returns parameter gradients, so every loss in this package backpropagates
 through the same code path (including the normalization Jacobian
 (I - u u^T) / ||v||).
+
+Parameters live in one float64 buffer, ``EncoderParams.flat``: the fields
+in ``FIELDS`` order, each row-major, every field a reshaped view of it. So
+an optimizer step is one elementwise update of ``flat``, and an in-place
+write to a field is a write to ``flat``. Aliasing rule: no two bundles share
+a buffer. The constructor, ``copy``, ``zeros_like`` and ``from_vector`` make
+new ones and ``to_vector`` returns a copy. Write into a field
+(``p.w1[:] = ...``); rebinding it would detach it from ``flat``.
 """
 from __future__ import annotations
 
@@ -33,15 +41,30 @@ class EncoderDims:
 
 
 class EncoderParams:
-    """Mutable parameter bundle for the encoder MLP + shift head."""
+    """Mutable parameter bundle for the encoder MLP + shift head, on ``flat``."""
 
     FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3", "wh", "bh")
 
     def __init__(self, w1, b1, w2, b2, w3, b3, wh, bh):
-        self.w1, self.b1 = as_f64(w1), as_f64(b1)
-        self.w2, self.b2 = as_f64(w2), as_f64(b2)
-        self.w3, self.b3 = as_f64(w3), as_f64(b3)
-        self.wh, self.bh = as_f64(wh), as_f64(bh)
+        parts = [as_f64(a, f) for f, a in zip(self.FIELDS, (w1, b1, w2, b2, w3, b3, wh, bh))]
+        ends = np.cumsum([a.size for a in parts]).tolist()
+        layout = tuple((f, slice(end - a.size, end), a.shape)
+                       for f, a, end in zip(self.FIELDS, parts, ends))
+        self._bind(np.concatenate([a.ravel() for a in parts]), layout)
+
+    def _bind(self, flat: np.ndarray, layout) -> "EncoderParams":
+        self.flat, self._layout = flat, layout
+        for f, span, shape in layout:
+            setattr(self, f, flat[span].reshape(shape))
+        return self
+
+    def _on(self, flat: np.ndarray) -> "EncoderParams":
+        """A bundle of this layout on ``flat``, which it takes as its own."""
+        return object.__new__(EncoderParams)._bind(flat, self._layout)
+
+    def __reduce__(self):
+        # Pickled views would come back as separate arrays, detached from flat.
+        return EncoderParams, tuple(getattr(self, f) for f in self.FIELDS)
 
     @property
     def dims(self) -> EncoderDims:
@@ -49,25 +72,42 @@ class EncoderParams:
                            embed=self.w3.shape[0], shifts=self.wh.shape[0])
 
     def copy(self) -> "EncoderParams":
-        return EncoderParams(*(getattr(self, f).copy() for f in self.FIELDS))
+        return self._on(self.flat.copy())
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate([getattr(self, f).ravel() for f in self.FIELDS])
+        return self.flat.copy()
 
     def from_vector(self, theta: np.ndarray) -> "EncoderParams":
         theta = as_f64(theta, "theta")
-        out, i = [], 0
-        for f in self.FIELDS:
-            shape = getattr(self, f).shape
-            size = int(np.prod(shape))
-            out.append(theta[i:i + size].reshape(shape))
-            i += size
-        if i != theta.size:
-            raise ValidationError(f"theta has {theta.size} entries, expected {i}")
-        return EncoderParams(*out)
+        if theta.size != self.flat.size:
+            raise ValidationError(f"theta has {theta.size} entries, expected {self.flat.size}")
+        return self._on(theta.flatten())
 
     def zeros_like(self) -> "EncoderParams":
-        return EncoderParams(*(np.zeros_like(getattr(self, f)) for f in self.FIELDS))
+        return self._on(np.zeros_like(self.flat))
+
+
+_ADAM_BETAS, _ADAM_EPS = (0.9, 0.999), 1e-8
+
+
+def sgd_momentum_step(params: EncoderParams, velocity: EncoderParams,
+                      grads: EncoderParams, lr: float, momentum: float) -> None:
+    """In place: ``velocity = momentum * velocity - lr * grads``, then ``params += velocity``."""
+    velocity.flat *= momentum
+    velocity.flat -= lr * grads.flat
+    params.flat += velocity.flat
+
+
+def adam_step(params: EncoderParams, m: EncoderParams, v: EncoderParams,
+              grads: EncoderParams, step: int, lr: float) -> None:
+    """In place: bias-corrected Adam update number ``step`` (from 1) of ``params``."""
+    (beta1, beta2), g = _ADAM_BETAS, grads.flat
+    m.flat *= beta1
+    m.flat += (1.0 - beta1) * g
+    v.flat *= beta2
+    v.flat += (1.0 - beta2) * g * g
+    params.flat -= lr * (m.flat / (1.0 - beta1 ** step)) / (
+        np.sqrt(v.flat / (1.0 - beta2 ** step)) + _ADAM_EPS)
 
 
 def init(seed: int, dims: EncoderDims) -> EncoderParams:
@@ -101,9 +141,14 @@ def forward(params: EncoderParams, X) -> ForwardCache:
     if X.ndim != 2 or X.shape[1] != params.w1.shape[1]:
         raise ValidationError(
             f"input dim {X.shape} incompatible with encoder input {params.w1.shape[1]}")
-    h1 = np.maximum(X @ params.w1.T + params.b1, 0.0)
-    h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
-    feature = h2 @ params.w3.T + params.b3
+    h1 = X @ params.w1.T
+    h1 += params.b1
+    np.maximum(h1, 0.0, out=h1)
+    h2 = h1 @ params.w2.T
+    h2 += params.b2
+    np.maximum(h2, 0.0, out=h2)
+    feature = h2 @ params.w3.T
+    feature += params.b3
     norms = np.linalg.norm(feature, axis=1)
     if np.any(norms <= EPS_NORM):
         raise NumericError("degenerate vector")
@@ -136,36 +181,37 @@ def backward(
     params: EncoderParams,
     cache: ForwardCache,
     d_embed: Optional[np.ndarray] = None,
-    d_feature: Optional[np.ndarray] = None,
     d_logits: Optional[np.ndarray] = None,
 ) -> EncoderParams:
-    """Accumulate parameter gradients from upstream gradients.
+    """Parameter gradients from upstream gradients.
 
-    Any combination of d_embed (w.r.t. unit embeddings), d_feature (w.r.t.
-    the pre-normalization feature) and d_logits (w.r.t. shift-head logits)
-    may be given; contributions add.
+    Either or both of d_embed (w.r.t. unit embeddings) and d_logits (w.r.t.
+    shift-head logits) may be given; contributions add. Each gradient is
+    written straight into its view of the returned bundle's buffer.
     """
     grads = params.zeros_like()
-    df = np.zeros_like(cache.feature)
-    if d_feature is not None:
-        df += as_f64(d_feature, "d_feature")
-    if d_logits is not None:
-        dl = as_f64(d_logits, "d_logits")
-        grads.wh += dl.T @ cache.feature
-        grads.bh += dl.sum(axis=0)
-        df += dl @ params.wh
     if d_embed is not None:
         de = as_f64(d_embed, "d_embed")
         # d/dv of v/||v||: (I - u u^T)/||v|| applied to the upstream gradient.
         proj = np.sum(de * cache.embed, axis=1, keepdims=True)
-        df += (de - proj * cache.embed) / cache.norms[:, None]
+        df = de - proj * cache.embed
+        df /= cache.norms[:, None]
+    else:
+        df = np.zeros_like(cache.feature)
+    if d_logits is not None:
+        dl = as_f64(d_logits, "d_logits")
+        np.matmul(dl.T, cache.feature, out=grads.wh)
+        np.sum(dl, axis=0, out=grads.bh)
+        df += dl @ params.wh
 
-    grads.w3 += df.T @ cache.h2
-    grads.b3 += df.sum(axis=0)
-    dh2 = (df @ params.w3) * (cache.h2 > 0)
-    grads.w2 += dh2.T @ cache.h1
-    grads.b2 += dh2.sum(axis=0)
-    dh1 = (dh2 @ params.w2) * (cache.h1 > 0)
-    grads.w1 += dh1.T @ cache.x
-    grads.b1 += dh1.sum(axis=0)
+    np.matmul(df.T, cache.h2, out=grads.w3)
+    np.sum(df, axis=0, out=grads.b3)
+    dh2 = df @ params.w3
+    dh2 *= cache.h2 > 0
+    np.matmul(dh2.T, cache.h1, out=grads.w2)
+    np.sum(dh2, axis=0, out=grads.b2)
+    dh1 = dh2 @ params.w2
+    dh1 *= cache.h1 > 0
+    np.matmul(dh1.T, cache.x, out=grads.w1)
+    np.sum(dh1, axis=0, out=grads.b1)
     return grads

@@ -50,26 +50,6 @@ def auroc(scores, labels) -> float:
     return float((ranks[pos].sum() - n1 * (n1 + 1) / 2.0) / (n1 * n0))
 
 
-def pearson(xs, ys) -> float:
-    """Sample Pearson correlation coefficient."""
-    x = as_f64(xs, "xs")
-    y = as_f64(ys, "ys")
-    if x.shape != y.shape or x.ndim != 1 or len(x) < 2:
-        raise ValidationError("pearson needs two aligned vectors of length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    vx = float(np.dot(dx, dx))
-    vy = float(np.dot(dy, dy))
-    if vx == 0.0 or vy == 0.0:
-        raise ValidationError("pearson undefined for zero variance")
-    return float(np.dot(dx, dy) / np.sqrt(vx * vy))
-
-
-def spearman(xs, ys) -> float:
-    """Rank correlation: Pearson over average ranks."""
-    return pearson(_average_ranks(as_f64(xs)), _average_ranks(as_f64(ys)))
-
-
 # --------------------------------------------------------------------------
 # Early stopping
 # --------------------------------------------------------------------------
@@ -110,10 +90,6 @@ def earlystop_score(
 # --------------------------------------------------------------------------
 # Fine-tuning loop
 # --------------------------------------------------------------------------
-
-_ADAM_BETAS = (0.9, 0.999)
-_ADAM_EPS = 1e-8
-
 
 @dataclass(frozen=True)
 class FinetuneConfig:
@@ -209,7 +185,6 @@ def finetune_loop(
     rng = _sub_rng(cfg.seed, 1)
     m_state = params.zeros_like()
     v_state = params.zeros_like()
-    beta1, beta2 = _ADAM_BETAS
     step = 0
 
     trace: List[MetricsRecord] = []
@@ -264,18 +239,7 @@ def finetune_loop(
             grads = enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits)
 
             step += 1
-            bc1 = 1.0 - beta1 ** step
-            bc2 = 1.0 - beta2 ** step
-            for f in params.FIELDS:
-                g = getattr(grads, f)
-                m = getattr(m_state, f)
-                v = getattr(v_state, f)
-                m *= beta1
-                m += (1.0 - beta1) * g
-                v *= beta2
-                v += (1.0 - beta2) * g * g
-                getattr(params, f).__isub__(
-                    cfg.lr * (m / bc1) / (np.sqrt(v / bc2) + _ADAM_EPS))
+            enc.adam_step(params, m_state, v_state, grads, step, cfg.lr)
             epoch_losses.append(breakdown)
 
         mean_loss = {

@@ -21,7 +21,7 @@ class NumericError(ValueError):
 def as_f64(x, name: str = "array") -> np.ndarray:
     """Coerce to a float64 array and reject NaN/Inf."""
     arr = np.asarray(x, dtype=np.float64)
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
     return arr
 

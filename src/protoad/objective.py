@@ -54,16 +54,6 @@ def _rows(e) -> Tuple[np.ndarray, bool]:
     return arr, False
 
 
-def prototype_posterior(e, prototypes: np.ndarray, tau: float) -> np.ndarray:
-    """softmax_p(sim(e, p)/tau): the pseudo-label distribution over prototypes."""
-    E, single = _rows(e)
-    P = as_f64(prototypes, "prototypes")
-    if len(P) == 0:
-        raise ValidationError("prototype set is empty")
-    probs = softmax_rows((E @ P.T) / tau)
-    return probs[0] if single else probs
-
-
 def energy_score(e, prototypes: np.ndarray, tau: float) -> np.ndarray | float:
     """Normality score S = logsumexp_p(sim(e, p)/tau); higher = more normal."""
     E, single = _rows(e)

@@ -35,8 +35,8 @@ def _shifted_pool(rc: RunConfig, seed_offset: int, direction: float,
     """A second synthetic distribution: same geometry, displaced means."""
     aux = generate(rc.synthetic_spec(seed_offset=seed_offset))
     feats = aux.features + direction * rc.cluster_spread
-    return Pool(feats, aux.true_class + class_offset, aux.ids + id_offset,
-                aux.cluster_id, None)
+    return Pool(feats, aux.true_class + class_offset, aux.ids,
+                aux.cluster_id, None).with_id_offset(id_offset)
 
 
 def build_splits(rc: RunConfig) -> ScenarioSplit:

@@ -242,11 +242,7 @@ def pretrain_loop(
                 total += ce
             grads = enc.backward(params, cache,
                                  d_embed=np.vstack([g1, g2]), d_logits=d_logits)
-            for f in params.FIELDS:
-                v = getattr(velocity, f)
-                v *= cfg.momentum
-                v -= cfg.lr * getattr(grads, f)
-                getattr(params, f).__iadd__(v)
+            enc.sgd_momentum_step(params, velocity, grads, cfg.lr, cfg.momentum)
             losses.append(total)
             aligns.append(align)
             uniforms.append(loss - align)

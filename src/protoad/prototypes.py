@@ -86,7 +86,7 @@ def _seed_plusplus(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 def _lloyd(X: np.ndarray, centroids: np.ndarray
            ) -> Tuple[np.ndarray, np.ndarray, List[float]]:
     """Alternate cosine assignment and normalized-mean updates until stable."""
-    k = len(centroids)
+    k, d = centroids.shape
     assign = None
     trace: List[float] = []
     for _ in range(_MAX_ITER):
@@ -96,9 +96,11 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        nxt = np.zeros_like(centroids)
         counts = np.bincount(assign, minlength=k)
-        np.add.at(nxt, assign, X)
+        # One weighted bincount adds each cluster's rows in row order, as
+        # np.add.at did; a one-hot GEMM would reorder the adds (last bits).
+        cells = (assign[:, None] * d + np.arange(d)).ravel()
+        nxt = np.bincount(cells, weights=X.ravel(), minlength=k * d).reshape(k, d)
         empty = np.flatnonzero(counts == 0)
         if len(empty):
             # Re-seed each empty cluster to the point least similar to its

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -155,3 +157,128 @@ def test_perfect_separation_head_fixture():
     logits = means @ params.wh.T + params.bh
     loss, _ = loss_shift(logits, np.arange(fam.count))
     assert loss < 1e-3
+
+
+# ------------------------------------------------ flat buffer and optimizers
+
+def test_fields_are_views_of_flat_in_layout_order():
+    params = _params(3)
+    params.flat[:] = np.arange(params.flat.size)
+    start = 0
+    for f in enc.EncoderParams.FIELDS:
+        view = getattr(params, f)
+        assert np.shares_memory(view, params.flat)
+        assert np.array_equal(view.ravel(), np.arange(start, start + view.size))
+        start += view.size
+    assert start == params.flat.size
+    params.w2[1, 2] = -7.0     # a write to a field is a write to flat
+    assert params.flat[params.w1.size + params.b1.size + params.w2.shape[1] + 2] == -7.0
+
+
+def test_new_bundles_never_alias_their_source():
+    params = _params(3)
+    theta = params.to_vector()
+    made = [params.copy(), params.zeros_like(), params.from_vector(theta)]
+    for other in made:
+        assert not np.shares_memory(other.flat, params.flat)
+        for f in enc.EncoderParams.FIELDS:
+            assert np.shares_memory(getattr(other, f), other.flat)
+    assert not np.shares_memory(made[2].flat, theta)
+    assert not np.shares_memory(theta, params.flat)
+    before = params.to_vector()
+    for other in made:
+        other.flat += 1.0
+    theta += 1.0
+    assert np.array_equal(params.to_vector(), before)
+
+
+def test_constructor_copies_the_callers_arrays():
+    src = _params(4)
+    arrays = [getattr(src, f).copy() for f in enc.EncoderParams.FIELDS]
+    params = enc.EncoderParams(*arrays)
+    for a in arrays:
+        a += 1.0
+    assert np.array_equal(params.flat, src.flat)
+
+
+def test_pickle_round_trip_keeps_fields_on_flat():
+    params = _params(5)
+    back = pickle.loads(pickle.dumps(params))
+    assert np.array_equal(back.flat, params.flat)
+    for f in enc.EncoderParams.FIELDS:
+        assert np.shares_memory(getattr(back, f), back.flat)
+
+
+def _grads_sequence(params, steps, seed):
+    rng = np.random.default_rng(seed)
+    return [params.from_vector(rng.normal(size=params.flat.size)) for _ in range(steps)]
+
+
+def test_sgd_momentum_step_equals_per_field_loop_bitwise():
+    lr, momentum = 0.05, 0.9
+    flat_p, loop_p = _params(1), _params(1)
+    flat_v, loop_v = flat_p.zeros_like(), loop_p.zeros_like()
+    for grads in _grads_sequence(flat_p, 5, seed=2):
+        enc.sgd_momentum_step(flat_p, flat_v, grads, lr, momentum)
+        for f in enc.EncoderParams.FIELDS:     # the per-field update it replaced
+            v = getattr(loop_v, f)
+            v *= momentum
+            v -= lr * getattr(grads, f)
+            getattr(loop_p, f).__iadd__(v)
+    assert np.array_equal(flat_p.flat, loop_p.flat)
+    assert np.array_equal(flat_v.flat, loop_v.flat)
+
+
+def test_adam_step_equals_per_field_loop_bitwise():
+    lr, (beta1, beta2), eps = 1e-3, (0.9, 0.999), 1e-8
+    flat_p, loop_p = _params(1), _params(1)
+    flat_m, flat_v = flat_p.zeros_like(), flat_p.zeros_like()
+    loop_m, loop_v = loop_p.zeros_like(), loop_p.zeros_like()
+    for step, grads in enumerate(_grads_sequence(flat_p, 5, seed=3), start=1):
+        enc.adam_step(flat_p, flat_m, flat_v, grads, step, lr)
+        bc1 = 1.0 - beta1 ** step
+        bc2 = 1.0 - beta2 ** step
+        for f in enc.EncoderParams.FIELDS:     # the per-field update it replaced
+            g = getattr(grads, f)
+            m = getattr(loop_m, f)
+            v = getattr(loop_v, f)
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * g * g
+            getattr(loop_p, f).__isub__(lr * (m / bc1) / (np.sqrt(v / bc2) + eps))
+    assert np.array_equal(flat_p.flat, loop_p.flat)
+    assert np.array_equal(flat_m.flat, loop_m.flat)
+    assert np.array_equal(flat_v.flat, loop_v.flat)
+
+
+def test_in_place_forward_backward_equal_the_allocating_formulas():
+    rng = np.random.default_rng(6)
+    params = _params(6)
+    X = rng.normal(size=(40, DIMS.input))
+    d_embed = rng.normal(size=(40, DIMS.embed))
+    d_logits = rng.normal(size=(40, DIMS.shifts))
+    cache = enc.forward(params, X)
+    h1 = np.maximum(X @ params.w1.T + params.b1, 0.0)
+    h2 = np.maximum(h1 @ params.w2.T + params.b2, 0.0)
+    feature = h2 @ params.w3.T + params.b3
+    assert np.array_equal(cache.h1, h1) and np.array_equal(cache.h2, h2)
+    assert np.array_equal(cache.feature, feature)
+
+    grads = enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits)
+    ref = params.zeros_like()      # zeroed gradients plus adds, as before
+    df = np.zeros_like(feature)
+    ref.wh += d_logits.T @ feature
+    ref.bh += d_logits.sum(axis=0)
+    df += d_logits @ params.wh
+    proj = np.sum(d_embed * cache.embed, axis=1, keepdims=True)
+    df += (d_embed - proj * cache.embed) / cache.norms[:, None]
+    ref.w3 += df.T @ h2
+    ref.b3 += df.sum(axis=0)
+    dh2 = (df @ params.w3) * (h2 > 0)
+    ref.w2 += dh2.T @ h1
+    ref.b2 += dh2.sum(axis=0)
+    dh1 = (dh2 @ params.w2) * (h1 > 0)
+    ref.w1 += dh1.T @ X
+    ref.b1 += dh1.sum(axis=0)
+    assert np.array_equal(grads.flat, ref.flat)

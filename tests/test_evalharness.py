@@ -8,8 +8,10 @@ from protoad.augment import (ShiftFamily, StrongAugConfig, WeakAugConfig,
                              strong_batch, weak_batch)
 from protoad.config import preset
 from protoad.data import Dataset, ValidationError
-from protoad.evalharness import auroc, earlystop_score, spearman
+from protoad.evalharness import auroc, earlystop_score
 from protoad.mathcore import logsumexp_rows
+
+from oracles import spearman
 
 
 def _pairwise_auroc(scores, labels):

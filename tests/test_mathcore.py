@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from protoad.mathcore import (EPS_NORM, GradCheckReport, NumericError,
+from protoad.mathcore import (EPS_NORM, GradCheckReport, NumericError, as_f64,
                               grad_check, l2_normalize, l2_normalize_rows,
                               logsumexp, logsumexp_rows, softmax_rows)
 
@@ -172,3 +172,27 @@ def test_grad_check_nonfinite_evaluation():
 
     with pytest.raises(NumericError):
         grad_check(f, np.array([1.0]), h=1e-1)
+
+
+# ------------------------------------------------------------- as_f64
+
+@pytest.mark.parametrize("values", [
+    [1.0, float("nan")], [float("inf"), 2.0], [-3.0, float("-inf")],
+    [float("inf"), float("-inf")],
+])
+def test_as_f64_rejects_every_non_finite_entry(values):
+    with pytest.raises(NumericError, match="non-finite"):
+        as_f64(np.array(values))
+    with pytest.raises(NumericError, match="non-finite"):
+        as_f64(np.array(values * 50).reshape(10, 10))
+
+
+def test_as_f64_accepts_finite_entries_whose_sum_overflows():
+    # 1e308 + 1e308 is inf in float64; each entry is finite.
+    assert np.array_equal(as_f64([1e308, 1e308]), [1e308, 1e308])
+
+
+def test_as_f64_accepts_empty_and_returns_float64_unchanged():
+    assert as_f64(np.zeros((0, 3))).shape == (0, 3)
+    a = np.arange(6, dtype=np.float64)
+    assert as_f64(a) is a

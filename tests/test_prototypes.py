@@ -70,6 +70,54 @@ def test_fit_matches_exhaustive_oracle():
         assert groups == expect, f"trial {trial}: {groups} != {expect}"
 
 
+def _lloyd_add_at(X, centroids):
+    """The Lloyd loop with np.add.at centroid sums; also says whether any
+    iteration re-seeded an empty cluster."""
+    k = len(centroids)
+    assign, trace, reseeded = None, [], False
+    for _ in range(proto._MAX_ITER):
+        sims = X @ centroids.T
+        new_assign = np.argmax(sims, axis=1)
+        trace.append(float(np.mean(sims[np.arange(len(X)), new_assign])))
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        nxt = np.zeros_like(centroids)
+        counts = np.bincount(assign, minlength=k)
+        np.add.at(nxt, assign, X)
+        order = np.argsort(sims[np.arange(len(X)), assign])
+        for ptr, e in enumerate(np.flatnonzero(counts == 0)):
+            nxt[e] = X[int(order[ptr])]
+            reseeded = True
+        centroids = proto._normalize_rows(nxt)
+    return centroids, assign, trace, reseeded
+
+
+def _assert_lloyd_matches_add_at(X, start):
+    got = proto._lloyd(X, start.copy())
+    want = _lloyd_add_at(X, start.copy())
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    return want[3]
+
+
+@pytest.mark.parametrize("n,d,k", [(30, 3, 4), (500, 8, 16), (5000, 16, 16)])
+def test_lloyd_sums_equal_add_at_bitwise(n, d, k):
+    # 5000 x 16 rows is past the size where a one-hot GEMM stops matching.
+    rng = np.random.default_rng(n)
+    X = _unit_rows(n, d, rng)
+    _assert_lloyd_matches_add_at(X, proto._seed_plusplus(X, k, rng))
+
+
+def test_lloyd_sums_equal_add_at_through_an_empty_cluster_reseed():
+    rng = np.random.default_rng(9)
+    X = np.abs(_unit_rows(200, 6, rng))      # every row in the positive orthant
+    start = _unit_rows(5, 6, rng)
+    start[0] = -np.ones(6) / np.sqrt(6.0)    # no row is nearest to this one
+    assert _assert_lloyd_matches_add_at(X, start)
+
+
 def test_fit_objective_nondecreasing():
     rng = np.random.default_rng(5)
     for trial in range(50):
