@@ -146,17 +146,15 @@ class Dataset:
         return (self._true_class == 0).astype(np.int64)
 
 
-def generate(spec: SyntheticSpec) -> Pool:
-    """Draw a synthetic pool from ``spec``. Deterministic under the seed.
+def _component_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    """Component means, normal subclusters first, drawn from ``rng``.
 
-    Component means are rejection-sampled from N(0, cluster_spread^2 I) until
-    every pair sits at distance >= 2 * cluster_spread; each mean gets a
-    bounded retry budget, after which generation fails.
+    Each mean is rejection-sampled from N(0, cluster_spread^2 I) until it
+    sits at distance >= 2 * cluster_spread from every earlier one; each gets
+    a bounded retry budget, after which placement fails.
     """
-    rng = np.random.default_rng(spec.seed)
     n_components = spec.normal_subclusters + spec.anomaly_classes
     min_dist = 2.0 * spec.cluster_spread
-
     means = np.empty((n_components, spec.input_dim))
     for c in range(n_components):
         for attempt in range(_MEAN_RETRIES + 1):
@@ -169,28 +167,37 @@ def generate(spec: SyntheticSpec) -> Pool:
                 f"mean placement infeasible after {_MEAN_RETRIES} retries "
                 f"(component {c} of {n_components})"
             )
+    return means
 
-    feats, classes, comps = [], [], []
+
+def generate(spec: SyntheticSpec) -> Pool:
+    """Draw a synthetic pool from ``spec``. Deterministic under the seed.
+
+    Each component's draws are written straight into one preallocated
+    feature array, so the pool is the only full-size copy alive.
+    """
+    rng = np.random.default_rng(spec.seed)
+    means = _component_means(spec, rng)
+    n_sub = spec.normal_subclusters
     # Normal class: samples_per_class split as evenly as possible over subclusters.
-    base, extra = divmod(spec.samples_per_class, spec.normal_subclusters)
-    for s in range(spec.normal_subclusters):
-        count = base + (1 if s < extra else 0)
-        feats.append(means[s] + spec.within_spread * rng.standard_normal((count, spec.input_dim)))
-        classes.append(np.zeros(count, dtype=np.int64))
-        comps.append(np.full(count, s, dtype=np.int64))
-    for a in range(spec.anomaly_classes):
-        comp = spec.normal_subclusters + a
-        feats.append(means[comp] + spec.within_spread * rng.standard_normal(
-            (spec.samples_per_class, spec.input_dim)))
-        classes.append(np.full(spec.samples_per_class, a + 1, dtype=np.int64))
-        comps.append(np.full(spec.samples_per_class, comp, dtype=np.int64))
+    base, extra = divmod(spec.samples_per_class, n_sub)
+    counts = [base + (1 if s < extra else 0) for s in range(n_sub)]
+    counts += [spec.samples_per_class] * spec.anomaly_classes
+    cluster_id = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
 
-    features = np.vstack(feats)
+    features = np.empty((len(cluster_id), spec.input_dim))
+    start = 0
+    for c, count in enumerate(counts):
+        block = features[start:start + count]
+        rng.standard_normal(out=block)
+        block *= spec.within_spread
+        block += means[c]
+        start += count
     return Pool(
         features=features,
-        true_class=np.concatenate(classes),
+        true_class=np.where(cluster_id < n_sub, 0, cluster_id - n_sub + 1),
         ids=np.arange(len(features), dtype=np.int64),
-        cluster_id=np.concatenate(comps),
+        cluster_id=cluster_id,
         means=means,
     )
 
@@ -419,61 +426,3 @@ def read_dataset(path) -> Dataset:
     rows = np.frombuffer(blob, dtype="<f4").reshape(count, dim + 2).astype(np.float64)
     return Dataset(rows[:, :dim], rows[:, dim].astype(np.int64),
                    np.arange(count, dtype=np.int64), rows[:, dim + 1].astype(np.int64))
-
-
-# --------------------------------------------------------------------------
-# CIFAR-10 binary ingestion (optional): 3073-byte records, 1 label byte +
-# 3072 pixel bytes in CHW order.
-# --------------------------------------------------------------------------
-
-_CIFAR_RECORD = 3073
-_CIFAR_SIDE = 32
-
-
-def read_cifar10_binary(path, pool_grid: int = 4) -> Pool:
-    """Parse a CIFAR-10 binary file into a pool of pooled pixel features.
-
-    Pixels are scaled to [0, 1] and each 32x32 channel is average-pooled to a
-    ``pool_grid`` x ``pool_grid`` grid, giving 3 * pool_grid**2 features.
-    """
-    if pool_grid < 1 or _CIFAR_SIDE % pool_grid != 0:
-        raise ValidationError(f"pool_grid must divide {_CIFAR_SIDE}, got {pool_grid}")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    n_full, tail = divmod(len(blob), _CIFAR_RECORD)
-    if tail != 0:
-        raise ValidationError(
-            f"truncated record at offset {n_full * _CIFAR_RECORD}")
-    if n_full == 0:
-        d = 3 * pool_grid * pool_grid
-        return Pool(np.empty((0, d)), np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.int64))
-
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(n_full, _CIFAR_RECORD)
-    labels = raw[:, 0].astype(np.int64)
-    bad = np.flatnonzero(labels > 9)
-    if len(bad):
-        off = int(bad[0]) * _CIFAR_RECORD
-        raise ValidationError(f"label byte {labels[bad[0]]} > 9 at offset {off}")
-
-    pixels = raw[:, 1:].astype(np.float64) / 255.0
-    images = pixels.reshape(n_full, 3, _CIFAR_SIDE, _CIFAR_SIDE)
-    block = _CIFAR_SIDE // pool_grid
-    pooled = images.reshape(n_full, 3, pool_grid, block, pool_grid, block).mean(axis=(3, 5))
-    features = pooled.reshape(n_full, -1)
-    return Pool(features, labels, np.arange(n_full, dtype=np.int64))
-
-
-def relabel_pool(pool: Pool, normal_class: int) -> Pool:
-    """Map ``normal_class`` to 0 and the remaining classes to 1..K in order."""
-    classes = [int(c) for c in pool.classes()]
-    if normal_class not in classes:
-        raise ValidationError(f"class {normal_class} not present in pool")
-    mapping = {normal_class: 0}
-    nxt = 1
-    for c in classes:
-        if c != normal_class:
-            mapping[c] = nxt
-            nxt += 1
-    new_cls = np.array([mapping[int(c)] for c in pool.true_class], dtype=np.int64)
-    return Pool(pool.features, new_cls, pool.ids, pool.cluster_id, pool.means)

@@ -94,10 +94,19 @@ def score_cosine(e, prototypes: np.ndarray) -> np.ndarray | float:
     return float(s[0]) if single else s
 
 
+# Similarities per row block of ``score_uniformity``: 2**18 float64, 2 MB.
+_UNIFORMITY_BLOCK = 1 << 18
+
+
 def score_uniformity(e, reference: np.ndarray) -> np.ndarray | float:
     """log sum_{r in reference} exp(sim(e, r)); the contrastive-objective score.
 
     The caller must exclude ``e`` itself from the reference set when present.
+    Memory: query rows go through ``logsumexp_rows`` in blocks of
+    max(1, _UNIFORMITY_BLOCK // len(reference)) rows. One block's
+    similarities take at most 2 MB (one row, when the reference set alone is
+    larger), and ``logsumexp_rows`` adds one shifted copy, so the working
+    memory stays two blocks however many rows are scored.
     """
     E, single = _rows(e)
     R = as_f64(reference, "reference")
@@ -105,7 +114,10 @@ def score_uniformity(e, reference: np.ndarray) -> np.ndarray | float:
         R = R[None, :]
     if len(R) == 0:
         raise ValidationError("empty reference")
-    s = logsumexp_rows(E @ R.T)
+    step = max(1, _UNIFORMITY_BLOCK // len(R))
+    s = np.empty(len(E))
+    for start in range(0, len(E), step):
+        s[start:start + step] = logsumexp_rows(E[start:start + step] @ R.T)
     return float(s[0]) if single else s
 
 

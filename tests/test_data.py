@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from protoad.data import (LABELED_ANOMALY, LABELED_NORMAL, UNLABELED, Dataset,
                           Pool, ScenarioConfig, SyntheticSpec, ValidationError,
-                          build_scenario, generate, read_cifar10_binary,
-                          read_dataset, relabel_pool, write_dataset)
+                          build_scenario, generate, read_dataset, write_dataset)
 from protoad.mathcore import NumericError
+
+from oracles import generate_by_vstack
 
 
 # ---------------------------------------------------------------- generate
@@ -51,6 +53,36 @@ def test_generate_infeasible_mean_placement():
                          samples_per_class=1, seed=0)
     with pytest.raises(NumericError, match="infeasible"):
         generate(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    SyntheticSpec(input_dim=3, normal_subclusters=3, anomaly_classes=2,
+                  samples_per_class=10, seed=4),      # normals split 4/3/3
+    SyntheticSpec(input_dim=5, normal_subclusters=4, anomaly_classes=1,
+                  samples_per_class=2, seed=1),       # two empty subclusters
+    SyntheticSpec(input_dim=8, normal_subclusters=1, anomaly_classes=0,
+                  samples_per_class=7, seed=2),
+    SyntheticSpec(samples_per_class=300, seed=7),
+])
+def test_generate_equals_vstack_construction_bitwise(spec):
+    got, want = generate(spec), generate_by_vstack(spec)
+    for name in ("features", "true_class", "ids", "cluster_id", "means"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def test_generate_traced_peak_is_about_one_pool():
+    spec = SyntheticSpec(input_dim=32, normal_subclusters=4, anomaly_classes=9,
+                         samples_per_class=1000, seed=0)
+    generate(SyntheticSpec(samples_per_class=1))    # lazy numpy imports
+    tracemalloc.start()
+    try:
+        pool = generate(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * pool.features.nbytes
 
 
 def test_spec_validation():
@@ -217,58 +249,3 @@ def test_dataset_truncated_payload(tmp_path):
     path.write_bytes(blob[:-4])
     with pytest.raises(ValidationError):
         read_dataset(path)
-
-
-# ------------------------------------------------------------- CIFAR-10
-
-def _cifar_record(label, value=None, ramp=False):
-    pixels = (np.arange(3072) % 256 if ramp
-              else np.full(3072, 128 if value is None else value))
-    return bytes([label]) + bytes(pixels.astype(np.uint8).tolist())
-
-
-def test_cifar_empty_file(tmp_path):
-    path = tmp_path / "empty.bin"
-    path.write_bytes(b"")
-    pool = read_cifar10_binary(path)
-    assert len(pool) == 0 and pool.features.shape == (0, 48)
-
-
-def test_cifar_two_record_fixture(tmp_path):
-    path = tmp_path / "two.bin"
-    path.write_bytes(_cifar_record(3, value=255) + _cifar_record(7, value=0))
-    pool = read_cifar10_binary(path)
-    assert sorted(pool.classes().tolist()) == [3, 7]
-    assert np.allclose(pool.features[0], 1.0)
-    assert np.allclose(pool.features[1], 0.0)
-
-
-def test_cifar_truncated(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"\x00" * 3072)
-    with pytest.raises(ValidationError, match="truncated record at offset 0"):
-        read_cifar10_binary(path)
-
-
-def test_cifar_bad_label_offset(tmp_path):
-    path = tmp_path / "badlabel.bin"
-    path.write_bytes(_cifar_record(1) + _cifar_record(11))
-    with pytest.raises(ValidationError, match="offset 3073"):
-        read_cifar10_binary(path)
-
-
-def test_cifar_average_pooling(tmp_path):
-    path = tmp_path / "ramp.bin"
-    path.write_bytes(_cifar_record(0, ramp=True))
-    pool = read_cifar10_binary(path, pool_grid=1)
-    # each channel collapses to the mean of its 1024 ramp bytes
-    img = (np.arange(3072) % 256) / 255.0
-    expect = img.reshape(3, -1).mean(axis=1)
-    assert np.allclose(pool.features[0], expect)
-
-
-def test_relabel_pool():
-    pool = Pool(np.zeros((4, 2)), np.array([3, 7, 3, 7]), np.arange(4))
-    out = relabel_pool(pool, normal_class=7)
-    assert sorted(out.classes().tolist()) == [0, 1]
-    assert np.array_equal(out.true_class, [1, 0, 1, 0])

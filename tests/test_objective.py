@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,46 @@ def test_uniformity_oracle_value():
     e, R = _protos_with_sims([0.5, -0.5])
     assert obj.score_uniformity(e, R) == pytest.approx(0.8132616875182228,
                                                        abs=1e-12)
+
+
+def _unit_rows(n, dim, seed):
+    X = np.random.default_rng(seed).normal(size=(n, dim))
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
+
+
+# With a budget of 24 similarities and 6 reference rows a block holds 4 rows.
+@pytest.mark.parametrize("n_query", [1, 3, 4, 5, 13])
+def test_uniformity_blocks_equal_one_shot_oracle(monkeypatch, n_query):
+    monkeypatch.setattr(obj, "_UNIFORMITY_BLOCK", 24)
+    E, R = _unit_rows(n_query, 5, seed=n_query), _unit_rows(6, 5, seed=99)
+    got = obj.score_uniformity(E, R)
+    assert got.shape == (n_query,)
+    np.testing.assert_allclose(got, logsumexp_rows(E @ R.T), rtol=1e-12, atol=0)
+
+
+def test_uniformity_reference_above_budget_scores_one_row_per_block(monkeypatch):
+    monkeypatch.setattr(obj, "_UNIFORMITY_BLOCK", 24)
+    E, R = _unit_rows(7, 5, seed=1), _unit_rows(30, 5, seed=2)
+    np.testing.assert_allclose(obj.score_uniformity(E, R), logsumexp_rows(E @ R.T),
+                               rtol=1e-12, atol=0)
+
+
+def test_uniformity_zero_query_rows_give_empty_scores(monkeypatch):
+    monkeypatch.setattr(obj, "_UNIFORMITY_BLOCK", 24)
+    out = obj.score_uniformity(np.empty((0, 5)), _unit_rows(6, 5, seed=0))
+    assert out.shape == (0,)
+
+
+def test_uniformity_traced_peak_does_not_grow_with_queries():
+    E, R = _unit_rows(3000, 16, seed=0), _unit_rows(1000, 16, seed=1)
+    obj.score_uniformity(E[:2], R)
+    tracemalloc.start()
+    try:
+        obj.score_uniformity(E, R)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6      # the one-shot 3000 x 1000 matrix alone is 24 MB
 
 
 def test_uniformity_self_excludes_diagonal():
