@@ -144,7 +144,7 @@ def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator) -> n
     lo, hi = cfg.scale_jitter
     out = X * rng.uniform(lo, hi, size=(n, 1))
     if cfg.noise_sigma > 0:
-        out = out + cfg.noise_sigma * rng.standard_normal((n, d))
+        out += cfg.noise_sigma * rng.standard_normal((n, d))
     n_mask = int(cfg.mask_fraction * d)
     if n_mask > 0:
         # Per-row random coordinate subset of fixed size.

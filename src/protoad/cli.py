@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -188,6 +189,11 @@ def cmd_finetune(args) -> int:
     return 0
 
 
+def _score_lines(ids, scores):
+    """Score file lines, byte for byte as ``json.dumps`` writes ints and finite floats."""
+    return [f'{{"id": {i}, "score": {s!r}}}\n' for i, s in zip(ids, scores)]
+
+
 def cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     rc = resolve_config(args, base=ckpt.config)
@@ -201,9 +207,7 @@ def cmd_score(args) -> int:
                                 rc.n_ensemble, rc.score_rng(), mode=rc.ensemble_mode)
     order = np.argsort(ds.ids, kind="mergesort")
     with open(args.out, "w", encoding="utf-8") as fh:
-        for i in order:
-            fh.write(json.dumps({"id": int(ds.ids[i]),
-                                 "score": float(scores[i])}) + "\n")
+        fh.writelines(_score_lines(ds.ids[order].tolist(), scores[order].tolist()))
     print(f"wrote {args.out} ({len(ds)} scores)")
     return 0
 
@@ -283,6 +287,7 @@ def cmd_ablation(args) -> int:
 
 # --------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="protoad",

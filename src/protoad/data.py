@@ -401,6 +401,8 @@ def build_scenario(
 def write_dataset(path, ds: Dataset) -> None:
     header = {"version": 1, "dim": int(ds.dim), "count": int(len(ds))}
     rows = np.empty((len(ds), ds.dim + 2), dtype="<f4")
+    if np.abs(ds.features).max(initial=0.0) > np.finfo(np.float32).max:
+        raise ValidationError("dataset features exceed the float32 range")
     rows[:, :ds.dim] = ds.features
     rows[:, ds.dim] = ds.semi
     rows[:, ds.dim + 1] = ds._true_class

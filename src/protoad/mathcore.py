@@ -35,22 +35,36 @@ def logsumexp(values) -> float:
     return m + float(np.log(np.sum(np.exp(v - m))))
 
 
-def logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
-    """Row-wise logsumexp for a 2-D array; ``matrix`` is left unchanged."""
+def row_max(matrix: np.ndarray) -> np.ndarray:
+    """Exactly ``np.max(matrix, axis=1)``; by columns when they are fewer than rows."""
+    if not 0 < matrix.shape[1] < len(matrix):
+        return np.max(matrix, axis=1)
+    out = matrix[:, 0].copy()
+    for column in matrix.T[1:]:
+        np.maximum(out, column, out=out)
+    return out
+
+
+def logsumexp_rows_inplace(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise logsumexp that overwrites ``matrix`` with its shifted exponentials."""
     m = as_f64(matrix, "logsumexp input")
     if m.ndim != 2 or m.shape[1] == 0:
         raise NumericError("empty reduction")
-    shift = np.max(m, axis=1, keepdims=True)
-    e = m - shift
-    np.exp(e, out=e)
-    return (shift + np.log(np.sum(e, axis=1, keepdims=True)))[:, 0]
+    shift = row_max(m)
+    m -= shift[:, None]
+    np.exp(m, out=m)
+    return shift + np.log(np.sum(m, axis=1))
+
+
+def logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
+    """Row-wise logsumexp for a 2-D array; ``matrix`` is left unchanged."""
+    return logsumexp_rows_inplace(np.array(matrix, dtype=np.float64))
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise softmax for a 2-D array; ``matrix`` is left unchanged."""
     m = as_f64(matrix, "softmax input")
-    shift = np.max(m, axis=1, keepdims=True)
-    e = m - shift
+    e = m - row_max(m)[:, None]
     np.exp(e, out=e)
     e /= np.sum(e, axis=1, keepdims=True)
     return e

@@ -19,7 +19,7 @@ import numpy as np
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import LABELED_ANOMALY, ValidationError
-from .mathcore import NumericError, as_f64, logsumexp_rows, softmax_rows
+from .mathcore import NumericError, as_f64, logsumexp_rows_inplace, row_max, softmax_rows
 
 C_MODES = ("canonical", "appendix")
 
@@ -60,7 +60,9 @@ def energy_score(e, prototypes: np.ndarray, tau: float) -> np.ndarray | float:
     P = as_f64(prototypes, "prototypes")
     if len(P) == 0:
         raise ValidationError("prototype set is empty")
-    s = logsumexp_rows((E @ P.T) / tau)
+    logits = E @ P.T
+    logits /= tau
+    s = logsumexp_rows_inplace(logits)
     return float(s[0]) if single else s
 
 
@@ -74,14 +76,17 @@ def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
     """
     E = as_f64(E, "embeddings")
     P = as_f64(prototypes, "prototypes")
-    w = (E @ P.T) / tau
-    shift = np.max(w, axis=1, keepdims=True)
+    w = E @ P.T
+    w /= tau
+    shift = row_max(w)[:, None]
     w -= shift
     np.exp(w, out=w)
     z = np.sum(w, axis=1, keepdims=True)
     scores = (shift + np.log(z))[:, 0]
     w /= z
-    return scores, w @ P / tau
+    grad = w @ P
+    grad /= tau
+    return scores, grad
 
 
 def score_cosine(e, prototypes: np.ndarray) -> np.ndarray | float:
@@ -102,11 +107,11 @@ def score_uniformity(e, reference: np.ndarray) -> np.ndarray | float:
     """log sum_{r in reference} exp(sim(e, r)); the contrastive-objective score.
 
     The caller must exclude ``e`` itself from the reference set when present.
-    Memory: query rows go through ``logsumexp_rows`` in blocks of
+    Memory: query rows are scored in blocks of
     max(1, _UNIFORMITY_BLOCK // len(reference)) rows. One block's
     similarities take at most 2 MB (one row, when the reference set alone is
-    larger), and ``logsumexp_rows`` adds one shifted copy, so the working
-    memory stays two blocks however many rows are scored.
+    larger) and are reduced in place, so the working memory stays one block
+    however many rows are scored.
     """
     E, single = _rows(e)
     R = as_f64(reference, "reference")
@@ -117,7 +122,7 @@ def score_uniformity(e, reference: np.ndarray) -> np.ndarray | float:
     step = max(1, _UNIFORMITY_BLOCK // len(R))
     s = np.empty(len(E))
     for start in range(0, len(E), step):
-        s[start:start + step] = logsumexp_rows(E[start:start + step] @ R.T)
+        s[start:start + step] = logsumexp_rows_inplace(E[start:start + step] @ R.T)
     return float(s[0]) if single else s
 
 
@@ -216,9 +221,9 @@ def loss_shift(logits, shift_ids) -> Tuple[float, np.ndarray]:
     n = len(L)
     picked = probs[np.arange(n), ids]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    grad = probs.copy()
-    grad[np.arange(n), ids] -= 1.0
-    return loss, grad / n
+    probs[np.arange(n), ids] -= 1.0
+    probs /= n
+    return loss, probs
 
 
 LOSSES = ("elsa", "naive", "deepsad")
@@ -281,6 +286,6 @@ def score_ensemble(
             rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
             zbar += enc.embed(params, rows)
         zbar /= n_samples
-        per_shift = logsumexp_rows(zbar @ P.T).reshape(k_s, n)
+        per_shift = logsumexp_rows_inplace(zbar @ P.T).reshape(k_s, n)
         out = per_shift.sum(axis=0)
     return float(out[0]) if single else out

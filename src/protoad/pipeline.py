@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -185,6 +184,7 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3,
     cells = [(rc, i, j, n_anomaly_mixes)
              for i in range(n_normal_configs) for j in range(n_anomaly_mixes)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             reports = list(ex.map(_grid_cell, cells))
     else:

@@ -67,21 +67,23 @@ class ContrastiveBatch:
 _TINY = np.finfo(np.float64).tiny   # smallest normal float64
 
 
-def _pair_terms(batch: ContrastiveBatch):
+def _pair_terms(batch: ContrastiveBatch, work: Optional[np.ndarray] = None):
     """Shared plumbing: ``(E, partner, pos, lse, z, X)``.
 
-    ``X = exp(L - c)`` is the one n x n buffer, with its diagonal zeroed;
-    ``z`` holds its row sums and ``lse = c + log(z)``. The shift ``c`` is the
-    largest diagonal logit, ``max_i ||e_i||^2 / tau``, which bounds every
-    logit by Cauchy-Schwarz; being one scalar, it leaves ``X`` symmetric,
-    which the gradient relies on. ``pos`` is read before the buffer is
-    overwritten. Raises ``NumericError`` when a row sum is no longer a
-    normal float64 (for unit rows: ``tau`` below about 0.0028).
+    ``X = exp(L - c)`` is the one n x n buffer, the head of the flat float64
+    ``work`` when given, with its diagonal zeroed; ``z`` holds its row sums
+    and ``lse = c + log(z)``. The shift ``c`` is the largest diagonal logit,
+    ``max_i ||e_i||^2 / tau``, which bounds every logit by Cauchy-Schwarz;
+    being one scalar, it leaves ``X`` symmetric, which the gradient relies
+    on. ``pos`` is read before the buffer is overwritten. Raises
+    ``NumericError`` when a row sum is no longer a normal float64 (for unit
+    rows: ``tau`` below about 0.0028).
     """
     E = np.vstack([batch.view1, batch.view2])
     two_m = len(E)
     partner = (np.arange(two_m) + two_m // 2) % two_m
-    X = E @ (E / batch.tau).T.copy()
+    out = None if work is None else work[:two_m * two_m].reshape(two_m, two_m)
+    X = np.matmul(E, (E / batch.tau).T.copy(), out=out)
     c = float(np.max(np.diagonal(X)))
     pos = X[np.arange(two_m), partner]
     X -= c
@@ -94,14 +96,14 @@ def _pair_terms(batch: ContrastiveBatch):
     return E, partner, pos, lse, z, X
 
 
-def contrastive_loss(batch: ContrastiveBatch
+def contrastive_loss(batch: ContrastiveBatch, work: Optional[np.ndarray] = None
                      ) -> Tuple[float, np.ndarray, np.ndarray]:
     """Loss averaged over both view directions, plus gradients per view.
 
     One GEMM against ``[E, E / z]`` serves both gradient directions; see the
-    module docstring for the symmetry identity.
+    module docstring for the symmetry identity; ``work`` as in ``_pair_terms``.
     """
-    E, partner, pos, lse, z, X = _pair_terms(batch)
+    E, partner, pos, lse, z, X = _pair_terms(batch, work)
     two_m, d = E.shape
     loss = float(np.mean(lse - pos))
     XE = X @ np.hstack([E, E / z[:, None]])
@@ -194,6 +196,8 @@ def pretrain_loop(
     probe_idx = probe_rng.permutation(len(feats))[:min(_PROBE_SIZE, len(feats))]
     probe_clean = feats[probe_idx]
     pv1, pv2, _ = _two_views(probe_clean, weak_cfg, shifts, probe_rng)
+    n_max = 2 * shifts.count * max(min(cfg.batch_size, len(feats)), len(probe_idx))
+    work = np.empty(n_max * n_max)
 
     velocity = params.zeros_like()
     metrics: List[PretrainEpochRecord] = []
@@ -201,7 +205,7 @@ def pretrain_loop(
     def probe_record(epoch, ep_loss, ep_align, ep_uniform, t0):
         emb1 = enc.embed(params, pv1)
         emb2 = enc.embed(params, pv2)
-        _, _, pos, lse, _, _ = _pair_terms(ContrastiveBatch(emb1, emb2, cfg.tau))
+        _, _, pos, lse, _, _ = _pair_terms(ContrastiveBatch(emb1, emb2, cfg.tau), work)
         clean_emb = enc.embed(params, probe_clean)
         p_unif = float(np.mean(uniformity_scores_self(clean_emb)))
         acc = None
@@ -228,7 +232,7 @@ def pretrain_loop(
             n_rows = len(v1)
             cache = enc.forward(params, np.vstack([v1, v2]))
             batch = ContrastiveBatch(cache.embed[:n_rows], cache.embed[n_rows:], cfg.tau)
-            loss, g1, g2 = contrastive_loss(batch)
+            loss, g1, g2 = contrastive_loss(batch, work)
             align = float(np.mean(-np.sum(batch.view1 * batch.view2, axis=1) / cfg.tau))
             if cfg.debug_identity:
                 a, u = decompose_loss(batch)

@@ -3,8 +3,11 @@
 Each is a direct transcription of its formula, kept out of the package so
 the shipped code holds no function that nothing in it calls.
 """
+import json
+
 import numpy as np
 
+from protoad import encoder as enc
 from protoad.data import Pool, SyntheticSpec, ValidationError, _component_means
 from protoad.evalharness import _average_ranks
 from protoad.mathcore import as_f64, softmax_rows
@@ -61,3 +64,82 @@ def generate_by_vstack(spec: SyntheticSpec) -> Pool:
     return Pool(features=features, true_class=np.concatenate(classes),
                 ids=np.arange(len(features), dtype=np.int64),
                 cluster_id=np.concatenate(comps), means=means)
+
+
+# The row reductions and scores as they were before they ran in place: each
+# takes its max with ``np.max(axis=1)`` and works on fresh copies.
+
+def logsumexp_rows_by_copy(matrix) -> np.ndarray:
+    m = as_f64(matrix, "logsumexp input")
+    shift = np.max(m, axis=1, keepdims=True)
+    e = m - shift
+    np.exp(e, out=e)
+    return (shift + np.log(np.sum(e, axis=1, keepdims=True)))[:, 0]
+
+
+def softmax_rows_by_copy(matrix) -> np.ndarray:
+    m = as_f64(matrix, "softmax input")
+    e = m - np.max(m, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=1, keepdims=True)
+    return e
+
+
+def energy_score_by_copy(E, P, tau: float) -> np.ndarray:
+    return logsumexp_rows_by_copy((E @ P.T) / tau)
+
+
+def energy_score_grad_two_pass(E, P, tau: float):
+    """Scores and dS/dE, each from its own reduction over the same logits."""
+    logits = (E @ P.T) / tau
+    return logsumexp_rows_by_copy(logits), softmax_rows_by_copy(logits) @ P / tau
+
+
+def loss_shift_by_copy(logits, shift_ids):
+    probs = softmax_rows_by_copy(logits)
+    n = len(probs)
+    ids = np.asarray(shift_ids, dtype=np.int64)
+    picked = probs[np.arange(n), ids]
+    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    grad = probs.copy()
+    grad[np.arange(n), ids] -= 1.0
+    return loss, grad / n
+
+
+def weak_batch_by_copy(X, cfg, rng) -> np.ndarray:
+    """``augment.weak_batch`` with out-of-place noise: the same draws in the same order."""
+    n, d = X.shape
+    lo, hi = cfg.scale_jitter
+    out = X * rng.uniform(lo, hi, size=(n, 1))
+    if cfg.noise_sigma > 0:
+        out = out + cfg.noise_sigma * rng.standard_normal((n, d))
+    n_mask = int(cfg.mask_fraction * d)
+    if n_mask > 0:
+        cols = np.argsort(rng.random((n, d)), axis=1)[:, :n_mask]
+        out[np.arange(n)[:, None], cols] = 0.0
+    return out
+
+
+def score_ensemble_by_copy(X, params, P, tau, weak_cfg, shifts, n_samples, rng,
+                           mode="scores") -> np.ndarray:
+    """``objective.score_ensemble`` built from the copying oracles above."""
+    n, k_s = len(X), shifts.count
+    if mode == "scores":
+        acc = np.zeros(n)
+        for k in range(k_s):
+            shifted = shifts.apply(X, k)
+            for _ in range(n_samples):
+                emb = enc.embed(params, weak_batch_by_copy(shifted, weak_cfg, rng))
+                acc += energy_score_by_copy(emb, P, tau)
+        return acc / (k_s * n_samples)
+    zbar = np.zeros((k_s * n, P.shape[1]))
+    for _ in range(n_samples):
+        zbar += enc.embed(params, shifts.expand(weak_batch_by_copy(X, weak_cfg, rng))[0])
+    zbar /= n_samples
+    return logsumexp_rows_by_copy(zbar @ P.T).reshape(k_s, n).sum(axis=0)
+
+
+def score_lines_by_json(ids, scores) -> list:
+    """Score file lines as ``json.dumps`` writes them."""
+    return [json.dumps({"id": int(i), "score": float(s)}) + "\n"
+            for i, s in zip(ids, scores)]

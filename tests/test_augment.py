@@ -6,6 +6,8 @@ from protoad.augment import (ShiftFamily, StrongAugConfig, WeakAugConfig,
 from protoad.config import RunConfig
 from protoad.data import ValidationError
 
+from oracles import weak_batch_by_copy
+
 
 # ------------------------------------------------------------------- weak
 
@@ -21,6 +23,15 @@ def test_weak_deterministic_under_seed():
     cfg = WeakAugConfig()
     a = weak_batch(x[None, :], cfg, np.random.default_rng(7))
     b = weak_batch(x[None, :], cfg, np.random.default_rng(7))
+    assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cfg", [WeakAugConfig(), WeakAugConfig(noise_sigma=0.3),
+                                 WeakAugConfig(noise_sigma=0.0)])
+def test_weak_equals_out_of_place_noise_bitwise(cfg):
+    X = np.random.default_rng(1).normal(size=(300, 32))
+    a = weak_batch(X, cfg, np.random.default_rng(5))
+    b = weak_batch_by_copy(X, cfg, np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 

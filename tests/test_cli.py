@@ -2,10 +2,14 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
 from protoad import cli
+from protoad.checkpoint import save_checkpoint
 from protoad.config import ConfigError, preset
+
+from oracles import score_lines_by_json
 
 
 @pytest.fixture(autouse=True)
@@ -78,3 +82,79 @@ def test_dedicated_flag_sets_its_config_key(flag, value, key, expected):
     assert getattr(preset("smoke"), key) != expected
     rc = cli.resolve_config(_args("--preset", "smoke", flag, value))
     assert getattr(rc, key) == expected
+
+
+# ------------------------------------------------------------ score lines
+
+def test_score_lines_equal_json_dumps():
+    ids = [0, 7, 12, 3, 99, 10 ** 12]
+    scores = [-0.0, 3.0, 1e-300, 1e300, 2.5e-7, 2.7725887222397811]
+    assert cli._score_lines(ids, scores) == score_lines_by_json(ids, scores)
+    assert cli._score_lines([], []) == []
+
+
+# ------------------------------------------------------ repeated main calls
+
+def test_repeated_main_calls_share_one_parser_and_no_state(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    first, second = tmp_path / "a", tmp_path / "b"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--preset", "smoke", "--seed", "1",
+                         "--set", "tau=0.6", "--out", str(first)]) == 0
+        assert cli.main(["gen-data", "--preset", "smoke", "--seed", "2",
+                         "--out", str(second)]) == 0
+    a = json.loads((tmp_path / "a.config.json").read_text())
+    b = json.loads((tmp_path / "b.config.json").read_text())
+    assert (a["seed"], a["tau"]) == (1, 0.6)
+    assert (b["seed"], b["tau"]) == (2, preset("smoke").tau)
+    assert cli.build_parser().parse_args(["gen-data", "--out", "x"]).set == []
+
+
+# -------------------------------------------------------------- exit codes
+
+def _main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def _checkpoint(tmp_path):
+    rc = preset("smoke")
+    path = tmp_path / "init.ckpt"
+    save_checkpoint(path, config=rc.to_dict(), epoch=0, params=rc.initial_params())
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [[], ["score"], ["score", "--input", "x.ds"],
+                                  ["eval", "--scores", "s.jsonl"]])
+def test_missing_arguments_exit_with_usage_code(argv):
+    with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
+def test_missing_files_exit_with_io_code(tmp_path):
+    missing = str(tmp_path / "missing")
+    code, err = _main(["score", "--checkpoint", missing, "--input", missing,
+                       "--out", str(tmp_path / "s.jsonl")])
+    assert code == 4 and "io error" in err
+    code, err = _main(["score", "--checkpoint", _checkpoint(tmp_path), "--input", missing,
+                       "--out", str(tmp_path / "s.jsonl")])
+    assert code == 4 and "io error" in err
+    code, err = _main(["eval", "--scores", missing, "--input", missing])
+    assert code == 4 and "io error" in err
+
+
+def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):
+    path = tmp_path / "inf.ds"
+    rows = np.zeros((2, 3 + 2), dtype="<f4")
+    rows[1, 0] = np.inf
+    path.write_bytes(b'{"count": 2, "dim": 3, "version": 1}\n' + rows.tobytes())
+    out = str(tmp_path / "s.jsonl")
+    for argv in (["eval", "--scores", out, "--input", str(path)],
+                 ["score", "--checkpoint", _checkpoint(tmp_path), "--input", str(path),
+                  "--out", out]):
+        code, err = _main(argv)
+        assert code == 5
+        assert "numeric failure: dataset features contains non-finite entries" in err

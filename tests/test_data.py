@@ -249,3 +249,18 @@ def test_dataset_truncated_payload(tmp_path):
     path.write_bytes(blob[:-4])
     with pytest.raises(ValidationError):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("value", [1e300, -1e39, 3.5e38])
+def test_write_dataset_rejects_features_beyond_float32(tmp_path, value):
+    def dataset(entry):
+        features = np.zeros((3, 4))
+        features[1, 2] = entry
+        return Dataset(features, np.zeros(3, dtype=np.int64), np.arange(3), np.zeros(3))
+
+    path = tmp_path / "big.ds"
+    with pytest.raises(ValidationError, match="float32 range"):
+        write_dataset(path, dataset(value))
+    largest = float(np.finfo(np.float32).max)    # still round-trips
+    write_dataset(path, dataset(largest))
+    assert read_dataset(path).features[1, 2] == largest

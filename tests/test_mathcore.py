@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from protoad.mathcore import (EPS_NORM, GradCheckReport, NumericError, as_f64,
                               grad_check, l2_normalize, l2_normalize_rows,
-                              logsumexp, logsumexp_rows, softmax_rows)
+                              logsumexp, logsumexp_rows, logsumexp_rows_inplace,
+                              row_max, softmax_rows)
+
+from oracles import logsumexp_rows_by_copy
 
 
 def test_logsumexp_single_zero():
@@ -65,7 +68,9 @@ def test_softmax_rows_sums_to_one():
 
 
 @pytest.mark.parametrize("shape, scale", [((5, 7), 1.0), ((40, 3), 30.0),
-                                          ((1, 1), 1.0), ((64, 200), 5.0)])
+                                          ((1, 1), 1.0), ((64, 200), 5.0),
+                                          ((1000, 16), 20.0), ((1, 16), 20.0),
+                                          ((40, 1), 20.0), ((16, 16), 20.0)])
 def test_row_reductions_keep_input_and_match_out_of_place_formula(shape, scale):
     rng = np.random.default_rng(shape[0])
     m = rng.normal(size=shape) * scale
@@ -196,3 +201,36 @@ def test_as_f64_accepts_empty_and_returns_float64_unchanged():
     assert as_f64(np.zeros((0, 3))).shape == (0, 3)
     a = np.arange(6, dtype=np.float64)
     assert as_f64(a) is a
+
+
+# 1 x k, n x 1, n x k with fewer columns than rows, square, and wide.
+_ROW_MAX_SHAPES = [(1, 16), (1, 1), (40, 1), (1000, 16), (7, 3), (16, 16), (5, 200)]
+
+
+@pytest.mark.parametrize("shape", _ROW_MAX_SHAPES)
+def test_row_max_equals_np_max(shape):
+    m = np.random.default_rng(shape[0] * 1000 + shape[1]).normal(size=shape) * 30.0
+    m[0, -1] = -np.inf          # a -inf entry never wins unless the row is all -inf
+    before = m.copy()
+    assert np.array_equal(row_max(m), np.max(m, axis=1))
+    assert np.array_equal(m, before)
+
+
+def test_logsumexp_rows_inplace_overwrites_only_its_argument():
+    m = np.random.default_rng(4).normal(size=(300, 16)) * 5.0
+    want = logsumexp_rows_by_copy(m)
+    owned = m.copy()
+    assert np.array_equal(logsumexp_rows_inplace(owned), want)
+    # The argument now holds the shifted exponentials: each row peaks at 1.
+    assert np.array_equal(owned.max(axis=1), np.ones(300))
+    assert np.array_equal(logsumexp_rows(m.astype(np.float32)),
+                          logsumexp_rows_by_copy(m.astype(np.float32)))
+
+
+def test_logsumexp_rows_inplace_keeps_the_finiteness_check():
+    m = np.zeros((3, 4))
+    m[1, 2] = np.nan
+    with pytest.raises(NumericError):
+        logsumexp_rows_inplace(m)
+    with pytest.raises(NumericError):
+        logsumexp_rows_inplace(np.zeros((3, 0)))

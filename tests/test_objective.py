@@ -11,7 +11,9 @@ from protoad.data import ValidationError
 from protoad.mathcore import (NumericError, grad_check, l2_normalize,
                               logsumexp_rows, softmax_rows)
 
-from oracles import prototype_posterior, spearman
+from oracles import (energy_score_by_copy, energy_score_grad_two_pass,
+                     loss_shift_by_copy, prototype_posterior,
+                     score_ensemble_by_copy, spearman)
 
 
 def _unit(v):
@@ -140,6 +142,22 @@ def test_energy_score_grad_matches_two_pass_oracle_bit_for_bit():
 C100 = obj.c_constant(100, 0.5)
 
 
+@pytest.mark.parametrize("n, k, tau", [(1000, 16, 0.5), (512, 16, 0.07),
+                                       (1, 16, 0.5), (9, 40, 0.2)])
+def test_energy_score_and_grad_equal_copying_oracles_bitwise(n, k, tau):
+    rng = np.random.default_rng(n + k)
+    E = rng.normal(size=(n, 8))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    P = rng.normal(size=(k, 8))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    assert np.array_equal(obj.energy_score(E, P, tau), energy_score_by_copy(E, P, tau))
+    assert obj.energy_score(E[0], P, tau) == energy_score_by_copy(E[:1], P, tau)[0]
+    scores, dE = obj.energy_score_grad(E, P, tau)
+    o_scores, o_dE = energy_score_grad_two_pass(E, P, tau)
+    assert np.array_equal(scores, o_scores)
+    assert np.array_equal(dE, o_dE)
+
+
 def test_c_constant_modes():
     assert C100 == pytest.approx(math.log(100) + 2.0, abs=1e-12)
     assert obj.c_constant(100, 0.5, "appendix") == pytest.approx(
@@ -216,6 +234,19 @@ def test_loss_shift_grad():
 
     report = grad_check(f, rng.normal(size=12), h=1e-5)
     assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("n, k", [(512, 4), (1024, 4), (3, 4), (2, 8)])
+def test_loss_shift_equals_copying_oracle_bitwise(n, k):
+    rng = np.random.default_rng(n)
+    logits = rng.normal(size=(n, k)) * 4.0
+    ids = rng.integers(0, k, size=n)
+    before = logits.copy()
+    loss, grad = obj.loss_shift(logits, ids)
+    o_loss, o_grad = loss_shift_by_copy(logits, ids)
+    assert loss == o_loss
+    assert np.array_equal(grad, o_grad)
+    assert np.array_equal(logits, before)
 
 
 def test_loss_shift_rejects_bad_ids():
@@ -297,7 +328,10 @@ def test_uniformity_traced_peak_does_not_grow_with_queries():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8e6      # the one-shot 3000 x 1000 matrix alone is 24 MB
+    # One block of similarities (2 MB) reduced in place, plus its finiteness
+    # mask and the scores: 2.38 MB measured. A shifted copy of each block
+    # would take it to 4.3 MB; the one-shot 3000 x 1000 matrix alone is 24 MB.
+    assert peak < 1.2 * obj._UNIFORMITY_BLOCK * 8
 
 
 def test_uniformity_self_excludes_diagonal():
@@ -428,3 +462,18 @@ def test_ensemble_modes_rank_correlated():
                            mode="embeddings", **kw)
     assert not np.allclose(a, b)
     assert spearman(a, b) > 0.9
+
+
+@pytest.mark.parametrize("mode", obj.ENSEMBLE_MODES)
+@pytest.mark.parametrize("count", [1, 3])
+def test_ensemble_equals_copying_oracle_bitwise(mode, count):
+    params = _tiny_encoder()
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(40, 6))
+    P = rng.normal(size=(4, 5))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    kw = dict(tau=0.5, weak_cfg=WeakAugConfig(),
+              shifts=ShiftFamily.random(6, count=count, seed=3), n_samples=3, mode=mode)
+    got = obj.score_ensemble(X, params, P, rng=np.random.default_rng(12), **kw)
+    want = score_ensemble_by_copy(X, params, P, rng=np.random.default_rng(12), **kw)
+    assert np.array_equal(got, want)

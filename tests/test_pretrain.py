@@ -10,7 +10,7 @@ from protoad.data import (LABELED_ANOMALY, ScenarioConfig, SyntheticSpec,
                           ValidationError, build_scenario, generate)
 from protoad.mathcore import NumericError, grad_check, l2_normalize
 from protoad.pipeline import build_splits
-from protoad.pretrain import (ContrastiveBatch, PretrainConfig,
+from protoad.pretrain import (ContrastiveBatch, PretrainConfig, _pair_terms,
                               contrastive_loss, decompose_loss, pretrain_loop)
 
 LN_E2_PLUS_2 = 2.2395447662218845  # log(e^2 + 2), 40-digit evaluation
@@ -290,3 +290,19 @@ def test_pretrain_debug_identity_runs():
     params = enc.init(7, _dims())
     cfg = PretrainConfig(epochs=1, batch_size=32, seed=7, debug_identity=True)
     pretrain_loop(split.train, params, WeakAugConfig(), ONE_SLOT, cfg)
+
+
+@pytest.mark.parametrize("m", [512, 400])
+def test_contrastive_workspace_changes_no_bit(m):
+    # 2m = 1024 fills the workspace; 2m = 800 runs on a shorter view of it.
+    batch = _random_batch(m, 16, 0.5, seed=m)
+    work = np.full(1024 * 1024, np.nan)
+    loss, g1, g2 = contrastive_loss(batch, work)
+    o_loss, o_g1, o_g2 = contrastive_loss(batch)
+    assert loss == o_loss
+    assert np.array_equal(g1, o_g1)
+    assert np.array_equal(g2, o_g2)
+    _, _, pos, lse, _, _ = _pair_terms(batch, work)
+    _, _, o_pos, o_lse, _, _ = _pair_terms(batch)
+    assert np.array_equal(pos, o_pos)
+    assert np.array_equal(lse, o_lse)
