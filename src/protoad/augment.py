@@ -41,33 +41,30 @@ class WeakAugConfig:
         return cls(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
 
 
+# The strong transforms, and the factor ranges of "scale" (shrink or blow up).
+_STRONG_TRANSFORMS = ("permute", "signflip", "noise", "scale")
+_SHRINK_RANGE = (0.05, 0.3)
+_BLOWUP_RANGE = (3.0, 6.0)
+
+
 @dataclass(frozen=True)
 class StrongAugConfig:
-    """Heavy distortions drawn from a pool of destructive transforms.
+    """Heavy distortions drawn from a fixed set of destructive transforms.
 
     ``n_ops`` transforms are sampled per call, each applied with
-    ``apply_probability``. The pool deliberately excludes the shifting
+    ``apply_probability``. The set deliberately excludes the shifting
     transforms so strong views stay distinguishable from shifted ones.
     """
 
     noise_sigma: float = 0.3
-    shrink_range: Tuple[float, float] = (0.05, 0.3)
-    blowup_range: Tuple[float, float] = (3.0, 6.0)
     n_ops: int = 3
     apply_probability: float = 0.8
-    transform_pool: Tuple[str, ...] = ("permute", "signflip", "noise", "scale")
 
     def __post_init__(self):
         if self.n_ops < 0:
             raise ValidationError("n_ops must be >= 0")
         if not (0.0 <= self.apply_probability <= 1.0):
             raise ValidationError("apply_probability must lie in [0, 1]")
-        known = {"permute", "signflip", "noise", "scale"}
-        bad = set(self.transform_pool) - known
-        if bad:
-            raise ValidationError(f"unknown strong transforms: {sorted(bad)}")
-        if not self.transform_pool:
-            raise ValidationError("transform_pool must not be empty")
 
     def validate_against(self, weak: WeakAugConfig) -> None:
         """Strong parameters must strictly dominate the weak ones."""
@@ -159,9 +156,9 @@ def strong_batch(X: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) 
     out = X.copy()
     n, d = out.shape
     for _ in range(cfg.n_ops):
-        ops = rng.integers(0, len(cfg.transform_pool), size=n)
+        ops = rng.integers(0, len(_STRONG_TRANSFORMS), size=n)
         gate = rng.random(n) < cfg.apply_probability
-        for op_idx, name in enumerate(cfg.transform_pool):
+        for op_idx, name in enumerate(_STRONG_TRANSFORMS):
             rows = np.flatnonzero(gate & (ops == op_idx))
             if len(rows) == 0:
                 continue
@@ -174,8 +171,8 @@ def strong_batch(X: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) 
             elif name == "noise":
                 out[rows] = out[rows] + cfg.noise_sigma * rng.standard_normal((len(rows), d))
             elif name == "scale":
-                shrink = rng.uniform(*cfg.shrink_range, size=len(rows))
-                blow = rng.uniform(*cfg.blowup_range, size=len(rows))
+                shrink = rng.uniform(*_SHRINK_RANGE, size=len(rows))
+                blow = rng.uniform(*_BLOWUP_RANGE, size=len(rows))
                 pick = rng.random(len(rows)) < 0.5
                 out[rows] = out[rows] * np.where(pick, shrink, blow)[:, None]
     return out

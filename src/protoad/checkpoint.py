@@ -1,20 +1,17 @@
-"""Checkpoint files: a JSON manifest line plus a little-endian float32 blob.
+"""Checkpoint files in the shared ``data`` framing.
 
-The manifest records the format version, the full run configuration, the
-epoch, an optional RNG state, and one section entry (name + shape) per
-weight array; the blob concatenates the sections in manifest order. Arrays
-are widened back to float64 on load, so save -> load -> save reproduces the
-file byte for byte.
+The header line is the manifest: the format version, the full run
+configuration, the epoch, an optional RNG state, and one section entry
+(name + shape) per weight array; the float32 payload concatenates the
+sections in manifest order. Arrays are widened back to float64 on load, so
+save -> load -> save reproduces the file byte for byte.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Optional
 
-import numpy as np
-
-from .data import ValidationError
+from .data import ValidationError, read_framed, write_framed
 from .encoder import EncoderParams
 from .prototypes import PrototypeSet
 
@@ -33,73 +30,41 @@ class Checkpoint:
 def save_checkpoint(path, *, config: dict, epoch: int, params: EncoderParams,
                     prototypes: Optional[PrototypeSet] = None,
                     rng_state: Optional[dict] = None) -> None:
-    sections: List[Dict] = []
-    arrays: List[np.ndarray] = []
-    for f in EncoderParams.FIELDS:
-        arr = getattr(params, f)
-        sections.append({"name": f"encoder.{f}", "shape": list(arr.shape)})
-        arrays.append(arr)
+    named = [(f"encoder.{f}", getattr(params, f)) for f in EncoderParams.FIELDS]
     proto_meta = None
     if prototypes is not None:
-        sections.append({"name": "prototypes.vectors",
-                         "shape": list(prototypes.vectors.shape)})
-        arrays.append(prototypes.vectors)
+        named.append(("prototypes.vectors", prototypes.vectors))
         proto_meta = {"last_refresh_epoch": int(prototypes.last_refresh_epoch)}
-
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config,
         "epoch": int(epoch),
         "rng_state": rng_state,
         "prototype_meta": proto_meta,
-        "sections": sections,
+        "sections": [{"name": name, "shape": list(arr.shape)} for name, arr in named],
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(manifest, sort_keys=True) + "\n").encode("ascii"))
-        for arr in arrays:
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    write_framed(path, manifest, [arr for _, arr in named])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        manifest_line = fh.readline()
-        try:
-            manifest = json.loads(manifest_line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad checkpoint manifest: {exc}") from exc
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise ValidationError(
-                f"checkpoint format version {manifest.get('format_version')} "
-                f"not supported (expected {FORMAT_VERSION})")
-        blob = fh.read()
-
-    arrays: Dict[str, np.ndarray] = {}
-    offset = 0
-    for sec in manifest["sections"]:
-        shape = tuple(sec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 4
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) != nbytes:
-            raise ValidationError(f"checkpoint blob truncated in section {sec['name']}")
-        arrays[sec["name"]] = np.frombuffer(chunk, dtype="<f4").astype(
-            np.float64).reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise ValidationError("checkpoint blob has trailing bytes")
-
+    manifest, arrays = read_framed(
+        path, "checkpoint manifest", "format_version", FORMAT_VERSION,
+        lambda m: [(sec["name"], sec["shape"]) for sec in m["sections"]])
     try:
         params = EncoderParams(*(arrays[f"encoder.{f}"] for f in EncoderParams.FIELDS))
     except KeyError as exc:
         raise ValidationError(f"checkpoint missing section {exc}") from exc
+    try:
+        config = dict(manifest.get("config") or {})
+        epoch = int(manifest.get("epoch", 0))
+        meta = manifest.get("prototype_meta") or {}
+        last_refresh_epoch = int(meta.get("last_refresh_epoch", 0))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad checkpoint manifest: {exc}") from exc
 
     protos = None
     if "prototypes.vectors" in arrays:
-        meta = manifest.get("prototype_meta") or {}
         protos = PrototypeSet(arrays["prototypes.vectors"],
-                              last_refresh_epoch=int(meta.get("last_refresh_epoch", 0)),
-                              norm_tol=1e-5)
-    return Checkpoint(config=manifest.get("config") or {},
-                      epoch=int(manifest.get("epoch", 0)),
-                      rng_state=manifest.get("rng_state"),
+                              last_refresh_epoch=last_refresh_epoch, norm_tol=1e-5)
+    return Checkpoint(config=config, epoch=epoch, rng_state=manifest.get("rng_state"),
                       params=params, prototypes=protos)

@@ -25,7 +25,7 @@ from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, PRESETS, RunConfig, preset
 from .data import ValidationError, read_dataset, write_dataset
-from .evalharness import auroc, finetune_loop, prototype_inputs
+from .evalharness import auroc, evaluate_scores, finetune_loop, prototype_inputs
 from .mathcore import NumericError
 from .pipeline import (build_splits, run_ablation, run_grid, run_pollution_sweep,
                        run_single)
@@ -103,6 +103,13 @@ def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path, header: List[str], rows: List[list]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _write_metrics(path, kind: str, records: List[dict]) -> None:
@@ -201,10 +208,9 @@ def cmd_score(args) -> int:
     if ckpt.prototypes is None:
         raise ConfigError("checkpoint has no prototypes; run finetune first")
     weak, _ = rc.resolve_augs(ds.features)
-    shifts = rc.shift_family()
-    scores = obj.score_ensemble(ds.features, ckpt.params, ckpt.prototypes.vectors,
-                                rc.effective_score_tau, weak, shifts,
-                                rc.n_ensemble, rc.score_rng(), mode=rc.ensemble_mode)
+    scores = evaluate_scores(rc.score_name, ckpt.params, ckpt.prototypes, ds, None,
+                             weak, rc.shift_family(), rc.effective_score_tau,
+                             rc.n_ensemble, rc.score_rng(), ensemble_mode=rc.ensemble_mode)
     order = np.argsort(ds.ids, kind="mergesort")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(_score_lines(ds.ids[order].tolist(), scores[order].tolist()))
@@ -245,12 +251,9 @@ def cmd_scenario(args) -> int:
             print(f"gamma_p={row['gamma_p']:.2f} auroc={row['final_auroc']:.6f} "
                   f"baseline={row['pretrain_baseline_auroc']:.6f}")
         if args.csv:
-            with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["gamma_p", "final_auroc", "pretrain_baseline_auroc"])
-                for row in rows:
-                    w.writerow([row["gamma_p"], row["final_auroc"],
-                                row["pretrain_baseline_auroc"]])
+            _write_csv(args.csv, ["gamma_p", "final_auroc", "pretrain_baseline_auroc"],
+                       [[row["gamma_p"], row["final_auroc"],
+                         row["pretrain_baseline_auroc"]] for row in rows])
     else:
         report = run_single(rc)
         print(f"final_auroc={report['final_auroc']:.6f} "
@@ -277,11 +280,9 @@ def cmd_ablation(args) -> int:
     if args.out:
         _write_json(args.out, {"config": rc.to_dict(), "rows": rows})
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["score", "loss", "auroc"])
-            for row in rows:
-                w.writerow([row["score_name"], row["loss_name"], row["final_auroc"]])
+        _write_csv(args.csv, ["score", "loss", "auroc"],
+                   [[row["score_name"], row["loss_name"], row["final_auroc"]]
+                    for row in rows])
     return 0
 
 

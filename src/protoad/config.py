@@ -97,7 +97,7 @@ class RunConfig:
                 out.append(f"{name} must be positive, got {v}")
         if self.n_prototypes < 1:
             out.append(f"n_prototypes must be >= 1, got {self.n_prototypes}")
-        elif self.tau > 0 and self.strict_scores and \
+        elif self.effective_score_tau > 0 and self.strict_scores and \
                 math.log(self.n_prototypes) <= 1.0 / self.effective_score_tau:
             out.append(
                 f"ln(n_prototypes)={math.log(self.n_prototypes):.4f} must exceed "

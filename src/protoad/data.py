@@ -5,12 +5,17 @@ normal class (a mixture of well-separated Gaussian subclusters) plus several
 unimodal anomaly classes. Scenario builders carve a pool into the three
 semi-supervised sets (unlabeled / labeled-normal / labeled-anomaly), inject
 contamination, and hold out a labeled test split.
+
+Datasets and checkpoints share one file framing (``write_framed`` /
+``read_framed``): a JSON-object header line, then a little-endian float32
+payload.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -262,29 +267,31 @@ def _even_draw(rng, per_class_pools: Dict[int, np.ndarray], total: int) -> np.nd
 def build_scenario(
     pool: Pool,
     config: ScenarioConfig,
-    normal_class: int = 0,
     anomaly_classes: Optional[Sequence[int]] = None,
     aux_pool: Optional[Pool] = None,
     outlier_pool: Optional[Pool] = None,
 ) -> ScenarioSplit:
     """Split a pool into (train, validation, test) under one scenario.
 
+    Class 0 is the normal class.
     s1: labeled normals and anomalies at ratio gamma_l, clean unlabeled set.
     s2: s1 plus anomalies hidden in the unlabeled set at fraction gamma_p,
         drawn evenly from every anomaly class.
     s3: labeled anomalies come from ``aux_pool`` (an auxiliary distribution)
         and the test anomalies from ``outlier_pool`` (unseen at training).
 
-    Pairwise id-disjointness between the three sets and between the
-    semi-label groups is guaranteed. The validation set is the 5% slice of
-    the unlabeled split (ratio 5-to-95) and is excluded from training.
+    Every set is an index selection from one source: the pool, or for s3
+    the pool, aux and outlier arrays concatenated. Pairwise
+    id-disjointness between the three sets and between the semi-label
+    groups is guaranteed. The validation set is the 5% slice of the
+    unlabeled split (ratio 5-to-95) and is excluded from training.
     """
     rng = np.random.default_rng(config.seed)
     classes = set(int(c) for c in pool.classes())
-    if normal_class not in classes:
-        raise ValidationError(f"normal class {normal_class} not present in pool")
+    if 0 not in classes:
+        raise ValidationError("normal class 0 not present in pool")
     if anomaly_classes is None:
-        anomaly_classes = sorted(classes - {normal_class})
+        anomaly_classes = sorted(classes - {0})
     else:
         anomaly_classes = sorted(int(c) for c in anomaly_classes)
         missing = set(anomaly_classes) - classes
@@ -293,7 +300,7 @@ def build_scenario(
     if len(classes) < 2 and config.scenario != "s3":
         raise ValidationError("pool must contain at least two classes")
 
-    normal_idx = rng.permutation(pool.class_indices(normal_class))
+    normal_idx = rng.permutation(pool.class_indices(0))
     n_test_normal = max(1, int(round(config.test_fraction * len(normal_idx))))
     test_normal = normal_idx[:n_test_normal]
     train_normal = normal_idx[n_test_normal:]
@@ -301,7 +308,7 @@ def build_scenario(
         raise ValidationError("no normal samples left for training")
 
     anom_train_pools: Dict[int, np.ndarray] = {}
-    test_anom_parts = []
+    test_anom_parts = [np.empty(0, dtype=np.int64)]
     for cls in anomaly_classes:
         idx = rng.permutation(pool.class_indices(cls))
         n_test = int(round(config.test_fraction * len(idx)))
@@ -317,15 +324,17 @@ def build_scenario(
 
     # Labeled anomalies: budget comparable to the normal training pool so the
     # supervision stays scarce, drawn evenly over anomaly classes.
+    features, ids, true_class = pool.features, pool.ids, pool.true_class
     if config.scenario == "s3":
         if aux_pool is None or outlier_pool is None:
             raise ValidationError("scenario s3 requires aux_pool and outlier_pool")
+        pools = (pool, aux_pool, outlier_pool)
+        features = np.concatenate([p.features for p in pools])
+        ids = np.concatenate([p.ids for p in pools])
+        true_class = np.concatenate([p.true_class for p in pools])
         budget = min(len(aux_pool), len(train_normal))
         n_labeled_anom = int(round(config.gamma_l * budget))
-        aux_perm = rng.permutation(len(aux_pool))[:n_labeled_anom]
-        labeled_anom_feats = aux_pool.features[aux_perm]
-        labeled_anom_ids = aux_pool.ids[aux_perm]
-        labeled_anom_classes = aux_pool.true_class[aux_perm]
+        labeled_anom = len(pool) + rng.permutation(len(aux_pool))[:n_labeled_anom]
     else:
         total_anom_pool = int(sum(len(v) for v in anom_train_pools.values()))
         if config.gamma_l > 0 and total_anom_pool == 0:
@@ -335,9 +344,6 @@ def build_scenario(
         labeled_anom = _even_draw(rng, anom_train_pools, n_labeled_anom)
         anom_train_pools = {c: v[~np.isin(v, labeled_anom)]
                             for c, v in anom_train_pools.items()}
-        labeled_anom_feats = pool.features[labeled_anom]
-        labeled_anom_ids = pool.ids[labeled_anom]
-        labeled_anom_classes = pool.true_class[labeled_anom]
 
     # Contamination (s2): grow the unlabeled set with hidden anomalies until
     # they make up gamma_p of it.
@@ -354,38 +360,22 @@ def build_scenario(
     val_idx = unlabeled_idx[:n_val]
     train_unlabeled = unlabeled_idx[n_val:]
 
-    def subset(idx, semi_value):
-        return (pool.features[idx], np.full(len(idx), semi_value, dtype=np.int64),
-                pool.ids[idx], pool.true_class[idx])
-
-    u_f, u_s, u_i, u_c = subset(train_unlabeled, UNLABELED)
-    n_f, n_s, n_i, n_c = subset(labeled_normal, LABELED_NORMAL)
-    a_s = np.full(len(labeled_anom_ids), LABELED_ANOMALY, dtype=np.int64)
-    train = Dataset(
-        np.vstack([u_f, n_f, labeled_anom_feats.reshape(-1, pool.dim)]),
-        np.concatenate([u_s, n_s, a_s]),
-        np.concatenate([u_i, n_i, labeled_anom_ids]),
-        np.concatenate([u_c, n_c, labeled_anom_classes]),
-    )
-    validation = Dataset(*subset(val_idx, UNLABELED))
-
     if config.scenario == "s3":
-        test_out = rng.permutation(len(outlier_pool))
         n_test_out = int(round(config.test_fraction * len(outlier_pool)))
-        out_take = test_out[:max(1, n_test_out)]
-        test = Dataset(
-            np.vstack([pool.features[test_normal], outlier_pool.features[out_take]]),
-            np.zeros(len(test_normal) + len(out_take), dtype=np.int64),
-            np.concatenate([pool.ids[test_normal], outlier_pool.ids[out_take]]),
-            np.concatenate([pool.true_class[test_normal], outlier_pool.true_class[out_take]]),
-        )
-    else:
-        test_anom = (np.concatenate(test_anom_parts)
-                     if test_anom_parts else np.empty(0, dtype=np.int64))
-        test_idx = np.concatenate([test_normal, test_anom])
-        test = Dataset(pool.features[test_idx],
-                       np.zeros(len(test_idx), dtype=np.int64),
-                       pool.ids[test_idx], pool.true_class[test_idx])
+        test_anom_parts = [len(pool) + len(aux_pool)
+                           + rng.permutation(len(outlier_pool))[:max(1, n_test_out)]]
+
+    def select(*parts):
+        """One dataset from ``(indices, semi value)`` parts, in order."""
+        idx = np.concatenate([i for i, _ in parts])
+        semi = np.repeat([s for _, s in parts], [len(i) for i, _ in parts])
+        return Dataset(features[idx], semi, ids[idx], true_class[idx])
+
+    train = select((train_unlabeled, UNLABELED), (labeled_normal, LABELED_NORMAL),
+                   (labeled_anom, LABELED_ANOMALY))
+    validation = select((val_idx, UNLABELED))
+    test = select((test_normal, UNLABELED),
+                  (np.concatenate(test_anom_parts), UNLABELED))
 
     for a, b in ((train, validation), (train, test), (validation, test)):
         if set(a.ids.tolist()) & set(b.ids.tolist()):
@@ -394,37 +384,81 @@ def build_scenario(
 
 
 # --------------------------------------------------------------------------
-# Dataset file format: one JSON header line, then `count` little-endian
-# float32 rows of length dim + 2 (features..., semi, true_class).
+# File framing. A dataset file is one payload section of ``count`` rows of
+# length dim + 2 (features..., semi, true_class) under the header
+# {"count", "dim", "version"}.
 # --------------------------------------------------------------------------
 
+def write_framed(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
+    """Write ``header`` as one sorted-key JSON line, then each array as float32."""
+    with open(path, "wb") as fh:
+        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def read_framed(path, label: str, version_key: str, version: int,
+                layout: Callable[[dict], Sequence[Tuple[str, Sequence[int]]]],
+                ) -> Tuple[dict, Dict[str, np.ndarray]]:
+    """The header of a framed file and its payload sections, widened to float64.
+
+    ``layout(header)`` lists the payload's ``(name, shape)`` sections in
+    file order. A header that is not a JSON object, holds another version,
+    lacks a key the layout reads or has a malformed entry raises
+    ``ValidationError``, as does a payload that is too short or too long.
+    """
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        payload = fh.read()
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"bad {label}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValidationError(f"bad {label}: not a JSON object")
+    if header.get(version_key) != version:
+        raise ValidationError(f"{label} format version {header.get(version_key)} "
+                              f"not supported (expected {version})")
+    try:
+        sections = [(name, tuple(shape)) for name, shape in layout(header)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad {label}: {type(exc).__name__}: {exc}") from exc
+
+    arrays: Dict[str, np.ndarray] = {}
+    offset = 0
+    for name, shape in sections:
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ValidationError(f"bad {label}: section {name} has shape {list(shape)}")
+        count = math.prod(shape)
+        if offset + 4 * count > len(payload):
+            raise ValidationError(f"payload truncated in section {name}")
+        arrays[name] = np.frombuffer(payload, "<f4", count, offset).astype(
+            np.float64).reshape(shape)
+        offset += 4 * count
+    if offset != len(payload):
+        raise ValidationError(f"payload has {len(payload) - offset} trailing bytes")
+    return header, arrays
+
+
 def write_dataset(path, ds: Dataset) -> None:
-    header = {"version": 1, "dim": int(ds.dim), "count": int(len(ds))}
     rows = np.empty((len(ds), ds.dim + 2), dtype="<f4")
     if np.abs(ds.features).max(initial=0.0) > np.finfo(np.float32).max:
         raise ValidationError("dataset features exceed the float32 range")
     rows[:, :ds.dim] = ds.features
     rows[:, ds.dim] = ds.semi
     rows[:, ds.dim + 1] = ds._true_class
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
-        fh.write(rows.tobytes())
+    write_framed(path, {"version": 1, "dim": int(ds.dim), "count": int(len(ds))},
+                 [rows])
+
+
+def _dataset_layout(header: dict):
+    if header["dim"] < 0:
+        raise ValueError(f"dim {header['dim']} is negative")
+    return [("rows", (header["count"], header["dim"] + 2))]
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"bad dataset header: {exc}") from exc
-        if header.get("version") != 1:
-            raise ValidationError(f"unsupported dataset version {header.get('version')}")
-        dim, count = int(header["dim"]), int(header["count"])
-        blob = fh.read()
-    expect = count * (dim + 2) * 4
-    if len(blob) != expect:
-        raise ValidationError(f"dataset payload is {len(blob)} bytes, expected {expect}")
-    rows = np.frombuffer(blob, dtype="<f4").reshape(count, dim + 2).astype(np.float64)
+    header, arrays = read_framed(path, "dataset header", "version", 1, _dataset_layout)
+    rows, dim = arrays["rows"], header["dim"]
     return Dataset(rows[:, :dim], rows[:, dim].astype(np.int64),
-                   np.arange(count, dtype=np.int64), rows[:, dim + 1].astype(np.int64))
+                   np.arange(len(rows), dtype=np.int64), rows[:, dim + 1].astype(np.int64))

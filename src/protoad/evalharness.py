@@ -120,8 +120,6 @@ class MetricsRecord:
     test_auroc: Optional[float]
     prototype_refresh_flag: bool
     wallclock: float
-    mean_score_anomaly: Optional[float] = None
-    mean_score_normal: Optional[float] = None
 
 
 @dataclass
@@ -265,12 +263,18 @@ def finetune_loop(
 # Test-time scoring
 # --------------------------------------------------------------------------
 
+def reference_embeddings(params: enc.EncoderParams, train: Dataset) -> np.ndarray:
+    """The uniformity score's reference set: the plain (unshifted) embeddings
+    of the training rows not labeled anomalous."""
+    return enc.embed(params, train.features[clustering_pool(train)])
+
+
 def evaluate_scores(
     score_name: str,
     params: enc.EncoderParams,
     protos: proto.PrototypeSet,
     test: Dataset,
-    reference: Optional[np.ndarray],
+    train: Optional[Dataset],
     weak_cfg: WeakAugConfig,
     shifts: ShiftFamily,
     tau: float,
@@ -278,18 +282,22 @@ def evaluate_scores(
     rng: np.random.Generator,
     ensemble_mode: str = "scores",
 ) -> np.ndarray:
-    """Per-sample normality scores on a test set under one scoring rule."""
+    """Per-sample normality scores on a test set under one scoring rule.
+
+    Only the uniformity rule reads ``train``, for its reference embeddings.
+    """
     if score_name == "energy":
         return obj.score_ensemble(test.features, params, protos.vectors, tau,
                                   weak_cfg, shifts, n_ensemble, rng,
                                   mode=ensemble_mode)
-    emb = enc.embed(params, test.features)
     if score_name == "cosine":
-        return obj.score_cosine(emb, protos.vectors)
+        return obj.score_cosine(enc.embed(params, test.features), protos.vectors)
     if score_name == "uniformity":
-        if reference is None or len(reference) == 0:
-            raise ValidationError("uniformity scoring needs reference embeddings")
-        return obj.score_uniformity(emb, reference)
+        if train is None:
+            raise ValidationError("uniformity scoring needs a training set as its "
+                                  "reference, and there is none")
+        return obj.score_uniformity(enc.embed(params, test.features),
+                                    reference_embeddings(params, train))
     raise ValidationError(f"unknown score {score_name!r}; expected one of {obj.SCORES}")
 
 

@@ -20,8 +20,8 @@ from . import objective as obj
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .config import RunConfig
 from .data import (Pool, ScenarioSplit, build_scenario, generate)
-from .evalharness import (RunResult, auroc, clustering_pool, evaluate_scores,
-                          finetune_loop, prototype_inputs, split_hash,
+from .evalharness import (RunResult, auroc, evaluate_scores, finetune_loop,
+                          prototype_inputs, reference_embeddings, split_hash,
                           test_auroc_probe)
 from .pretrain import PretrainResult, pretrain_loop
 
@@ -85,14 +85,11 @@ def prepare(rc: RunConfig, split: Optional[ScenarioSplit] = None) -> PipelineCon
 def pretrain_uniformity_baseline(ctx: PipelineContext) -> float:
     """Test AUROC of pre-train-only scoring: uniformity against the training set.
 
-    The reference set is the plain (unshifted) embedding of the non-anomalous
-    training samples, matching how the uniformity score is evaluated.
+    The reference set is ``reference_embeddings``, as in ``evaluate_scores``.
     """
-    test = ctx.split.test
-    rows = clustering_pool(ctx.split.train)
-    reference = enc.embed(ctx.pretrained.params, ctx.split.train.features[rows])
-    emb = enc.embed(ctx.pretrained.params, test.features)
-    scores = obj.score_uniformity(emb, reference)
+    params, test = ctx.pretrained.params, ctx.split.test
+    scores = obj.score_uniformity(enc.embed(params, test.features),
+                                  reference_embeddings(params, ctx.split.train))
     return auroc(scores, test.eval_normal_labels())
 
 
@@ -125,12 +122,8 @@ def finetune_and_eval(
                             ctx.split.validation, ctx.weak, ctx.strong,
                             ctx.shifts, ft_cfg, eval_probe=probe)
 
-    reference = None
-    if score_name == "uniformity":
-        rows = clustering_pool(ctx.split.train)
-        reference = enc.embed(outcome.best_params, ctx.split.train.features[rows])
     scores = evaluate_scores(score_name, outcome.best_params,
-                             outcome.best_prototypes, ctx.split.test, reference,
+                             outcome.best_prototypes, ctx.split.test, ctx.split.train,
                              ctx.weak, ctx.shifts, tau, rc.n_ensemble,
                              rc.score_rng(), ensemble_mode=rc.ensemble_mode)
     final = auroc(scores, ctx.split.test.eval_normal_labels())

@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from protoad import cli
-from protoad.checkpoint import save_checkpoint
+from protoad import encoder as enc
+from protoad import objective as obj
+from protoad.checkpoint import load_checkpoint, save_checkpoint
 from protoad.config import ConfigError, preset
+from protoad.data import read_dataset, write_dataset
+from protoad.pipeline import build_splits
+from protoad.prototypes import PrototypeSet
 
 from oracles import score_lines_by_json
 
@@ -158,3 +163,108 @@ def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):
         code, err = _main(argv)
         assert code == 5
         assert "numeric failure: dataset features contains non-finite entries" in err
+
+
+# ---------------------------------------------------------- malformed files
+
+def _dataset_file(tmp_path, header: bytes):
+    path = tmp_path / "bad.ds"
+    path.write_bytes(header + b"\n" + np.zeros((2, 5), dtype="<f4").tobytes())
+    return str(path)
+
+
+@pytest.mark.parametrize("header", [b"[1]", b'{"version": 1}', b'{"version": 1, "dim": 3}',
+                                    b'{"version": 1, "dim": "3", "count": 2}',
+                                    b'{"version": 1, "dim": -4, "count": 2}'])
+def test_malformed_dataset_header_exits_with_validation_code(tmp_path, header):
+    path = _dataset_file(tmp_path, header)
+    out = str(tmp_path / "s.jsonl")
+    for argv in (["eval", "--scores", out, "--input", path],
+                 ["score", "--checkpoint", _checkpoint(tmp_path), "--input", path,
+                  "--out", out]):
+        code, err = _main(argv)
+        assert code == 3 and "bad dataset header" in err, (argv[0], err)
+
+
+@pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
+                                  "entry_without_shape", "negative_shape",
+                                  "epoch_not_int", "meta_not_object", "config_not_object"])
+def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit):
+    _checkpoint(tmp_path)
+    manifest_line, _, payload = (tmp_path / "init.ckpt").read_bytes().partition(b"\n")
+    manifest = json.loads(manifest_line)
+    if edit == "list":
+        manifest = [manifest]
+    elif edit == "no_sections":
+        del manifest["sections"]
+    elif edit == "entry_not_object":
+        manifest["sections"][0] = "encoder.W1"
+    elif edit == "entry_without_shape":
+        del manifest["sections"][0]["shape"]
+    elif edit == "negative_shape":
+        manifest["sections"][0]["shape"] = [-1, 2]
+    elif edit == "epoch_not_int":
+        manifest["epoch"] = "x"
+    elif edit == "meta_not_object":
+        manifest["prototype_meta"] = [1]
+    else:
+        manifest["config"] = 5
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    data = _dataset_file(tmp_path, b'{"version": 1, "dim": 3, "count": 2}')
+    code, err = _main(["score", "--checkpoint", str(path), "--input", data,
+                       "--out", str(tmp_path / "s.jsonl")])
+    assert code == 3 and "bad checkpoint manifest" in err, err
+
+
+def test_zero_score_tau_exits_with_validation_code(tmp_path):
+    code, err = _main(["gen-data", "--preset", "smoke", "--set", "score_tau=0",
+                       "--out", str(tmp_path / "data")])
+    assert code == 3
+    assert "score_tau must be positive, got 0" in err
+    assert not list(tmp_path.iterdir())
+
+
+# ------------------------------------------------------------ score rules
+
+@pytest.fixture
+def scored_inputs(tmp_path):
+    """A smoke checkpoint with prototypes, and the smoke test split on disk."""
+    rc = preset("smoke")
+    vectors = np.random.default_rng(4).normal(size=(rc.n_prototypes, rc.embed_dim))
+    ckpt = tmp_path / "ft.ckpt"
+    save_checkpoint(ckpt, config=rc.to_dict(), epoch=0, params=rc.initial_params(),
+                    prototypes=PrototypeSet(
+                        vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
+    test = build_splits(rc).test
+    write_dataset(tmp_path / "test.ds", test)
+    return str(ckpt), str(tmp_path / "test.ds")
+
+
+def _score(tmp_path, ckpt, data, *flags):
+    out = tmp_path / "scores.jsonl"
+    code, err = _main(["score", "--checkpoint", ckpt, "--input", data,
+                       "--out", str(out), *flags])
+    return code, err, (out.read_text().splitlines() if code == 0 else None)
+
+
+def test_score_flag_picks_the_scoring_rule(tmp_path, scored_inputs):
+    ckpt, data = scored_inputs
+    _, _, energy = _score(tmp_path, ckpt, data)
+    code, _, cosine = _score(tmp_path, ckpt, data, "--score", "cosine")
+    assert code == 0 and cosine != energy
+    ck, ds = load_checkpoint(ckpt), read_dataset(data)
+    order = np.argsort(ds.ids, kind="mergesort")
+    expected = obj.score_cosine(enc.embed(ck.params, ds.features), ck.prototypes.vectors)
+    assert cosine == [line.rstrip("\n") for line in
+                      score_lines_by_json(ds.ids[order].tolist(),
+                                          expected[order].tolist())]
+
+
+def test_uniformity_score_without_training_set_exits_with_validation_code(
+        tmp_path, scored_inputs):
+    ckpt, data = scored_inputs
+    code, err, _ = _score(tmp_path, ckpt, data, "--score", "uniformity")
+    assert code == 3
+    assert "uniformity scoring needs a training set" in err
+    assert not (tmp_path / "scores.jsonl").exists()

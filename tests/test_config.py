@@ -53,3 +53,12 @@ def test_unknown_preset_raises():
     with pytest.raises(ConfigError, match="unknown preset 'nope'"):
         preset("nope")
 
+
+
+@pytest.mark.parametrize("changes", [{"score_tau": 0.0}, {"tau": 0.0}, {"tau": -1.0}])
+def test_non_positive_score_tau_is_listed_not_raised(changes):
+    problems = RunConfig(**changes).violations()
+    name = next(iter(changes))
+    assert [p for p in problems if p.startswith(name)] == \
+        [f"{name} must be positive, got {changes[name]}"]
+    assert not any("ln(n_prototypes)" in p for p in problems)

@@ -1,13 +1,17 @@
+import hashlib
 import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from protoad.config import preset
 from protoad.data import (LABELED_ANOMALY, LABELED_NORMAL, UNLABELED, Dataset,
                           Pool, ScenarioConfig, SyntheticSpec, ValidationError,
-                          build_scenario, generate, read_dataset, write_dataset)
+                          build_scenario, generate, read_dataset, read_framed,
+                          write_dataset, write_framed)
 from protoad.mathcore import NumericError
+from protoad.pipeline import build_splits
 
 from oracles import generate_by_vstack
 
@@ -195,6 +199,32 @@ def test_scenario_s3_uses_auxiliary_pools():
         build_scenario(pool, cfg)  # missing auxiliary pools
 
 
+def _content_hash(split):
+    h = hashlib.sha256()
+    for ds in (split.train, split.validation, split.test):
+        for a in (ds.features, ds.semi, ds.ids, ds.eval_true_class()):
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("s2", "bc51f19bf0167b4d1bf8a96391cd365fadbf3412380aeac80268acdb2634ffc0"),
+    ("s3", "db6f271d6135c178ac5953c28d56830240f00d721a8a64941e9a29508c477a73"),
+    ("mix", "14e2094cb8f871db856e8ae9aaf0800a194c566bd60f5deafb2347c29a205782"),
+    ("gamma_l0", "f56a7ead57dd7d3226d6931336a9fdd02d53fe0f1ba8412d8b893a1188b9d7ba"),
+])
+def test_split_content_is_pinned(case, expected):
+    # Features, semi-labels, ids and true classes of all three sets, byte for byte.
+    rc = preset("smoke")
+    if case == "mix":
+        split = build_scenario(generate(rc.synthetic_spec()), rc.scenario_config(),
+                               anomaly_classes=[1, 3])
+    else:
+        split = build_splits({"s2": rc, "s3": rc.replace(scenario="s3"),
+                              "gamma_l0": rc.replace(gamma_l=0.0)}[case])
+    assert _content_hash(split) == expected
+
+
 def test_true_class_hidden_from_training_surface():
     split = build_scenario(_pool(), ScenarioConfig(scenario="s1", gamma_l=0.1))
     public = [a for a in dir(split.train) if not a.startswith("_")]
@@ -264,3 +294,28 @@ def test_write_dataset_rejects_features_beyond_float32(tmp_path, value):
     largest = float(np.finfo(np.float32).max)    # still round-trips
     write_dataset(path, dataset(largest))
     assert read_dataset(path).features[1, 2] == largest
+
+
+def test_framed_sections_round_trip(tmp_path):
+    path = tmp_path / "f.bin"
+    a, b = np.arange(6.0).reshape(2, 3), np.array(2.5)
+    write_framed(path, {"v": 7, "shapes": [[2, 3], []]}, [a, b])
+    header, arrays = read_framed(path, "test header", "v", 7,
+                                 lambda h: [("a", h["shapes"][0]), ("b", h["shapes"][1])])
+    assert header == {"v": 7, "shapes": [[2, 3], []]}
+    assert arrays["a"].dtype == np.float64 and np.array_equal(arrays["a"], a)
+    assert arrays["b"].shape == () and arrays["b"] == 2.5
+
+
+@pytest.mark.parametrize("shape, match", [
+    ([2, 2], "payload truncated in section a"),
+    ([1, 1], "payload has 4 trailing bytes"),
+    ([2, 1.5], "bad test header: section a has shape"),
+    ([-2, -2], "bad test header: section a has shape"),
+    (3, "bad test header"),
+])
+def test_framed_payload_must_match_its_layout(tmp_path, shape, match):
+    path = tmp_path / "f.bin"
+    write_framed(path, {"v": 1}, [np.zeros((1, 2))])
+    with pytest.raises(ValidationError, match=match):
+        read_framed(path, "test header", "v", 1, lambda h: [("a", shape)])
