@@ -221,10 +221,17 @@ def cmd_score(args) -> int:
 def cmd_eval(args) -> int:
     ds = read_dataset(args.input)
     by_id = {}
-    with open(args.scores, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            by_id[int(rec["id"])] = float(rec["score"])
+    with open(args.scores, "rb") as fh:
+        for n, line in enumerate(fh, 1):
+            try:
+                rec = json.loads(line)
+                key, score = rec["id"], rec["score"]
+                if type(key) is not int or type(score) not in (int, float):
+                    raise TypeError
+            except (ValueError, KeyError, TypeError):
+                raise ValidationError(f"bad scores line {n}: expected a JSON object with "
+                                      f"an integer id and a numeric score") from None
+            by_id[key] = float(score)
     missing = [int(i) for i in ds.ids if int(i) not in by_id]
     if missing:
         raise ValidationError(f"scores file missing ids (first: {missing[:5]})")

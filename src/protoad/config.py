@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -29,6 +30,24 @@ MODES = ("elsa", "elsa_plus")
 
 class ConfigError(ValidationError):
     """Invalid run configuration; the message lists every violation."""
+
+
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether ``value`` has the type a RunConfig field is annotated with.
+
+    An int fits a float field; a bool fits only a bool field.
+    """
+    if annotation.startswith("Optional["):
+        return value is None or _fits(value, annotation[len("Optional["):-1])
+    if annotation.startswith("Tuple["):
+        kinds = annotation[len("Tuple["):-1].split(", ")
+        return (isinstance(value, tuple) and len(value) == len(kinds)
+                and all(map(_fits, value, kinds)))
+    return (isinstance(value, _KINDS[annotation])
+            and isinstance(value, bool) == (annotation == "bool"))
 
 
 @dataclass
@@ -88,7 +107,10 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def violations(self) -> List[str]:
-        out: List[str] = []
+        out = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
+               for f in dataclasses.fields(self) if not _fits(getattr(self, f.name), f.type)]
+        if out:     # the checks below compare values of the declared types
+            return out
         if self.tau <= 0:
             out.append(f"tau must be positive, got {self.tau}")
         for name in ("pretrain_tau", "score_tau"):
@@ -238,7 +260,7 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(data)
-        if "weak_jitter" in kwargs:
+        if isinstance(kwargs.get("weak_jitter"), list):
             kwargs["weak_jitter"] = tuple(kwargs["weak_jitter"])
         return cls(**kwargs)
 

@@ -105,10 +105,6 @@ class Pool:
     def class_indices(self, cls: int) -> np.ndarray:
         return np.flatnonzero(self.true_class == cls)
 
-    def with_id_offset(self, offset: int) -> "Pool":
-        return Pool(self.features, self.true_class, self.ids + offset,
-                    self.cluster_id, self.means)
-
 
 class Dataset:
     """An immutable split of samples for training or evaluation.

@@ -9,6 +9,7 @@ the fine-tuning loop keeps whichever epoch maximizes it.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -19,9 +20,10 @@ import numpy as np
 from . import encoder as enc
 from . import objective as obj
 from . import prototypes as proto
-from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch, weak_batch
+from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch
 from .data import LABELED_ANOMALY, Dataset, ValidationError
 from .mathcore import as_f64
+from .pretrain import train_epoch, two_views
 
 
 # --------------------------------------------------------------------------
@@ -155,36 +157,27 @@ def _sub_rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
 
 
-def finetune_loop(
-    params: enc.EncoderParams,
-    protos: proto.PrototypeSet,
-    train: Dataset,
-    validation: Dataset,
-    weak_cfg: WeakAugConfig,
-    strong_cfg: StrongAugConfig,
-    shifts: ShiftFamily,
-    cfg: FinetuneConfig,
-    eval_probe: Optional[Callable[[enc.EncoderParams, proto.PrototypeSet], float]] = None,
-) -> RunResult:
+def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: Dataset,
+                  validation: Dataset, weak_cfg: WeakAugConfig, strong_cfg: StrongAugConfig,
+                  shifts: ShiftFamily, cfg: FinetuneConfig,
+                  eval_probe: Optional[Callable[..., float]] = None) -> RunResult:
     """Energy fine-tuning with labeled anomalies (Step-3 of the pipeline).
 
-    Every batch sample is expanded into two weak views, each view over all
-    shifting transforms; semi-labels repeat across the expansion. Prototypes
+    Batches run through ``pretrain.train_epoch`` with Adam. Every batch sample
+    is expanded into two weak views, ``shift(weak(x))`` over all shifting
+    transforms; semi-labels repeat across the expansion. Prototypes
     are refit from the current (non-anomalous) embeddings every
     ``refresh_period`` epochs; the training set is embedded only on the
     epochs that refit. The early-stop score is recorded each
-    epoch and the best-scoring snapshot is returned. ``eval_probe``, when
-    given, is only used to log a per-epoch test metric; it never influences
-    training or model selection.
+    epoch and the best-scoring snapshot is returned. ``eval_probe(params,
+    protos)``, when given, only logs a per-epoch test metric; it never
+    influences training or model selection.
     """
     params = params.copy()
     C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
-
     rng = _sub_rng(cfg.seed, 1)
-    m_state = params.zeros_like()
-    v_state = params.zeros_like()
-    step = 0
-
+    m_state, v_state = params.zeros_like(), params.zeros_like()
+    n_steps = 0
     trace: List[MetricsRecord] = []
     t0 = time.time()
 
@@ -197,13 +190,24 @@ def finetune_loop(
                                    prototype_refresh_flag=refreshed,
                                    wallclock=time.time() - t0))
 
-    record(0, dataclasses.asdict(obj.LossBreakdown(float("nan"), float("nan"),
-                                                   float("nan"))),
-           refreshed=False)
-    best_epoch = 0
-    best_score = trace[0].earlystop_auroc
-    best_params = params.copy()
-    best_protos = protos
+    def energy(embed, take):
+        scores, ds_de = obj.energy_score_grad(embed, protos.vectors, cfg.tau)
+        semi = np.tile(train.semi[take], 2 * shifts.count)   # two views, all shifts
+        breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, semi, C,
+                                               strict=cfg.strict_scores)
+        return breakdown, d_scores[:, None] * ds_de
+
+    def adam(grads):
+        nonlocal n_steps
+        n_steps += 1
+        enc.adam_step(params, m_state, v_state, grads, n_steps, cfg.lr)
+
+    views = functools.partial(two_views, weak_cfg=weak_cfg, shifts=shifts, rng=rng,
+                              shift_first=False)
+    nan = float("nan")
+    record(0, dataclasses.asdict(obj.LossBreakdown(nan, nan, nan)), refreshed=False)
+    best_epoch, best_score = 0, trace[0].earlystop_auroc
+    best_params, best_protos = params.copy(), protos
 
     for epoch in range(1, cfg.epochs + 1):
         refreshed = protos.refresh_due(epoch, cfg.refresh_period)
@@ -211,52 +215,24 @@ def finetune_loop(
             emb = prototype_inputs(params, train, shifts)
             protos = proto.refresh(protos, emb, epoch, cfg.refresh_period,
                                    seed=cfg.seed)
-
-        order = rng.permutation(len(train))
-        epoch_losses: List[obj.LossBreakdown] = []
-        for start in range(0, len(order), cfg.batch_size):
-            take = order[start:start + cfg.batch_size]
-            X = train.features[take]
-            semi = train.semi[take]
-
-            view1, ids = shifts.expand(weak_batch(X, weak_cfg, rng))
-            view2, _ = shifts.expand(weak_batch(X, weak_cfg, rng))
-            shift_ids = np.tile(ids, 2)
-            semi_rep = np.tile(semi, 2 * shifts.count)
-
-            cache = enc.forward(params, np.vstack([view1, view2]))
-            scores, ds_de = obj.energy_score_grad(cache.embed, protos.vectors, cfg.tau)
-            breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, semi_rep,
-                                                   C, strict=cfg.strict_scores)
-            d_embed = d_scores[:, None] * ds_de
-            d_logits = None
-            if shifts.count > 1:
-                logits = enc.head_logits(params, cache)
-                breakdown.shift_term, d_logits = obj.loss_shift(logits, shift_ids)
-                breakdown.total += breakdown.shift_term
-            grads = enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits)
-
-            step += 1
-            enc.adam_step(params, m_state, v_state, grads, step, cfg.lr)
+        epoch_losses = []
+        for breakdown, ce in train_epoch(params, train.features, cfg.batch_size, rng,
+                                         views, energy, adam, shifts, min_rows=1):
+            if ce is not None:
+                breakdown.shift_term = ce
+                breakdown.total += ce
             epoch_losses.append(breakdown)
-
         mean_loss = {
             key: float(np.mean([getattr(b, key) for b in epoch_losses]))
             for key in ("total", "anomaly_term", "normal_term", "shift_term")
         } if epoch_losses else dataclasses.asdict(obj.LossBreakdown(0.0, 0.0, 0.0))
         record(epoch, mean_loss, refreshed)
         if trace[-1].earlystop_auroc > best_score:
-            best_score = trace[-1].earlystop_auroc
-            best_epoch = epoch
-            best_params = params.copy()
-            best_protos = protos
+            best_score, best_epoch = trace[-1].earlystop_auroc, epoch
+            best_params, best_protos = params.copy(), protos
 
-    return RunResult(
-        best_checkpoint_epoch=best_epoch,
-        trace=trace,
-        best_params=best_params,
-        best_prototypes=best_protos,
-    )
+    return RunResult(best_checkpoint_epoch=best_epoch, trace=trace,
+                     best_params=best_params, best_prototypes=best_protos)
 
 
 # --------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from . import encoder as enc
 from . import objective as obj
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .config import RunConfig
-from .data import (Pool, ScenarioSplit, build_scenario, generate)
+from .data import Pool, ScenarioSplit, build_scenario, generate
 from .evalharness import (RunResult, auroc, evaluate_scores, finetune_loop,
                           prototype_inputs, reference_embeddings, split_hash,
                           test_auroc_probe)
@@ -31,11 +31,13 @@ _OUT_ID_OFFSET = 20_000_000
 
 def _shifted_pool(rc: RunConfig, seed_offset: int, direction: float,
                   class_offset: int, id_offset: int) -> Pool:
-    """A second synthetic distribution: same geometry, displaced means."""
+    """A second synthetic distribution: same geometry, displaced means; one build."""
     aux = generate(rc.synthetic_spec(seed_offset=seed_offset))
-    feats = aux.features + direction * rc.cluster_spread
-    return Pool(feats, aux.true_class + class_offset, aux.ids,
-                aux.cluster_id, None).with_id_offset(id_offset)
+    aux.features += direction * rc.cluster_spread
+    aux.true_class += class_offset
+    aux.ids += id_offset
+    aux.means = None
+    return aux
 
 
 def build_splits(rc: RunConfig) -> ScenarioSplit:

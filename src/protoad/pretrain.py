@@ -4,8 +4,8 @@ The loss is the two-view instance-discrimination objective: for each anchor,
 the positive is its partner view and the denominator runs over all other
 embeddings in the doubled batch (the positive included, the anchor itself
 excluded). It decomposes exactly into an alignment term (pull positives
-together) and a uniformity term (push everything apart); the decomposition
-identity is checked in debug mode on every batch.
+together) and a uniformity term (push everything apart); ``decompose_loss``
+returns the two terms.
 
 The n x n kernel rests on three facts, all in float64:
 
@@ -29,12 +29,17 @@ Every view is expanded over the shifting transforms (ELSA's family is the
 identity alone). With more than one transform, shifted copies act as
 negatives of each other and a cross-entropy term teaches the head to recover
 the shift index.
+
+``train_epoch`` is the one epoch driver of both training stages: this
+module's contrastive pre-training and ``evalharness.finetune_loop``'s energy
+fine-tuning pass it their loss on the embeddings and their optimizer step.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -130,7 +135,6 @@ class PretrainConfig:
     momentum: float = 0.9
     tau: float = 0.5
     seed: int = 0
-    debug_identity: bool = False
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 2:
@@ -160,21 +164,57 @@ class PretrainResult:
     used_ids: np.ndarray
 
 
-def _two_views(X, weak_cfg, shifts, rng):
-    """Expand a raw batch into two independently weak-augmented views."""
-    rows, ids = shifts.expand(X)
-    v1 = weak_batch(rows, weak_cfg, rng)
-    v2 = weak_batch(rows, weak_cfg, rng)
-    return v1, v2, ids
+def two_views(X, weak_cfg, shifts, rng, shift_first=True):
+    """Two independent weak views of a raw batch, each over every shift.
+
+    Returns ``(view1, view2, shift_ids)``. With ``shift_first`` each view is
+    ``weak(shift(x))``: every shifted copy gets its own noise and mask, as in
+    pre-training and its probe. Without it each view is ``shift(weak(x))``:
+    all copies of a row share one draw, as in fine-tuning. Masking does not
+    commute with the shifts, so unifying the two orders changes results. The
+    random draws come in the same order either way: view 1, then view 2.
+    """
+    if shift_first:
+        rows, ids = shifts.expand(X)
+        return weak_batch(rows, weak_cfg, rng), weak_batch(rows, weak_cfg, rng), ids
+    view1, ids = shifts.expand(weak_batch(X, weak_cfg, rng))
+    view2, _ = shifts.expand(weak_batch(X, weak_cfg, rng))
+    return view1, view2, ids
 
 
-def pretrain_loop(
-    dataset: Dataset,
-    params: enc.EncoderParams,
-    weak_cfg: WeakAugConfig,
-    shifts: ShiftFamily,
-    cfg: PretrainConfig,
-) -> PretrainResult:
+def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
+                rng: np.random.Generator, views: Callable, loss: Callable,
+                step: Callable, shifts: ShiftFamily, min_rows: int) -> list:
+    """One pass over ``feats`` in a fresh ``rng`` order: both stages' training step.
+
+    Batches of fewer than ``min_rows`` rows are skipped. Per batch of row
+    indices ``take``: ``views(X)`` gives ``(view1, view2, shift_ids)``, one
+    forward pass embeds both views, ``loss(embed, take)`` gives ``(record,
+    d_embed)``, the shift cross-entropy joins when there is more than one
+    shift, and ``step(grads)`` follows one backward pass. Returns ``(record,
+    shift_ce)`` per batch, ``shift_ce`` None for one shift. Program functions
+    are read as module attributes at call time, so that wrappers installed
+    from outside (the bench tracer) see every call.
+    """
+    order = rng.permutation(len(feats))
+    out = []
+    for start in range(0, len(order), batch_size):
+        take = order[start:start + batch_size]
+        if len(take) < min_rows:
+            continue
+        view1, view2, ids = views(feats[take])
+        cache = enc.forward(params, np.vstack([view1, view2]))
+        record, d_embed = loss(cache.embed, take)
+        ce = d_logits = None
+        if shifts.count > 1:
+            ce, d_logits = loss_shift(enc.head_logits(params, cache), np.tile(ids, 2))
+        step(enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits))
+        out.append((record, ce))
+    return out
+
+
+def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAugConfig,
+                  shifts: ShiftFamily, cfg: PretrainConfig) -> PretrainResult:
     """Minibatch SGD (with momentum) on the contrastive loss.
 
     Labeled anomalies are excluded outright; the returned ``used_ids`` lists
@@ -195,7 +235,7 @@ def pretrain_loop(
     probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     probe_idx = probe_rng.permutation(len(feats))[:min(_PROBE_SIZE, len(feats))]
     probe_clean = feats[probe_idx]
-    pv1, pv2, _ = _two_views(probe_clean, weak_cfg, shifts, probe_rng)
+    pv1, pv2, _ = two_views(probe_clean, weak_cfg, shifts, probe_rng)
     n_max = 2 * shifts.count * max(min(cfg.batch_size, len(feats)), len(probe_idx))
     work = np.empty(n_max * n_max)
 
@@ -203,11 +243,9 @@ def pretrain_loop(
     metrics: List[PretrainEpochRecord] = []
 
     def probe_record(epoch, ep_loss, ep_align, ep_uniform, t0):
-        emb1 = enc.embed(params, pv1)
-        emb2 = enc.embed(params, pv2)
-        _, _, pos, lse, _, _ = _pair_terms(ContrastiveBatch(emb1, emb2, cfg.tau), work)
-        clean_emb = enc.embed(params, probe_clean)
-        p_unif = float(np.mean(uniformity_scores_self(clean_emb)))
+        batch = ContrastiveBatch(enc.embed(params, pv1), enc.embed(params, pv2), cfg.tau)
+        _, _, pos, lse, _, _ = _pair_terms(batch, work)
+        p_unif = float(np.mean(uniformity_scores_self(enc.embed(params, probe_clean))))
         acc = None
         if shifts.count > 1:
             rows, ids = shifts.expand(probe_clean)
@@ -218,38 +256,24 @@ def pretrain_loop(
             probe_loss=float(np.mean(lse - pos)), probe_uniformity_mean=p_unif,
             shift_accuracy=acc, wallclock=time.time() - t0))
 
+    def contrastive(embed, take):
+        """Record ``(loss, align)``; the gradient covers both views."""
+        m = len(embed) // 2
+        batch = ContrastiveBatch(embed[:m], embed[m:], cfg.tau)
+        loss, g1, g2 = contrastive_loss(batch, work)
+        align = float(np.mean(-np.sum(batch.view1 * batch.view2, axis=1) / cfg.tau))
+        return (loss, align), np.vstack([g1, g2])
+
+    def sgd(grads):
+        enc.sgd_momentum_step(params, velocity, grads, cfg.lr, cfg.momentum)
+
+    views = functools.partial(two_views, weak_cfg=weak_cfg, shifts=shifts, rng=rng)
     t0 = time.time()
     probe_record(0, float("nan"), float("nan"), float("nan"), t0)
-
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(len(feats))
-        losses, aligns, uniforms = [], [], []
-        for start in range(0, len(order), cfg.batch_size):
-            take = order[start:start + cfg.batch_size]
-            if len(take) < 2:
-                continue
-            v1, v2, ids = _two_views(feats[take], weak_cfg, shifts, rng)
-            n_rows = len(v1)
-            cache = enc.forward(params, np.vstack([v1, v2]))
-            batch = ContrastiveBatch(cache.embed[:n_rows], cache.embed[n_rows:], cfg.tau)
-            loss, g1, g2 = contrastive_loss(batch, work)
-            align = float(np.mean(-np.sum(batch.view1 * batch.view2, axis=1) / cfg.tau))
-            if cfg.debug_identity:
-                a, u = decompose_loss(batch)
-                if abs(loss - (a + u)) >= 1e-12:
-                    raise AssertionError("contrastive decomposition identity violated")
-            d_logits = None
-            total = loss
-            if shifts.count > 1:
-                logits = enc.head_logits(params, cache)
-                ce, d_logits = loss_shift(logits, np.tile(ids, 2))
-                total += ce
-            grads = enc.backward(params, cache,
-                                 d_embed=np.vstack([g1, g2]), d_logits=d_logits)
-            enc.sgd_momentum_step(params, velocity, grads, cfg.lr, cfg.momentum)
-            losses.append(total)
-            aligns.append(align)
-            uniforms.append(loss - align)
-        probe_record(epoch, float(np.mean(losses)), float(np.mean(aligns)),
-                     float(np.mean(uniforms)), t0)
+        batches = train_epoch(params, feats, cfg.batch_size, rng, views,
+                              contrastive, sgd, shifts, min_rows=2)
+        loss, align, ce = np.array([(*rec, ce or 0.0) for rec, ce in batches]).T
+        probe_record(epoch, float(np.mean(loss + ce)), float(np.mean(align)),
+                     float(np.mean(loss - align)), t0)
     return PretrainResult(params=params, metrics=metrics, used_ids=used_ids)

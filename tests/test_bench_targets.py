@@ -1,21 +1,82 @@
-"""The benchmark's code calls program functions by name; it must keep working."""
+"""The benchmark's code calls program functions by name; it must keep working.
+
+It also derives per-layer metrics from which span sits under which: the
+training loops' ``*.self_s``, the probe time and
+``prototype_inputs.useful_ratio`` all read span parents.
+"""
 import importlib.util
 import sys
+from collections import Counter, defaultdict
 from pathlib import Path
+
+from protoad import pipeline
+from protoad.config import preset
+from protoad.evalharness import clustering_pool
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def _perfbench(monkeypatch):
+    """perfbench's ``tracer`` and ``layers`` modules, unloaded after the test."""
+    modules = []
+    for name in ("tracer", "layers"):     # layers.py imports tracer
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        modules.append(module)
+    return modules
+
+
 def test_every_traced_target_resolves_to_a_callable(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))    # layers.py imports tracer
-    spec = importlib.util.spec_from_file_location("perfbench_layers",
-                                                  PERFBENCH / "layers.py")
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
+    _, layers = _perfbench(monkeypatch)
     targets = layers.targets()
     assert targets
     for owner, attribute, span, _ in targets:
         assert callable(getattr(owner, attribute, None)), span
+
+
+def _batches(rows, batch_size, min_rows):
+    return rows // batch_size + (rows % batch_size >= min_rows)
+
+
+def test_training_spans_sit_directly_under_their_loop(monkeypatch):
+    tracer_module, layers = _perfbench(monkeypatch)
+    rc = preset("smoke")                   # ELSA+: the shift head trains too
+    tracer = tracer_module.Tracer("protoad")
+    tracer.op = "run"
+    tracer.install(layers.targets())
+    try:
+        pipeline.run_single(rc)
+    finally:
+        tracer.uninstall()
+
+    spans, NAME, PARENT = tracer.spans, tracer_module.NAME, tracer_module.PARENT
+    under = defaultdict(list)              # parent span name -> child span indices
+    for i, span in enumerate(spans):
+        if span[PARENT] >= 0:
+            under[spans[span[PARENT]][NAME]].append(i)
+    pre, ft = (Counter(spans[i][NAME] for i in under[loop])
+               for loop in ("pretrain.pretrain_loop", "evalharness.finetune_loop"))
+
+    train = pipeline.build_splits(rc).train
+    pre_batches = rc.pretrain_epochs * _batches(len(clustering_pool(train)),
+                                                rc.pretrain_batch, 2)
+    ft_batches = rc.finetune_epochs * _batches(len(train), rc.finetune_batch, 1)
+    for name in ("encoder.forward", "pretrain.contrastive_loss",
+                 "objective.loss_shift", "encoder.backward"):
+        assert pre[name] == pre_batches, name
+    for name in ("objective.energy_score_grad", "objective.loss_by_name",
+                 "objective.loss_shift", "encoder.backward"):
+        assert ft[name] == ft_batches, name
+    # One contrastive_loss per batch, each right after its batch's forward:
+    # the probe time counts any other contrastive_loss as probe work.
+    losses = [i for i, span in enumerate(spans)
+              if span[NAME] == "pretrain.contrastive_loss"]
+    assert len(losses) == pre_batches
+    siblings = under["pretrain.pretrain_loop"]
+    for i in losses:
+        assert spans[siblings[siblings.index(i) - 1]][NAME] == "encoder.forward"
 
 
 class _OneCall:

@@ -10,7 +10,7 @@ from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.checkpoint import load_checkpoint, save_checkpoint
 from protoad.config import ConfigError, preset
-from protoad.data import read_dataset, write_dataset
+from protoad.data import Dataset, read_dataset, write_dataset
 from protoad.pipeline import build_splits
 from protoad.prototypes import PrototypeSet
 
@@ -186,6 +186,22 @@ def test_malformed_dataset_header_exits_with_validation_code(tmp_path, header):
         assert code == 3 and "bad dataset header" in err, (argv[0], err)
 
 
+@pytest.mark.parametrize("line", [b'{"id": 1, "score": ', b"[1, 0.5]", b'{"id": 1}',
+                                  b'{"score": 0.5}', b'{"id": 1, "score": "high"}',
+                                  b'{"id": 1, "score": null}', b'{"id": "1", "score": 0.5}',
+                                  b'{"id": 1.0, "score": 0.5}', b"\xff\xfe"],
+                         ids=["truncated", "not_object", "no_score", "no_id",
+                              "string_score", "null_score", "string_id", "float_id",
+                              "not_utf8"])
+def test_malformed_scores_line_exits_with_validation_code(tmp_path, line):
+    data = tmp_path / "two.ds"
+    write_dataset(data, Dataset(np.zeros((2, 3)), [0, 0], [0, 1], [0, 1]))
+    scores = tmp_path / "s.jsonl"
+    scores.write_bytes(b'{"id": 0, "score": 0.25}\n' + line + b"\n")
+    code, err = _main(["eval", "--scores", str(scores), "--input", str(data)])
+    assert code == 3 and "bad scores line 2" in err, err
+
+
 @pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
                                   "entry_without_shape", "negative_shape",
                                   "epoch_not_int", "meta_not_object", "config_not_object"])
@@ -222,6 +238,22 @@ def test_zero_score_tau_exits_with_validation_code(tmp_path):
                        "--out", str(tmp_path / "data")])
     assert code == 3
     assert "score_tau must be positive, got 0" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pair, needle", [
+    ("samples_per_class=abc", "samples_per_class must be int, got 'abc'"),
+    ("weak_jitter=[1.0]", "weak_jitter must be Tuple[float, float], got (1.0,)"),
+    ("weak_jitter=5", "weak_jitter must be Tuple[float, float], got 5"),
+    ("pretrain_epochs=2.5", "pretrain_epochs must be int, got 2.5"),
+    ("seed=true", "seed must be int, got True"),
+    ("strict_scores=1", "strict_scores must be bool, got 1"),
+    ("refresh_period=[3]", "refresh_period must be Optional[int], got [3]"),
+])
+def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle):
+    code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
+                       "--out", str(tmp_path / "data")])
+    assert code == 3 and needle in err, err
     assert not list(tmp_path.iterdir())
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -62,3 +63,29 @@ def test_non_positive_score_tau_is_listed_not_raised(changes):
     assert [p for p in problems if p.startswith(name)] == \
         [f"{name} must be positive, got {changes[name]}"]
     assert not any("ln(n_prototypes)" in p for p in problems)
+
+
+def test_every_training_config_field_is_reachable():
+    # Every mapped RunConfig value differs from the matching training default.
+    rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01,
+                   pretrain_momentum=0.5, pretrain_tau=0.3, score_tau=0.7,
+                   finetune_epochs=4, finetune_batch=8, finetune_lr=0.01,
+                   loss_name="deepsad", refresh_period=5, c_mode="appendix",
+                   strict_scores=False, seed=1)
+    for built in (rc.pretrain_config(), rc.finetune_config()):
+        default = type(built)()
+        kept = [f.name for f in dataclasses.fields(built)
+                if getattr(built, f.name) == getattr(default, f.name)]
+        assert kept == [], type(built).__name__
+
+
+def test_wrong_types_are_listed_before_value_checks():
+    # Without the type check, "tau <= 0" would raise TypeError on a string.
+    rc = RunConfig(tau="0.5", n_prototypes=8.0, weak_jitter=(0.9, "1.1"))
+    assert rc.violations() == [
+        "n_prototypes must be int, got 8.0",
+        "tau must be float, got '0.5'",
+        "weak_jitter must be Tuple[float, float], got (0.9, '1.1')",
+    ]
+    with pytest.raises(ConfigError, match="tau must be float"):
+        rc.validated()

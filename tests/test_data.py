@@ -183,11 +183,11 @@ def test_scenario_validation_is_five_percent_of_unlabeled():
 
 def test_scenario_s3_uses_auxiliary_pools():
     pool = _pool()
-    aux = _pool(seed=1).with_id_offset(10_000)
-    aux = Pool(aux.features + 5.0, aux.true_class + 100, aux.ids,
+    aux = _pool(seed=1)
+    aux = Pool(aux.features + 5.0, aux.true_class + 100, aux.ids + 10_000,
                aux.cluster_id, None)
-    out = _pool(seed=2).with_id_offset(20_000)
-    out = Pool(out.features - 5.0, out.true_class + 200, out.ids,
+    out = _pool(seed=2)
+    out = Pool(out.features - 5.0, out.true_class + 200, out.ids + 20_000,
                out.cluster_id, None)
     cfg = ScenarioConfig(scenario="s3", gamma_l=0.1)
     split = build_scenario(pool, cfg, aux_pool=aux, outlier_pool=out)

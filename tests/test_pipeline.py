@@ -4,8 +4,9 @@ import sys
 from pathlib import Path
 
 import protoad
+from protoad import data
 from protoad.config import preset
-from protoad.pipeline import run_grid
+from protoad.pipeline import build_splits, run_grid
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
@@ -22,3 +23,13 @@ def test_grid_cells_do_not_depend_on_worker_count():
     pooled = run_grid(preset("smoke"), 2, 1, workers=2)
     assert pooled["cells"] == serial["cells"]
     assert pooled["mean_auroc"] == serial["mean_auroc"]
+
+
+def test_s3_splits_build_each_pool_once(monkeypatch):
+    # The main pool plus one auxiliary and one outlier pool.
+    built = []
+    original = data.Pool.__post_init__
+    monkeypatch.setattr(data.Pool, "__post_init__",
+                        lambda pool: (built.append(pool), original(pool)))
+    build_splits(preset("smoke").replace(scenario="s3"))
+    assert len(built) == 3

@@ -285,13 +285,6 @@ def test_pretrain_training_energy_rises():
     assert energy[-1] > energy[0]
 
 
-def test_pretrain_debug_identity_runs():
-    split = _train_split()
-    params = enc.init(7, _dims())
-    cfg = PretrainConfig(epochs=1, batch_size=32, seed=7, debug_identity=True)
-    pretrain_loop(split.train, params, WeakAugConfig(), ONE_SLOT, cfg)
-
-
 @pytest.mark.parametrize("m", [512, 400])
 def test_contrastive_workspace_changes_no_bit(m):
     # 2m = 1024 fills the workspace; 2m = 800 runs on a shorter view of it.

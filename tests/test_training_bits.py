@@ -7,9 +7,11 @@ pre-train record (wallclock excluded), then the fine-tuned
 through ``json.dumps``, whose ``repr`` round-trips exactly. A refactor of the
 training loops that is meant to keep behaviour must leave these unchanged.
 
-``odd_batches`` is the smoke split (64 pre-train rows, 70 fine-tune rows)
-with batch sizes that leave one row over in both stages: pre-training skips
-a one-row batch, fine-tuning trains on it.
+``odd_batches`` and ``many_batches`` are the smoke split (64 pre-train rows,
+70 fine-tune rows) with batch sizes that leave one row over in both stages:
+pre-training skips a one-row batch, fine-tuning trains on it. With 9 and 24
+batches per epoch, ``many_batches`` also runs the per-epoch means over more
+than the 8 values below which numpy sums them in plain order.
 """
 import dataclasses
 import hashlib
@@ -44,13 +46,18 @@ def _digests(rc):
     ({"pretrain_batch": 21, "finetune_batch": 23},
      "34064da6e6c773b42eecfa9ec57fac3094e6508399b3e5a6de8b4cb736fc25c4",
      "08808f134d00d157a8d554e9f43a5192f9411fec72699a8d33ffc6bacf9cc170", 2),
-], ids=["smoke_elsa", "smoke_elsa_plus", "odd_batches"])
+    ({"pretrain_batch": 7, "finetune_batch": 3},
+     "1e08febea91d0fb2ae03a218d5e67b7f3e068819091b89462cc825b0f2ae623b",
+     "edd6835d6df09b16e5beb9497a372d0ddcfc41c8ddaa1cd720e6f579b591a08a", 1),
+], ids=["smoke_elsa", "smoke_elsa_plus", "odd_batches", "many_batches"])
 def test_training_outputs_are_pinned_bit_for_bit(changes, pretrain, finetune, best_epoch):
     assert _digests(preset("smoke").replace(**changes)) == (pretrain, finetune, best_epoch)
 
 
-def test_odd_batches_leave_one_row_in_both_stages():
-    rc = preset("smoke").replace(pretrain_batch=21, finetune_batch=23)
+@pytest.mark.parametrize("pretrain_batch, finetune_batch", [(21, 23), (7, 3)])
+def test_odd_batches_leave_one_row_in_both_stages(pretrain_batch, finetune_batch):
+    rc = preset("smoke").replace(pretrain_batch=pretrain_batch,
+                                 finetune_batch=finetune_batch)
     train = pipeline.build_splits(rc).train
     assert len(clustering_pool(train)) % rc.pretrain_batch == 1
     assert len(train) % rc.finetune_batch == 1
