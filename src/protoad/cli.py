@@ -25,11 +25,10 @@ from . import objective as obj
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import ConfigError, PRESETS, RunConfig, preset
 from .data import ValidationError, read_dataset, write_dataset
-from .evalharness import auroc, evaluate_scores, finetune_loop, prototype_inputs
+from .evalharness import auroc, evaluate_scores
 from .mathcore import NumericError
-from .pipeline import (build_splits, run_ablation, run_grid, run_pollution_sweep,
-                       run_single)
-from .pretrain import pretrain_loop
+from .pipeline import (build_splits, finetune_stage, pretrain_stage, run_ablation,
+                       run_grid, run_pollution_sweep, run_single)
 
 ENV_SEED = "PROTOAD_SEED"
 METRICS_SCHEMA = 1
@@ -95,7 +94,12 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
     if overrides:
         rc = RunConfig.from_dict({**rc.to_dict(), **overrides})
     if getattr(args, "seed", None) is None and ENV_SEED in os.environ:
-        rc = rc.replace(seed=int(os.environ[ENV_SEED]))
+        raw = os.environ[ENV_SEED]
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
+        rc = rc.replace(seed=seed)
     return rc.validated()
 
 
@@ -151,10 +155,7 @@ def cmd_pretrain(args) -> int:
     train, _ = _load_pair(args.data)
     if train.dim != rc.input_dim:
         rc = rc.replace(input_dim=train.dim).validated()
-    weak, _ = rc.resolve_augs(train.features)
-    shifts = rc.shift_family()
-    result = pretrain_loop(train, rc.initial_params(), weak, shifts,
-                           rc.pretrain_config())
+    result = pretrain_stage(rc, train)
     save_checkpoint(args.out, config=rc.to_dict(), epoch=rc.pretrain_epochs,
                     params=result.params, rng_state={"seed": rc.seed})
     metrics_path = args.metrics or f"{args.out}.metrics.jsonl"
@@ -175,14 +176,7 @@ def cmd_finetune(args) -> int:
         raise ConfigError(
             f"checkpoint holds {ckpt.prototypes.k} prototypes but the "
             f"configuration requests {rc.n_prototypes}")
-    weak, strong = rc.resolve_augs(train.features)
-    shifts = rc.shift_family()
-    protos = ckpt.prototypes
-    if protos is None:
-        emb = prototype_inputs(ckpt.params, train, shifts)
-        protos = rc.fit_prototypes(emb)
-    outcome = finetune_loop(ckpt.params, protos, train, valid, weak, strong,
-                            shifts, rc.finetune_config())
+    outcome = finetune_stage(rc, ckpt.params, ckpt.prototypes, train, valid)
     save_checkpoint(args.out, config=rc.to_dict(),
                     epoch=outcome.best_checkpoint_epoch,
                     params=outcome.best_params,
@@ -231,11 +225,18 @@ def cmd_eval(args) -> int:
             except (ValueError, KeyError, TypeError):
                 raise ValidationError(f"bad scores line {n}: expected a JSON object with "
                                       f"an integer id and a numeric score") from None
+            if key in by_id:
+                raise ValidationError(f"scores file repeats id {key} (line {n})")
             by_id[key] = float(score)
-    missing = [int(i) for i in ds.ids if int(i) not in by_id]
+    ids = ds.ids.tolist()
+    missing = [i for i in ids if i not in by_id]
     if missing:
         raise ValidationError(f"scores file missing ids (first: {missing[:5]})")
-    scores = np.array([by_id[int(i)] for i in ds.ids])
+    unknown = sorted(by_id.keys() - set(ids))
+    if unknown:
+        raise ValidationError(f"scores file has ids not in the dataset "
+                              f"(first: {unknown[:5]})")
+    scores = np.array([by_id[i] for i in ids])
     value = auroc(scores, ds.eval_normal_labels())
     payload = {"auroc": value, "count": len(ds)}
     if args.out:

@@ -3,7 +3,8 @@
 A RunConfig round-trips through JSON, echoes into every artifact for
 provenance, and owns the derived objects (synthetic spec, scenario config,
 augmentation configs, training configs). Validation collects *all*
-violations instead of stopping at the first.
+violations instead of stopping at the first, and a valid configuration
+builds every stage (augmentations at unit data scale).
 """
 from __future__ import annotations
 
@@ -148,6 +149,18 @@ class RunConfig:
             out.append(f"n_ensemble must be >= 1, got {self.n_ensemble}")
         if self.refresh_period is not None and self.refresh_period < 1:
             out.append(f"refresh_period must be >= 1, got {self.refresh_period}")
+        if out:     # the stages below are built only from otherwise valid values
+            return out
+        for stage, build in (("data", self.synthetic_spec),
+                             ("scenario", self.scenario_config),
+                             ("encoder", self.encoder_dims),
+                             ("augmentation", lambda: self._augs_at(1.0)),
+                             ("pretrain", self.pretrain_config),
+                             ("finetune", self.finetune_config)):
+            try:
+                build()
+            except ValidationError as exc:
+                out.append(f"{stage} stage: {exc}")
         return out
 
     def validated(self) -> "RunConfig":
@@ -212,7 +225,9 @@ class RunConfig:
 
     def resolve_augs(self, features) -> Tuple[WeakAugConfig, StrongAugConfig]:
         """Absolute augmentation magnitudes, scaled to the data spread."""
-        std = float(features.std()) if len(features) else 1.0
+        return self._augs_at(float(features.std()) if len(features) else 1.0)
+
+    def _augs_at(self, std: float) -> Tuple[WeakAugConfig, StrongAugConfig]:
         weak = WeakAugConfig(noise_sigma=self.weak_noise_scale * std,
                              mask_fraction=self.weak_mask_fraction,
                              scale_jitter=tuple(self.weak_jitter))

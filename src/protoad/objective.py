@@ -7,6 +7,13 @@ over unit embeddings e and unit prototypes p, bounded in
 cap C = ln k + 1/tau attained only when a sample matches every prototype
 perfectly. Ablation scores (nearest-prototype cosine, reference-set
 uniformity) and losses (naive, inverse-anomaly-only) live here too.
+
+``_energy`` is the one energy form: ``energy_score``, ``energy_score_grad``
+and both ``score_ensemble`` modes reach it, so the early-stop score and the
+test probe do too. ``_two_terms`` is the one loss body: every loss is a
+term over labeled anomalies plus a term over the rest, and ``loss_elsa``,
+``loss_naive`` and ``loss_deepsad`` keep only their per-group values and
+their own domain checks.
 """
 from __future__ import annotations
 
@@ -54,28 +61,12 @@ def _rows(e) -> Tuple[np.ndarray, bool]:
     return arr, False
 
 
-def energy_score(e, prototypes: np.ndarray, tau: float) -> np.ndarray | float:
-    """Normality score S = logsumexp_p(sim(e, p)/tau); higher = more normal."""
-    E, single = _rows(e)
-    P = as_f64(prototypes, "prototypes")
+def _energy(E: np.ndarray, P: np.ndarray, tau: float
+            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(scores, w, z)``: ``w`` the max-shifted exp of ``E @ P.T / tau``, ``z`` its
+    row sums (one column), scores = shift + log(z); a non-finite score raises."""
     if len(P) == 0:
         raise ValidationError("prototype set is empty")
-    logits = E @ P.T
-    logits /= tau
-    s = logsumexp_rows_inplace(logits)
-    return float(s[0]) if single else s
-
-
-def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch scores plus dS/dE rows: softmax(logits) @ P / tau.
-
-    One max-shifted exp serves both: scores = shift + log(z) and
-    softmax = exp / z, the same operations as ``logsumexp_rows`` and
-    ``softmax_rows`` run on the logits one after the other.
-    """
-    E = as_f64(E, "embeddings")
-    P = as_f64(prototypes, "prototypes")
     w = E @ P.T
     w /= tau
     shift = row_max(w)[:, None]
@@ -83,6 +74,23 @@ def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
     np.exp(w, out=w)
     z = np.sum(w, axis=1, keepdims=True)
     scores = (shift + np.log(z))[:, 0]
+    if not np.isfinite(scores).all():
+        raise NumericError(f"non-finite energy score at tau={tau}")
+    return scores, w, z
+
+
+def energy_score(e, prototypes: np.ndarray, tau: float) -> np.ndarray | float:
+    """Normality score S = logsumexp_p(sim(e, p)/tau); higher = more normal."""
+    E, single = _rows(e)
+    s = _energy(E, as_f64(prototypes, "prototypes"), tau)[0]
+    return float(s[0]) if single else s
+
+
+def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Batch scores plus dS/dE rows: softmax(logits) @ P / tau, softmax = w / z."""
+    P = as_f64(prototypes, "prototypes")
+    scores, w, z = _energy(as_f64(E, "embeddings"), P, tau)
     w /= z
     grad = w @ P
     grad /= tau
@@ -132,18 +140,33 @@ def uniformity_scores_self(E: np.ndarray) -> np.ndarray:
     if len(E) < 2:
         raise ValidationError("need at least two rows for self-referenced scores")
     sims = E @ E.T
-    np.fill_diagonal(sims, -np.inf)
-    shift = np.max(sims, axis=1, keepdims=True)
-    sims -= shift
-    np.exp(sims, out=sims)
-    return (shift + np.log(np.sum(sims, axis=1, keepdims=True)))[:, 0]
+    np.fill_diagonal(sims, -np.finfo(np.float64).max)    # its exp is exactly 0
+    return logsumexp_rows_inplace(sims)
 
 
-def _split_semi(semi: np.ndarray, n: int) -> np.ndarray:
+def _groups(scores, semi) -> Tuple[np.ndarray, np.ndarray]:
+    """``(scores, is_anomaly)``: the scores as float64 and the labeled-anomaly mask."""
+    s = as_f64(scores, "scores")
     semi = np.asarray(semi, dtype=np.int64)
-    if len(semi) != n:
+    if len(semi) != len(s):
         raise ValidationError("scores and semi-labels must share one length")
-    return semi == LABELED_ANOMALY
+    return s, semi == LABELED_ANOMALY
+
+
+def _two_terms(s, is_anom, anomaly, normal) -> Tuple[LossBreakdown, np.ndarray]:
+    """Every loss: ``anomaly`` and ``normal`` are ``(values, derivatives)`` on the
+    scores of the labeled anomalies and of the rest, each summed over n."""
+    n = len(s)
+    grad = np.empty_like(s)
+    grad[is_anom] = anomaly[1] / n
+    grad[~is_anom] = normal[1] / n
+    anom_sum, norm_sum = anomaly[0].sum(), normal[0].sum()
+    breakdown = LossBreakdown(total=float((anom_sum + norm_sum) / n),
+                              anomaly_term=float(anom_sum / n),
+                              normal_term=float(norm_sum / n))
+    if not np.isfinite(breakdown.total):
+        raise NumericError("non-finite loss value")
+    return breakdown, grad
 
 
 def loss_elsa(scores, semi, C: float, strict: bool = True
@@ -155,58 +178,29 @@ def loss_elsa(scores, semi, C: float, strict: bool = True
     arithmetic (used by the prototype-count sweep, where k = 1 makes the
     domain guarantee impossible) and only rejects non-finite results.
     """
-    s = as_f64(scores, "scores")
-    is_anom = _split_semi(semi, len(s))
+    s, is_anom = _groups(scores, semi)
     if strict and (np.any(s <= 0.0) or np.any(s >= C)):
         raise NumericError("score out of (0, C)")
     if not strict and (np.any(s == 0.0) or np.any(s == C)):
         raise NumericError("score exactly at a pole of the loss")
-    n = len(s)
-    anom_gap = C - s[is_anom]
-    anom_vals = 1.0 / anom_gap
-    norm_vals = 1.0 / s[~is_anom]
-    grad = np.empty_like(s)
-    grad[is_anom] = (1.0 / anom_gap ** 2) / n
-    grad[~is_anom] = (-1.0 / s[~is_anom] ** 2) / n
-    breakdown = LossBreakdown(
-        total=float((anom_vals.sum() + norm_vals.sum()) / n),
-        anomaly_term=float(anom_vals.sum() / n),
-        normal_term=float(norm_vals.sum() / n),
-    )
-    if not np.isfinite(breakdown.total):
-        raise NumericError("non-finite loss value")
-    return breakdown, grad
+    gap, rest = C - s[is_anom], s[~is_anom]
+    return _two_terms(s, is_anom, (1.0 / gap, 1.0 / gap ** 2),
+                      (1.0 / rest, -1.0 / rest ** 2))
 
 
 def loss_naive(scores, semi) -> Tuple[LossBreakdown, np.ndarray]:
     """Mean of +S over labeled anomalies and -S over everything else."""
-    s = as_f64(scores, "scores")
-    is_anom = _split_semi(semi, len(s))
-    n = len(s)
-    grad = np.where(is_anom, 1.0, -1.0) / n
-    return LossBreakdown(
-        total=float((s[is_anom].sum() - s[~is_anom].sum()) / n),
-        anomaly_term=float(s[is_anom].sum() / n),
-        normal_term=float(-s[~is_anom].sum() / n),
-    ), grad
+    s, is_anom = _groups(scores, semi)
+    return _two_terms(s, is_anom, (s[is_anom], 1.0), (-s[~is_anom], -1.0))
 
 
 def loss_deepsad(scores, semi, C: float) -> Tuple[LossBreakdown, np.ndarray]:
     """Mean of 1/(C - S) over labeled anomalies and -S over everything else."""
-    s = as_f64(scores, "scores")
-    is_anom = _split_semi(semi, len(s))
+    s, is_anom = _groups(scores, semi)
     if np.any(s[is_anom] >= C):
         raise NumericError("score out of (0, C)")
-    n = len(s)
     gap = C - s[is_anom]
-    grad = np.empty_like(s)
-    grad[is_anom] = (1.0 / gap ** 2) / n
-    grad[~is_anom] = -1.0 / n
-    return LossBreakdown(
-        total=float(((1.0 / gap).sum() - s[~is_anom].sum()) / n),
-        anomaly_term=float((1.0 / gap).sum() / n),
-        normal_term=float(-s[~is_anom].sum() / n),
-    ), grad
+    return _two_terms(s, is_anom, (1.0 / gap, 1.0 / gap ** 2), (-s[~is_anom], -1.0))
 
 
 def loss_shift(logits, shift_ids) -> Tuple[float, np.ndarray]:
@@ -261,7 +255,7 @@ def score_ensemble(
     every shifted copy, S_en(x) = E[S(weak(shift(x)))].
     "embeddings": average the embeddings of the weak views per shifted copy
     first, then sum raw-similarity energies over shifts (the evaluation
-    recipe of the reference pseudocode; no temperature).
+    recipe of the reference pseudocode; no temperature, so ``tau`` = 1).
     """
     if mode not in ENSEMBLE_MODES:
         raise ValidationError(f"unknown ensemble mode {mode!r}")
@@ -286,6 +280,6 @@ def score_ensemble(
             rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
             zbar += enc.embed(params, rows)
         zbar /= n_samples
-        per_shift = logsumexp_rows_inplace(zbar @ P.T).reshape(k_s, n)
+        per_shift = _energy(zbar, P, 1.0)[0].reshape(k_s, n)
         out = per_shift.sum(axis=0)
     return float(out[0]) if single else out

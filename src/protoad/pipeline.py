@@ -5,25 +5,30 @@ ensembled test scoring from a single RunConfig and returns plain dicts ready
 for JSON serialization. Ablation rows and prototype sweeps share one
 prepared context (identical splits and pretrained encoder) so comparisons
 are seed-paired.
+
+``pretrain_stage`` and ``finetune_stage`` are the one wiring of the two
+training stages, for these drivers and for the ``pretrain`` and
+``finetune`` commands alike; ``stage_augs`` is the one place that derives
+the augmentations and the shift family from a RunConfig.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import encoder as enc
 from . import objective as obj
-from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .config import RunConfig
-from .data import Pool, ScenarioSplit, build_scenario, generate
+from .data import Dataset, Pool, ScenarioSplit, build_scenario, generate
 from .evalharness import (RunResult, auroc, evaluate_scores, finetune_loop,
                           prototype_inputs, reference_embeddings, split_hash,
                           test_auroc_probe)
 from .pretrain import PretrainResult, pretrain_loop
+from .prototypes import PrototypeSet
 
 _AUX_ID_OFFSET = 10_000_000
 _OUT_ID_OFFSET = 20_000_000
@@ -50,15 +55,36 @@ def build_splits(rc: RunConfig) -> ScenarioSplit:
                           aux_pool=aux_pool, outlier_pool=outlier_pool)
 
 
+def stage_augs(rc: RunConfig, train: Dataset):
+    """The weak and strong augmentations, scaled to ``train``, and the shift family."""
+    weak, strong = rc.resolve_augs(train.features)
+    return weak, strong, rc.shift_family()
+
+
+def pretrain_stage(rc: RunConfig, train: Dataset) -> PretrainResult:
+    """Contrastive pre-training of ``rc``'s initial encoder on ``train``."""
+    weak, _, shifts = stage_augs(rc, train)
+    return pretrain_loop(train, rc.initial_params(), weak, shifts, rc.pretrain_config())
+
+
+def finetune_stage(rc: RunConfig, params: enc.EncoderParams,
+                   protos: Optional[PrototypeSet], train: Dataset, validation: Dataset,
+                   eval_probe: Optional[Callable[..., float]] = None) -> RunResult:
+    """Energy fine-tuning of ``params`` under ``rc``; with ``protos=None`` the
+    prototypes are fit on the training embeddings first (a pre-train checkpoint)."""
+    weak, strong, shifts = stage_augs(rc, train)
+    if protos is None:
+        protos = rc.fit_prototypes(prototype_inputs(params, train, shifts))
+    return finetune_loop(params, protos, train, validation, weak, strong, shifts,
+                         rc.finetune_config(), eval_probe=eval_probe)
+
+
 @dataclass
 class PipelineContext:
     """Everything shared between fine-tuning variants of one run."""
 
     rc: RunConfig
     split: ScenarioSplit
-    weak: WeakAugConfig
-    strong: StrongAugConfig
-    shifts: ShiftFamily
     pretrained: PretrainResult
     cluster_embeddings: np.ndarray
     split_digest: str
@@ -72,14 +98,9 @@ def prepare(rc: RunConfig, split: Optional[ScenarioSplit] = None) -> PipelineCon
     rc = rc.validated()
     if split is None:
         split = build_splits(rc)
-    weak, strong = rc.resolve_augs(split.train.features)
-    shifts = rc.shift_family()
-    pre = pretrain_loop(split.train, rc.initial_params(), weak, shifts,
-                        rc.pretrain_config())
-    emb = prototype_inputs(pre.params, split.train, shifts)
-    return PipelineContext(rc=rc, split=split, weak=weak, strong=strong,
-                           shifts=shifts, pretrained=pre,
-                           cluster_embeddings=emb,
+    pre = pretrain_stage(rc, split.train)
+    emb = prototype_inputs(pre.params, split.train, stage_augs(rc, split.train)[2])
+    return PipelineContext(rc=rc, split=split, pretrained=pre, cluster_embeddings=emb,
                            split_digest=split_hash(split.train, split.validation,
                                                    split.test))
 
@@ -108,32 +129,25 @@ def finetune_and_eval(
     prototype count cannot guarantee positive energy scores the loss runs in
     permissive mode, mirroring how an unguarded implementation behaves.
     """
-    rc = ctx.rc
-    loss_name = loss_name or rc.loss_name
-    score_name = score_name or rc.score_name
-    k = n_prototypes if n_prototypes is not None else rc.n_prototypes
-    tau = rc.effective_score_tau
-
-    protos = rc.fit_prototypes(ctx.cluster_embeddings, k)
-    strict = rc.strict_scores and math.log(k) > 1.0 / tau
-    ft_cfg = dataclasses.replace(rc.finetune_config(), loss_name=loss_name,
-                                 strict_scores=strict)
-    probe = test_auroc_probe(ctx.split.test, tau)
-
-    outcome = finetune_loop(ctx.pretrained.params, protos, ctx.split.train,
-                            ctx.split.validation, ctx.weak, ctx.strong,
-                            ctx.shifts, ft_cfg, eval_probe=probe)
-
-    scores = evaluate_scores(score_name, outcome.best_params,
-                             outcome.best_prototypes, ctx.split.test, ctx.split.train,
-                             ctx.weak, ctx.shifts, tau, rc.n_ensemble,
+    k = n_prototypes if n_prototypes is not None else ctx.rc.n_prototypes
+    tau = ctx.rc.effective_score_tau
+    rc = ctx.rc.replace(loss_name=loss_name or ctx.rc.loss_name,
+                        score_name=score_name or ctx.rc.score_name,
+                        strict_scores=ctx.rc.strict_scores and math.log(k) > 1.0 / tau)
+    train, test = ctx.split.train, ctx.split.test
+    outcome = finetune_stage(rc, ctx.pretrained.params,
+                             rc.fit_prototypes(ctx.cluster_embeddings, k), train,
+                             ctx.split.validation, eval_probe=test_auroc_probe(test, tau))
+    weak, _, shifts = stage_augs(rc, train)
+    scores = evaluate_scores(rc.score_name, outcome.best_params, outcome.best_prototypes,
+                             test, train, weak, shifts, tau, rc.n_ensemble,
                              rc.score_rng(), ensemble_mode=rc.ensemble_mode)
-    final = auroc(scores, ctx.split.test.eval_normal_labels())
+    final = auroc(scores, test.eval_normal_labels())
     report = {
-        "loss_name": loss_name,
-        "score_name": score_name,
+        "loss_name": rc.loss_name,
+        "score_name": rc.score_name,
         "n_prototypes": k,
-        "strict_scores": strict,
+        "strict_scores": rc.strict_scores,
         "split_hash": ctx.split_digest,
         "best_checkpoint_epoch": outcome.best_checkpoint_epoch,
         "final_auroc": final,

@@ -4,12 +4,15 @@ It also derives per-layer metrics from which span sits under which: the
 training loops' ``*.self_s``, the probe time and
 ``prototype_inputs.useful_ratio`` all read span parents.
 """
+import contextlib
 import importlib.util
+import io
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
-from protoad import pipeline
+from protoad import cli, pipeline
 from protoad.config import preset
 from protoad.evalharness import clustering_pool
 
@@ -77,6 +80,29 @@ def test_training_spans_sit_directly_under_their_loop(monkeypatch):
     siblings = under["pretrain.pretrain_loop"]
     for i in losses:
         assert spans[siblings[siblings.index(i) - 1]][NAME] == "encoder.forward"
+
+
+def test_score_cli_direct_calls_run_on_a_cli_checkpoint(monkeypatch, tmp_path):
+    # The workload's pretrain_auroc hands pipeline.pretrain_uniformity_baseline
+    # a duck-typed context: only split.train, split.test and pretrained.params.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  PERFBENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "perfbench_workloads", workloads)
+    spec.loader.exec_module(workloads)
+    monkeypatch.delenv(cli.ENV_SEED, raising=False)
+    prefix, pre_ckpt, ckpt = (str(tmp_path / name)
+                              for name in ("data", "pretrain.ckpt", "finetune.ckpt"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["gen-data", "--preset", "smoke", "--out", prefix],
+                     ["pretrain", "--preset", "smoke", "--data", prefix, "--out", pre_ckpt],
+                     ["finetune", "--checkpoint", pre_ckpt, "--data", prefix,
+                      "--out", ckpt]):
+            assert cli.main(argv) == 0, argv[0]
+    state = SimpleNamespace(workdir=str(tmp_path), prefix=prefix, pre_ckpt=pre_ckpt,
+                            ckpt=ckpt)
+    assert 0.0 <= workloads.ScoreCliWorkload.pretrain_auroc(state) <= 1.0
+    assert workloads.ScoreCliWorkload().save_probe(state) == []
 
 
 class _OneCall:

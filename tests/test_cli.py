@@ -51,6 +51,16 @@ def test_resolve_config_env_seed_only_without_flag(monkeypatch):
     assert cli.resolve_config(_args("--preset", "smoke", "--seed", "4")).seed == 4
 
 
+def test_resolve_config_non_integer_env_seed_exits_with_validation_code(monkeypatch,
+                                                                       tmp_path):
+    monkeypatch.setenv(cli.ENV_SEED, "abc")
+    with pytest.raises(ConfigError, match="PROTOAD_SEED must be an integer, got 'abc'"):
+        cli.resolve_config(_args("--preset", "smoke"))
+    code, err = _main(["gen-data", "--preset", "smoke", "--out", str(tmp_path / "data")])
+    assert code == 3 and "PROTOAD_SEED" in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_resolve_config_unknown_key_raises():
     with pytest.raises(ConfigError, match="nope"):
         cli.resolve_config(_args("--set", "nope=1"))
@@ -202,6 +212,21 @@ def test_malformed_scores_line_exits_with_validation_code(tmp_path, line):
     assert code == 3 and "bad scores line 2" in err, err
 
 
+@pytest.mark.parametrize("lines, needle", [
+    (b'{"id": 0, "score": 0.25}\n{"id": 1, "score": 0.5}\n{"id": 0, "score": 5.0}\n',
+     "scores file repeats id 0 (line 3)"),
+    (b'{"id": 0, "score": 0.25}\n{"id": 999999, "score": 0.5}\n{"id": 1, "score": 0.5}\n',
+     "scores file has ids not in the dataset (first: [999999])"),
+], ids=["repeated_id", "unknown_id"])
+def test_ambiguous_scores_file_exits_with_validation_code(tmp_path, lines, needle):
+    data = tmp_path / "two.ds"
+    write_dataset(data, Dataset(np.zeros((2, 3)), [0, 0], [0, 1], [0, 1]))
+    scores = tmp_path / "s.jsonl"
+    scores.write_bytes(lines)
+    code, err = _main(["eval", "--scores", str(scores), "--input", str(data)])
+    assert code == 3 and needle in err, err
+
+
 @pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
                                   "entry_without_shape", "negative_shape",
                                   "epoch_not_int", "meta_not_object", "config_not_object"])
@@ -254,6 +279,20 @@ def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
                        "--out", str(tmp_path / "data")])
     assert code == 3 and needle in err, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pair, stage", [
+    ("pretrain_lr=-1", "pretrain"), ("pretrain_batch=1", "pretrain"),
+    ("pretrain_momentum=1.0", "pretrain"), ("finetune_lr=0", "finetune"),
+    ("finetune_epochs=-1", "finetune"), ("weak_mask_fraction=0.7", "augmentation"),
+    ("strong_noise_multiple=2.0", "augmentation"), ("strong_n_ops=-1", "augmentation"),
+    ("hidden_dim=0", "encoder"),
+])
+def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair, stage):
+    code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
+                       "--out", str(tmp_path / "data")])
+    assert code == 3 and f"{stage} stage: " in err, err
     assert not list(tmp_path.iterdir())
 
 

@@ -137,6 +137,19 @@ def test_energy_score_grad_matches_two_pass_oracle_bit_for_bit():
         assert np.array_equal(dE, softmax_rows(logits) @ P / tau)
 
 
+@pytest.mark.parametrize("score", [obj.energy_score,
+                                   lambda E, P, tau: obj.energy_score_grad(E, P, tau)[0]],
+                         ids=["energy_score", "energy_score_grad"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_energy_raises_on_both_paths(score):
+    # At tau=1e-320 the logits overflow to +-inf, so no score is finite.
+    E = _unit_rows(5, 4, seed=1)
+    P = _unit_rows(3, 4, seed=2)
+    with pytest.raises(NumericError, match="non-finite energy score"):
+        score(E, P, 1e-320)
+
+
 # ------------------------------------------------------------- loss_elsa
 
 C100 = obj.c_constant(100, 0.5)
