@@ -36,10 +36,6 @@ class WeakAugConfig:
         if not (0.0 < lo <= hi < 2.0):
             raise ValidationError("scale_jitter must satisfy 0 < lo <= hi < 2")
 
-    @classmethod
-    def identity(cls) -> "WeakAugConfig":
-        return cls(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
-
 
 # The strong transforms, and the factor ranges of "scale" (shrink or blow up).
 _STRONG_TRANSFORMS = ("permute", "signflip", "noise", "scale")

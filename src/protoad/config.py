@@ -214,10 +214,9 @@ class RunConfig:
         """Encoder weights before pre-training."""
         return enc.init(self.seed + 2, self.encoder_dims())
 
-    def fit_prototypes(self, embeddings, k: Optional[int] = None) -> proto.PrototypeSet:
-        """Spherical k-means prototypes; ``k`` defaults to ``n_prototypes``."""
-        return proto.fit(embeddings, self.n_prototypes if k is None else k,
-                         seed=self.seed + 4)
+    def fit_prototypes(self, embeddings) -> proto.PrototypeSet:
+        """The initial ``n_prototypes`` spherical k-means prototypes."""
+        return proto.fit(embeddings, self.n_prototypes, seed=self.seed + 4)
 
     def score_rng(self) -> np.random.Generator:
         """The random stream of ensembled test-time scoring."""

@@ -147,6 +147,12 @@ class Dataset:
         return (self._true_class == 0).astype(np.int64)
 
 
+def clustering_pool(dataset: Dataset) -> np.ndarray:
+    """Row indices of everything not labeled anomalous: the rows that pre-train
+    the encoder, fit the prototypes and form the uniformity reference set."""
+    return np.flatnonzero(dataset.semi != LABELED_ANOMALY)
+
+
 def _component_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     """Component means, normal subclusters first, drawn from ``rng``.
 
@@ -408,7 +414,7 @@ def read_framed(path, label: str, version_key: str, version: int,
         payload = fh.read()
     try:
         header = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:     # not JSON, or not UTF-8 text
         raise ValidationError(f"bad {label}: {exc}") from exc
     if not isinstance(header, dict):
         raise ValidationError(f"bad {label}: not a JSON object")

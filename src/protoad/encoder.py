@@ -6,7 +6,8 @@ pre-normalization feature. Gradients are hand-derived; ``backward`` takes
 upstream gradients w.r.t. embeddings and/or head logits and
 returns parameter gradients, so every loss in this package backpropagates
 through the same code path (including the normalization Jacobian
-(I - u u^T) / ||v||).
+(I - u u^T) / ||v||). Every entry point takes a 2-D batch, one sample per
+row.
 
 Parameters live in one float64 buffer, ``EncoderParams.flat``: the fields
 in ``FIELDS`` order, each row-major, every field a reshaped view of it. So
@@ -65,11 +66,6 @@ class EncoderParams:
     def __reduce__(self):
         # Pickled views would come back as separate arrays, detached from flat.
         return EncoderParams, tuple(getattr(self, f) for f in self.FIELDS)
-
-    @property
-    def dims(self) -> EncoderDims:
-        return EncoderDims(input=self.w1.shape[1], hidden=self.w1.shape[0],
-                           embed=self.w3.shape[0], shifts=self.wh.shape[0])
 
     def copy(self) -> "EncoderParams":
         return self._on(self.flat.copy())
@@ -157,24 +153,18 @@ def forward(params: EncoderParams, X) -> ForwardCache:
 
 
 def embed(params: EncoderParams, X) -> np.ndarray:
-    """Unit-norm embeddings for a batch (or a single vector)."""
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    out = forward(params, X[None, :] if single else X).embed
-    return out[0] if single else out
-
-
-def shift_logits(params: EncoderParams, X) -> np.ndarray:
-    """Shift-classification logits from the pre-normalization feature."""
-    X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    cache = forward(params, X[None, :] if single else X)
-    logits = cache.feature @ params.wh.T + params.bh
-    return logits[0] if single else logits
+    """Unit-norm embeddings of a batch."""
+    return forward(params, X).embed
 
 
 def head_logits(params: EncoderParams, cache: ForwardCache) -> np.ndarray:
+    """Shift-classification logits from the cached pre-normalization feature."""
     return cache.feature @ params.wh.T + params.bh
+
+
+def shift_logits(params: EncoderParams, X) -> np.ndarray:
+    """Shift-classification logits of a batch."""
+    return head_logits(params, forward(params, X))
 
 
 def backward(

@@ -21,7 +21,7 @@ from . import encoder as enc
 from . import objective as obj
 from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch
-from .data import LABELED_ANOMALY, Dataset, ValidationError
+from .data import Dataset, ValidationError, clustering_pool
 from .mathcore import as_f64
 from .pretrain import train_epoch, two_views
 
@@ -136,11 +136,6 @@ class RunResult:
             raise ValidationError("best epoch must appear in the trace")
 
 
-def clustering_pool(dataset: Dataset) -> np.ndarray:
-    """Row indices eligible for prototype fitting: everything not labeled anomalous."""
-    return np.flatnonzero(dataset.semi != LABELED_ANOMALY)
-
-
 def prototype_inputs(params: enc.EncoderParams, dataset: Dataset,
                      shifts: ShiftFamily) -> np.ndarray:
     """Embeddings the prototypes are fit on.
@@ -167,13 +162,16 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     is expanded into two weak views, ``shift(weak(x))`` over all shifting
     transforms; semi-labels repeat across the expansion. Prototypes
     are refit from the current (non-anomalous) embeddings every
-    ``refresh_period`` epochs; the training set is embedded only on the
+    ``refresh_period`` epochs of this run; the training set is embedded only on the
     epochs that refit. The early-stop score is recorded each
     epoch and the best-scoring snapshot is returned. ``eval_probe(params,
     protos)``, when given, only logs a per-epoch test metric; it never
     influences training or model selection.
     """
     params = params.copy()
+    # This run's epochs count from 1, so a set fitted by an earlier run
+    # counts as fitted at epoch 0 of this one.
+    protos = dataclasses.replace(protos, last_refresh_epoch=0)
     C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()

@@ -14,6 +14,9 @@ test probe do too. ``_two_terms`` is the one loss body: every loss is a
 term over labeled anomalies plus a term over the rest, and ``loss_elsa``,
 ``loss_naive`` and ``loss_deepsad`` keep only their per-group values and
 their own domain checks.
+
+Every score takes a 2-D batch, one sample per row, and returns one float64
+score per row; a single sample is a batch of one.
 """
 from __future__ import annotations
 
@@ -54,13 +57,6 @@ class LossBreakdown:
     shift_term: float = 0.0
 
 
-def _rows(e) -> Tuple[np.ndarray, bool]:
-    arr = as_f64(e, "embedding")
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
-
-
 def _energy(E: np.ndarray, P: np.ndarray, tau: float
             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(scores, w, z)``: ``w`` the max-shifted exp of ``E @ P.T / tau``, ``z`` its
@@ -79,11 +75,9 @@ def _energy(E: np.ndarray, P: np.ndarray, tau: float
     return scores, w, z
 
 
-def energy_score(e, prototypes: np.ndarray, tau: float) -> np.ndarray | float:
-    """Normality score S = logsumexp_p(sim(e, p)/tau); higher = more normal."""
-    E, single = _rows(e)
-    s = _energy(E, as_f64(prototypes, "prototypes"), tau)[0]
-    return float(s[0]) if single else s
+def energy_score(E: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
+    """Normality score S = logsumexp_p(sim(e, p)/tau) per row; higher = more normal."""
+    return _energy(as_f64(E, "embeddings"), as_f64(prototypes, "prototypes"), tau)[0]
 
 
 def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
@@ -97,22 +91,20 @@ def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
     return scores, grad
 
 
-def score_cosine(e, prototypes: np.ndarray) -> np.ndarray | float:
-    """Similarity to the nearest prototype; no temperature."""
-    E, single = _rows(e)
+def score_cosine(E: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
+    """Similarity of each row to its nearest prototype; no temperature."""
     P = as_f64(prototypes, "prototypes")
     if len(P) == 0:
         raise ValidationError("prototype set is empty")
-    s = np.max(E @ P.T, axis=1)
-    return float(s[0]) if single else s
+    return np.max(as_f64(E, "embeddings") @ P.T, axis=1)
 
 
 # Similarities per row block of ``score_uniformity``: 2**18 float64, 2 MB.
 _UNIFORMITY_BLOCK = 1 << 18
 
 
-def score_uniformity(e, reference: np.ndarray) -> np.ndarray | float:
-    """log sum_{r in reference} exp(sim(e, r)); the contrastive-objective score.
+def score_uniformity(E: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """log sum_{r in reference} exp(sim(e, r)) per row; the contrastive-objective score.
 
     The caller must exclude ``e`` itself from the reference set when present.
     Memory: query rows are scored in blocks of
@@ -121,17 +113,14 @@ def score_uniformity(e, reference: np.ndarray) -> np.ndarray | float:
     larger) and are reduced in place, so the working memory stays one block
     however many rows are scored.
     """
-    E, single = _rows(e)
-    R = as_f64(reference, "reference")
-    if R.ndim == 1:
-        R = R[None, :]
+    E, R = as_f64(E, "embeddings"), as_f64(reference, "reference")
     if len(R) == 0:
         raise ValidationError("empty reference")
     step = max(1, _UNIFORMITY_BLOCK // len(R))
     s = np.empty(len(E))
     for start in range(0, len(E), step):
         s[start:start + step] = logsumexp_rows_inplace(E[start:start + step] @ R.T)
-    return float(s[0]) if single else s
+    return s
 
 
 def uniformity_scores_self(E: np.ndarray) -> np.ndarray:
@@ -261,8 +250,7 @@ def score_ensemble(
         raise ValidationError(f"unknown ensemble mode {mode!r}")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    X, single = _rows(X)
-    P = as_f64(prototypes, "prototypes")
+    X, P = as_f64(X, "input"), as_f64(prototypes, "prototypes")
     n = len(X)
     k_s = shifts.count
 
@@ -273,13 +261,10 @@ def score_ensemble(
             for _ in range(n_samples):
                 emb = enc.embed(params, weak_batch(shifted, weak_cfg, rng))
                 acc += energy_score(emb, P, tau)
-        out = acc / (k_s * n_samples)
-    else:
-        zbar = np.zeros((k_s * n, P.shape[1]))
-        for _ in range(n_samples):
-            rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
-            zbar += enc.embed(params, rows)
-        zbar /= n_samples
-        per_shift = _energy(zbar, P, 1.0)[0].reshape(k_s, n)
-        out = per_shift.sum(axis=0)
-    return float(out[0]) if single else out
+        return acc / (k_s * n_samples)
+    zbar = np.zeros((k_s * n, P.shape[1]))
+    for _ in range(n_samples):
+        rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
+        zbar += enc.embed(params, rows)
+    zbar /= n_samples
+    return _energy(zbar, P, 1.0)[0].reshape(k_s, n).sum(axis=0)

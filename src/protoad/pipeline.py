@@ -9,7 +9,10 @@ are seed-paired.
 ``pretrain_stage`` and ``finetune_stage`` are the one wiring of the two
 training stages, for these drivers and for the ``pretrain`` and
 ``finetune`` commands alike; ``stage_augs`` is the one place that derives
-the augmentations and the shift family from a RunConfig.
+the augmentations and the shift family from a RunConfig. ``finetune_stage``
+with ``protos=None`` is the one place that fits the initial prototypes, on
+the embeddings of the clustering pool; a prototype-count override reaches
+it as ``n_prototypes`` in the RunConfig.
 """
 from __future__ import annotations
 
@@ -86,21 +89,16 @@ class PipelineContext:
     rc: RunConfig
     split: ScenarioSplit
     pretrained: PretrainResult
-    cluster_embeddings: np.ndarray
     split_digest: str
 
 
 def prepare(rc: RunConfig, split: Optional[ScenarioSplit] = None) -> PipelineContext:
-    """Pretrain the encoder and embed the clustering pool.
-
-    The split is generated from ``rc`` unless the caller brings its own.
-    """
+    """Pretrain the encoder; the split is generated from ``rc`` unless the
+    caller brings its own."""
     rc = rc.validated()
     if split is None:
         split = build_splits(rc)
-    pre = pretrain_stage(rc, split.train)
-    emb = prototype_inputs(pre.params, split.train, stage_augs(rc, split.train)[2])
-    return PipelineContext(rc=rc, split=split, pretrained=pre, cluster_embeddings=emb,
+    return PipelineContext(rc=rc, split=split, pretrained=pretrain_stage(rc, split.train),
                            split_digest=split_hash(split.train, split.validation,
                                                    split.test))
 
@@ -132,12 +130,11 @@ def finetune_and_eval(
     k = n_prototypes if n_prototypes is not None else ctx.rc.n_prototypes
     tau = ctx.rc.effective_score_tau
     rc = ctx.rc.replace(loss_name=loss_name or ctx.rc.loss_name,
-                        score_name=score_name or ctx.rc.score_name,
+                        score_name=score_name or ctx.rc.score_name, n_prototypes=k,
                         strict_scores=ctx.rc.strict_scores and math.log(k) > 1.0 / tau)
     train, test = ctx.split.train, ctx.split.test
-    outcome = finetune_stage(rc, ctx.pretrained.params,
-                             rc.fit_prototypes(ctx.cluster_embeddings, k), train,
-                             ctx.split.validation, eval_probe=test_auroc_probe(test, tau))
+    outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
+                             eval_probe=test_auroc_probe(test, tau))
     weak, _, shifts = stage_augs(rc, train)
     scores = evaluate_scores(rc.score_name, outcome.best_params, outcome.best_prototypes,
                              test, train, weak, shifts, tau, rc.n_ensemble,

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
-from .data import LABELED_ANOMALY, Dataset, ValidationError
+from .data import Dataset, ValidationError, clustering_pool
 from .mathcore import NumericError, as_f64
 from .objective import loss_shift, uniformity_scores_self
 
@@ -225,7 +225,7 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
     if len(dataset) == 0:
         raise ValidationError("empty dataset")
     params = params.copy()
-    keep = np.flatnonzero(dataset.semi != LABELED_ANOMALY)
+    keep = clustering_pool(dataset)
     if len(keep) < 2:
         raise ValidationError("need at least 2 non-anomalous samples")
     feats = dataset.features[keep]

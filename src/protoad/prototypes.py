@@ -153,11 +153,6 @@ def fit(
                         objective_trace=trace)
 
 
-def assign(embeddings: np.ndarray, protos: PrototypeSet) -> np.ndarray:
-    """Nearest-prototype index per row under cosine similarity."""
-    return np.argmax(as_f64(embeddings) @ protos.vectors.T, axis=1)
-
-
 def refresh(
     state: PrototypeSet,
     embeddings: np.ndarray,

@@ -33,14 +33,12 @@ def spearman(xs, ys) -> float:
     return pearson(_average_ranks(as_f64(xs)), _average_ranks(as_f64(ys)))
 
 
-def prototype_posterior(e, prototypes, tau: float) -> np.ndarray:
-    """softmax_p(sim(e, p)/tau): the pseudo-label distribution over prototypes."""
-    E = as_f64(e, "embedding")
+def prototype_posterior(E, prototypes, tau: float) -> np.ndarray:
+    """softmax_p(sim(e, p)/tau) per row: the pseudo-label distribution over prototypes."""
     P = as_f64(prototypes, "prototypes")
     if len(P) == 0:
         raise ValidationError("prototype set is empty")
-    probs = softmax_rows((np.atleast_2d(E) @ P.T) / tau)
-    return probs[0] if E.ndim == 1 else probs
+    return softmax_rows((as_f64(E, "embeddings") @ P.T) / tau)
 
 
 def generate_by_vstack(spec: SyntheticSpec) -> Pool:

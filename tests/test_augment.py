@@ -13,7 +13,7 @@ from oracles import weak_batch_by_copy
 
 def test_weak_identity_configuration():
     x = np.array([1.0, -2.0, 3.0, 0.5])
-    cfg = WeakAugConfig.identity()
+    cfg = WeakAugConfig(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
     out = weak_batch(x[None, :], cfg, np.random.default_rng(0))
     assert np.array_equal(out, x[None, :])
 

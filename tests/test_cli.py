@@ -185,7 +185,8 @@ def _dataset_file(tmp_path, header: bytes):
 
 @pytest.mark.parametrize("header", [b"[1]", b'{"version": 1}', b'{"version": 1, "dim": 3}',
                                     b'{"version": 1, "dim": "3", "count": 2}',
-                                    b'{"version": 1, "dim": -4, "count": 2}'])
+                                    b'{"version": 1, "dim": -4, "count": 2}',
+                                    b"\xff\xfe garbage"])
 def test_malformed_dataset_header_exits_with_validation_code(tmp_path, header):
     path = _dataset_file(tmp_path, header)
     out = str(tmp_path / "s.jsonl")
@@ -229,7 +230,8 @@ def test_ambiguous_scores_file_exits_with_validation_code(tmp_path, lines, needl
 
 @pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
                                   "entry_without_shape", "negative_shape",
-                                  "epoch_not_int", "meta_not_object", "config_not_object"])
+                                  "epoch_not_int", "meta_not_object", "config_not_object",
+                                  "not_utf8"])
 def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit):
     _checkpoint(tmp_path)
     manifest_line, _, payload = (tmp_path / "init.ckpt").read_bytes().partition(b"\n")
@@ -250,8 +252,9 @@ def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit
         manifest["prototype_meta"] = [1]
     else:
         manifest["config"] = 5
+    line = b"\xff\xfe garbage" if edit == "not_utf8" else json.dumps(manifest).encode()
     path = tmp_path / "bad.ckpt"
-    path.write_bytes(json.dumps(manifest).encode() + b"\n" + payload)
+    path.write_bytes(line + b"\n" + payload)
     data = _dataset_file(tmp_path, b'{"version": 1, "dim": 3, "count": 2}')
     code, err = _main(["score", "--checkpoint", str(path), "--input", data,
                        "--out", str(tmp_path / "s.jsonl")])
@@ -339,3 +342,26 @@ def test_uniformity_score_without_training_set_exits_with_validation_code(
     assert code == 3
     assert "uniformity scoring needs a training set" in err
     assert not (tmp_path / "scores.jsonl").exists()
+
+
+# ----------------------------------------------------------- resumed runs
+
+def test_resumed_finetune_refreshes_from_its_own_first_epoch(tmp_path):
+    # ELSA refits its prototypes every epoch. A fine-tuned checkpoint keeps
+    # the epoch of its last refit, but a run started from it counts its own
+    # epochs from 1, so it must refit at every one of them.
+    data, pre, first, second = (str(tmp_path / n) for n in ("data", "pre.ckpt",
+                                                             "ft1.ckpt", "ft2.ckpt"))
+    for argv in (["gen-data", "--preset", "smoke", "--mode", "elsa",
+                  "--finetune-epochs", "6", "--out", data],
+                 ["pretrain", "--config", f"{data}.config.json", "--data", data,
+                  "--out", pre],
+                 ["finetune", "--checkpoint", pre, "--data", data, "--out", first],
+                 ["finetune", "--checkpoint", first, "--data", data, "--out", second]):
+        code, err = _main(argv)
+        assert code == 0, (argv[0], err)
+    assert load_checkpoint(first).prototypes.last_refresh_epoch > 0
+    with open(f"{second}.metrics.jsonl", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh]
+    assert [r["epoch"] for r in records] == list(range(7))
+    assert all(r["prototype_refresh_flag"] for r in records[1:])

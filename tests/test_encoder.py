@@ -6,8 +6,10 @@ import pytest
 from protoad import encoder as enc
 from protoad.augment import ShiftFamily
 from protoad.data import ValidationError
-from protoad.mathcore import NumericError, grad_check
+from protoad.mathcore import NumericError
 from protoad.objective import loss_shift
+
+from gradcheck import grad_check
 
 DIMS = enc.EncoderDims(input=6, hidden=10, embed=5, shifts=4)
 
@@ -27,12 +29,12 @@ def test_embed_zero_network_is_degenerate():
     params = _params()
     zero = params.from_vector(np.zeros(params.to_vector().size))
     with pytest.raises(NumericError, match="degenerate vector"):
-        enc.embed(zero, np.ones(DIMS.input))
+        enc.embed(zero, np.ones((1, DIMS.input)))
 
 
 def test_embed_bitwise_stable():
     params = _params()
-    x = np.linspace(-1, 1, DIMS.input)
+    x = np.linspace(-1, 1, DIMS.input)[None, :]
     a = enc.embed(params, x)
     b = enc.embed(params, x)
     assert np.array_equal(a, b)
@@ -40,15 +42,15 @@ def test_embed_bitwise_stable():
 
 def test_embed_dimension_mismatch():
     with pytest.raises(ValidationError):
-        enc.embed(_params(), np.zeros(DIMS.input + 1))
+        enc.embed(_params(), np.zeros((1, DIMS.input + 1)))
 
 
 def test_shift_logits_zero_head_uniform():
     params = _params()
     params.wh[:] = 0.0
     params.bh[:] = 0.0
-    logits = enc.shift_logits(params, np.ones(DIMS.input))
-    assert np.array_equal(logits, np.zeros(DIMS.shifts))
+    logits = enc.shift_logits(params, np.ones((3, DIMS.input)))
+    assert np.array_equal(logits, np.zeros((3, DIMS.shifts)))
 
 
 def test_init_deterministic_and_seed_sensitive():

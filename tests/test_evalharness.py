@@ -9,9 +9,8 @@ from protoad.augment import (ShiftFamily, StrongAugConfig, WeakAugConfig,
 from protoad.config import preset
 from protoad.data import Dataset, ValidationError
 from protoad.evalharness import auroc, earlystop_score
-from protoad.mathcore import logsumexp_rows
 
-from oracles import spearman
+from oracles import logsumexp_rows_by_copy, spearman
 
 
 def _pairwise_auroc(scores, labels):
@@ -60,7 +59,7 @@ def _earlystop_oracle(params, protos, validation, weak_cfg, strong_cfg, shifts, 
 
     def per_view(rows):
         emb = enc.embed(params, shifts.expand(rows)[0])
-        per_shift = logsumexp_rows(emb @ protos.vectors.T)
+        per_shift = logsumexp_rows_by_copy(emb @ protos.vectors.T)
         return per_shift.reshape(shifts.count, len(rows)).sum(axis=0)
 
     scores = np.concatenate([per_view(view_a), per_view(view_b)])

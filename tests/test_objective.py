@@ -8,20 +8,23 @@ from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.augment import ShiftFamily, WeakAugConfig
 from protoad.data import ValidationError
-from protoad.mathcore import (NumericError, grad_check, l2_normalize,
-                              logsumexp_rows, softmax_rows)
+from protoad.mathcore import NumericError, softmax_rows
 
+from gradcheck import grad_check
 from oracles import (energy_score_by_copy, energy_score_grad_two_pass,
-                     loss_shift_by_copy, prototype_posterior,
+                     logsumexp_rows_by_copy, loss_shift_by_copy, prototype_posterior,
                      score_ensemble_by_copy, spearman)
 
 
 def _unit(v):
-    return l2_normalize(np.asarray(v, dtype=float))
+    """One unit row: a batch of one sample."""
+    v = np.asarray(v, dtype=float)
+    return (v / np.linalg.norm(v))[None, :]
 
 
 def _protos_with_sims(sims, dim=8, seed=0):
-    """Prototypes realizing the given cosine similarities against a fixed e."""
+    """Prototypes realizing the given cosine similarities against a fixed e,
+    returned as a batch of one row."""
     rng = np.random.default_rng(seed)
     e = np.zeros(dim)
     e[0] = 1.0
@@ -31,7 +34,7 @@ def _protos_with_sims(sims, dim=8, seed=0):
         orth[0] = 0.0
         orth = orth / np.linalg.norm(orth)
         rows.append(s * e + math.sqrt(1.0 - s * s) * orth)
-    return e, np.stack(rows)
+    return e[None, :], np.stack(rows)
 
 
 # ------------------------------------------------------------- posterior
@@ -46,7 +49,7 @@ def test_posterior_uniform_when_sims_equal():
 def test_posterior_low_temperature_one_hot():
     e, P = _protos_with_sims([0.9, -0.2, 0.5])
     p = prototype_posterior(e, P, tau=1e-4)
-    assert abs(p[0] - 1.0) < 1e-6
+    assert abs(p[0, 0] - 1.0) < 1e-6
 
 
 def test_posterior_oracle_values():
@@ -59,8 +62,7 @@ def test_posterior_oracle_values():
 # ---------------------------------------------------------- energy score
 
 def test_energy_single_perfect_prototype():
-    e = _unit([1.0, 0.0])
-    P = e[None, :]
+    P = e = _unit([1.0, 0.0])
     assert obj.energy_score(e, P, tau=0.5) == pytest.approx(2.0, abs=1e-12)
 
 
@@ -133,7 +135,7 @@ def test_energy_score_grad_matches_two_pass_oracle_bit_for_bit():
     for tau in (0.5, 0.07):
         logits = (E @ P.T) / tau
         scores, dE = obj.energy_score_grad(E, P, tau)
-        assert np.array_equal(scores, logsumexp_rows(logits))
+        assert np.array_equal(scores, logsumexp_rows_by_copy(logits))
         assert np.array_equal(dE, softmax_rows(logits) @ P / tau)
 
 
@@ -164,7 +166,8 @@ def test_energy_score_and_grad_equal_copying_oracles_bitwise(n, k, tau):
     P = rng.normal(size=(k, 8))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     assert np.array_equal(obj.energy_score(E, P, tau), energy_score_by_copy(E, P, tau))
-    assert obj.energy_score(E[0], P, tau) == energy_score_by_copy(E[:1], P, tau)[0]
+    assert np.array_equal(obj.energy_score(E[:1], P, tau),
+                          energy_score_by_copy(E[:1], P, tau))
     scores, dE = obj.energy_score_grad(E, P, tau)
     o_scores, o_dE = energy_score_grad_two_pass(E, P, tau)
     assert np.array_equal(scores, o_scores)
@@ -316,13 +319,13 @@ def test_uniformity_blocks_equal_one_shot_oracle(monkeypatch, n_query):
     E, R = _unit_rows(n_query, 5, seed=n_query), _unit_rows(6, 5, seed=99)
     got = obj.score_uniformity(E, R)
     assert got.shape == (n_query,)
-    np.testing.assert_allclose(got, logsumexp_rows(E @ R.T), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got, logsumexp_rows_by_copy(E @ R.T), rtol=1e-12, atol=0)
 
 
 def test_uniformity_reference_above_budget_scores_one_row_per_block(monkeypatch):
     monkeypatch.setattr(obj, "_UNIFORMITY_BLOCK", 24)
     E, R = _unit_rows(7, 5, seed=1), _unit_rows(30, 5, seed=2)
-    np.testing.assert_allclose(obj.score_uniformity(E, R), logsumexp_rows(E @ R.T),
+    np.testing.assert_allclose(obj.score_uniformity(E, R), logsumexp_rows_by_copy(E @ R.T),
                                rtol=1e-12, atol=0)
 
 
@@ -354,7 +357,7 @@ def test_uniformity_self_excludes_diagonal():
     scores = obj.uniformity_scores_self(E)
     for i in range(5):
         ref = np.delete(E, i, axis=0)
-        assert scores[i] == pytest.approx(obj.score_uniformity(E[i], ref),
+        assert scores[i] == pytest.approx(obj.score_uniformity(E[i:i + 1], ref)[0],
                                           abs=1e-12)
 
 
@@ -439,9 +442,9 @@ def test_ensemble_degenerate_equals_plain_energy():
     P = rng.normal(size=(4, 5))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     plain = obj.energy_score(enc.embed(params, X), P, 0.5)
-    ens = obj.score_ensemble(X, params, P, 0.5, WeakAugConfig.identity(),
-                             ShiftFamily.random(6, count=1), 1,
-                             np.random.default_rng(0))
+    identity = WeakAugConfig(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
+    ens = obj.score_ensemble(X, params, P, 0.5, identity, ShiftFamily.random(6, count=1),
+                             1, np.random.default_rng(0))
     assert np.allclose(ens, plain, atol=1e-12)
 
 
