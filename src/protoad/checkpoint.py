@@ -3,8 +3,10 @@
 The header line is the manifest: the format version, the full run
 configuration, the epoch, an optional RNG state, and one section entry
 (name + shape) per weight array; the float32 payload concatenates the
-sections in manifest order. Arrays are widened back to float64 on load, so
-save -> load -> save reproduces the file byte for byte.
+sections in manifest order: the encoder fields, then any prototype vectors,
+which must be as wide as the embedding. Other manifest keys are ignored.
+Arrays are widened back to float64 on load, so save -> load -> save
+reproduces the file byte for byte.
 """
 from __future__ import annotations
 
@@ -31,16 +33,13 @@ def save_checkpoint(path, *, config: dict, epoch: int, params: EncoderParams,
                     prototypes: Optional[PrototypeSet] = None,
                     rng_state: Optional[dict] = None) -> None:
     named = [(f"encoder.{f}", getattr(params, f)) for f in EncoderParams.FIELDS]
-    proto_meta = None
     if prototypes is not None:
         named.append(("prototypes.vectors", prototypes.vectors))
-        proto_meta = {"last_refresh_epoch": int(prototypes.last_refresh_epoch)}
     manifest = {
         "format_version": FORMAT_VERSION,
         "config": config,
         "epoch": int(epoch),
         "rng_state": rng_state,
-        "prototype_meta": proto_meta,
         "sections": [{"name": name, "shape": list(arr.shape)} for name, arr in named],
     }
     write_framed(path, manifest, [arr for _, arr in named])
@@ -57,14 +56,14 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = dict(manifest.get("config") or {})
         epoch = int(manifest.get("epoch", 0))
-        meta = manifest.get("prototype_meta") or {}
-        last_refresh_epoch = int(meta.get("last_refresh_epoch", 0))
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad checkpoint manifest: {exc}") from exc
 
     protos = None
     if "prototypes.vectors" in arrays:
-        protos = PrototypeSet(arrays["prototypes.vectors"],
-                              last_refresh_epoch=last_refresh_epoch, norm_tol=1e-5)
+        protos = PrototypeSet(arrays["prototypes.vectors"], norm_tol=1e-5)
+        if protos.vectors.shape[1] != params.w3.shape[0]:
+            raise ValidationError(f"checkpoint prototypes are {protos.vectors.shape[1]} "
+                                  f"wide, embeddings {params.w3.shape[0]}")
     return Checkpoint(config=config, epoch=epoch, rng_state=manifest.get("rng_state"),
                       params=params, prototypes=protos)

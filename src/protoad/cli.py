@@ -252,7 +252,10 @@ def cmd_scenario(args) -> int:
         print(f"grid mean_auroc={report['mean_auroc']:.6f} "
               f"stderr={report['stderr_auroc']:.6f}")
     elif args.sweep_gamma_p:
-        levels = [float(x) for x in args.sweep_gamma_p.split(",")]
+        try:
+            levels = [float(x) for x in args.sweep_gamma_p.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--sweep-gamma-p expects numbers; {exc}") from None
         rows = run_pollution_sweep(rc, levels)
         report = {"config": rc.to_dict(), "rows": rows}
         for row in rows:

@@ -147,8 +147,6 @@ class RunConfig:
             out.append(f"ensemble_mode must be one of {ENSEMBLE_MODES}")
         if self.n_ensemble < 1:
             out.append(f"n_ensemble must be >= 1, got {self.n_ensemble}")
-        if self.refresh_period is not None and self.refresh_period < 1:
-            out.append(f"refresh_period must be >= 1, got {self.refresh_period}")
         if out:     # the stages below are built only from otherwise valid values
             return out
         for stage, build in (("data", self.synthetic_spec),

@@ -95,10 +95,6 @@ class Pool:
     def __len__(self) -> int:
         return len(self.features)
 
-    @property
-    def dim(self) -> int:
-        return self.features.shape[1]
-
     def classes(self) -> np.ndarray:
         return np.unique(self.true_class)
 
@@ -462,5 +458,8 @@ def _dataset_layout(header: dict):
 def read_dataset(path) -> Dataset:
     header, arrays = read_framed(path, "dataset header", "version", 1, _dataset_layout)
     rows, dim = arrays["rows"], header["dim"]
-    return Dataset(rows[:, :dim], rows[:, dim].astype(np.int64),
-                   np.arange(len(rows), dtype=np.int64), rows[:, dim + 1].astype(np.int64))
+    labels = rows[:, dim:]
+    if not np.all(np.isfinite(labels) & (labels == np.trunc(labels))):
+        raise ValidationError("dataset semi and class columns must hold integers")
+    return Dataset(rows[:, :dim], labels[:, 0].astype(np.int64),
+                   np.arange(len(rows), dtype=np.int64), labels[:, 1].astype(np.int64))

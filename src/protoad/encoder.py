@@ -42,12 +42,20 @@ class EncoderDims:
 
 
 class EncoderParams:
-    """Mutable parameter bundle for the encoder MLP + shift head, on ``flat``."""
+    """Mutable parameter bundle for the encoder MLP + shift head, on ``flat``.
+
+    The constructor checks that the layer shapes chain.
+    """
 
     FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3", "wh", "bh")
 
     def __init__(self, w1, b1, w2, b2, w3, b3, wh, bh):
         parts = [as_f64(a, f) for f, a in zip(self.FIELDS, (w1, b1, w2, b2, w3, b3, wh, bh))]
+        shapes = [a.shape for a in parts]
+        h, e, s = (parts[k].size for k in (1, 5, 7))    # the bias lengths
+        i = shapes[0][-1] if shapes[0] else 0
+        if shapes != [(h, i), (h,), (h, h), (h,), (e, h), (e,), (s, e), (s,)]:
+            raise ValidationError(f"encoder layer shapes {shapes} do not chain")
         ends = np.cumsum([a.size for a in parts]).tolist()
         layout = tuple((f, slice(end - a.size, end), a.shape)
                        for f, a, end in zip(self.FIELDS, parts, ends))

@@ -100,7 +100,7 @@ class FinetuneConfig:
     lr: float = 1e-4
     tau: float = 0.5
     loss_name: str = "elsa"
-    refresh_period: Optional[int] = 1
+    refresh_period: int = 1
     c_mode: str = "canonical"
     strict_scores: bool = True
     seed: int = 0
@@ -112,6 +112,8 @@ class FinetuneConfig:
             raise ValidationError("tau must be positive")
         if self.loss_name not in obj.LOSSES:
             raise ValidationError(f"unknown loss {self.loss_name!r}")
+        if self.refresh_period < 1:
+            raise ValidationError(f"refresh_period must be >= 1, got {self.refresh_period}")
 
 
 @dataclass
@@ -161,17 +163,15 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     Batches run through ``pretrain.train_epoch`` with Adam. Every batch sample
     is expanded into two weak views, ``shift(weak(x))`` over all shifting
     transforms; semi-labels repeat across the expansion. Prototypes
-    are refit from the current (non-anomalous) embeddings every
-    ``refresh_period`` epochs of this run; the training set is embedded only on the
-    epochs that refit. The early-stop score is recorded each
+    are refit from the current (non-anomalous) embeddings at the epochs
+    where ``prototypes.refresh_due(epoch, refresh_period)``, epochs counted
+    from 1 in every run, resumed or not; the training set is embedded only
+    on the epochs that refit. The early-stop score is recorded each
     epoch and the best-scoring snapshot is returned. ``eval_probe(params,
     protos)``, when given, only logs a per-epoch test metric; it never
     influences training or model selection.
     """
     params = params.copy()
-    # This run's epochs count from 1, so a set fitted by an earlier run
-    # counts as fitted at epoch 0 of this one.
-    protos = dataclasses.replace(protos, last_refresh_epoch=0)
     C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()
@@ -208,11 +208,10 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     best_params, best_protos = params.copy(), protos
 
     for epoch in range(1, cfg.epochs + 1):
-        refreshed = protos.refresh_due(epoch, cfg.refresh_period)
+        refreshed = proto.refresh_due(epoch, cfg.refresh_period)
         if refreshed:
             emb = prototype_inputs(params, train, shifts)
-            protos = proto.refresh(protos, emb, epoch, cfg.refresh_period,
-                                   seed=cfg.seed)
+            protos = proto.refresh(protos, emb, epoch, cfg.refresh_period)
         epoch_losses = []
         for breakdown, ce in train_epoch(params, train.features, cfg.batch_size, rng,
                                          views, energy, adam, shifts, min_rows=1):

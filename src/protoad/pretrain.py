@@ -161,7 +161,6 @@ class PretrainEpochRecord:
 class PretrainResult:
     params: enc.EncoderParams
     metrics: List[PretrainEpochRecord]
-    used_ids: np.ndarray
 
 
 def two_views(X, weak_cfg, shifts, rng, shift_first=True):
@@ -217,10 +216,9 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
                   shifts: ShiftFamily, cfg: PretrainConfig) -> PretrainResult:
     """Minibatch SGD (with momentum) on the contrastive loss.
 
-    Labeled anomalies are excluded outright; the returned ``used_ids`` lists
-    every sample id that contributed so callers can audit that. Record 0 in
-    the metrics captures the untouched initial state; with ``epochs=0`` the
-    encoder is returned unchanged.
+    Labeled anomalies are excluded outright: only ``clustering_pool`` rows
+    train. Record 0 in the metrics captures the untouched initial state; with
+    ``epochs=0`` the encoder is returned unchanged.
     """
     if len(dataset) == 0:
         raise ValidationError("empty dataset")
@@ -229,7 +227,6 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
     if len(keep) < 2:
         raise ValidationError("need at least 2 non-anomalous samples")
     feats = dataset.features[keep]
-    used_ids = dataset.ids[keep].copy()
 
     rng = np.random.default_rng(cfg.seed)
     probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
@@ -276,4 +273,4 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
         loss, align, ce = np.array([(*rec, ce or 0.0) for rec, ce in batches]).T
         probe_record(epoch, float(np.mean(loss + ce)), float(np.mean(align)),
                      float(np.mean(loss - align)), t0)
-    return PretrainResult(params=params, metrics=metrics, used_ids=used_ids)
+    return PretrainResult(params=params, metrics=metrics)

@@ -2,8 +2,8 @@
 
 Prototypes are the centroids of a cosine-similarity k-means run over the
 embeddings of the (mostly normal) training pool; they act as the subclasses
-the energy score is computed against, and are periodically refit during
-fine-tuning as the embedding moves.
+the energy score is computed against, and are refit during fine-tuning as
+the embedding moves, at the epochs that ``refresh_due`` names.
 """
 from __future__ import annotations
 
@@ -16,11 +16,12 @@ from .data import ValidationError
 from .mathcore import EPS_NORM, as_f64
 
 _MAX_ITER = 100
+_N_INIT = 4        # k-means++ restarts of a cold fit
 
 
 @dataclass
 class PrototypeSet:
-    """k unit-norm prototype vectors plus refresh bookkeeping.
+    """k unit-norm prototype vectors and the objective trace of their fit.
 
     ``vectors`` is a read-only copy of the input: ``fit`` and ``refresh``
     build new sets, so one set can be shared (for instance as a best-epoch
@@ -31,7 +32,6 @@ class PrototypeSet:
     """
 
     vectors: np.ndarray
-    last_refresh_epoch: int = 0
     objective_trace: List[float] = field(default_factory=list)
     norm_tol: float = 1e-9
 
@@ -48,13 +48,11 @@ class PrototypeSet:
     def k(self) -> int:
         return len(self.vectors)
 
-    def refresh_due(self, epoch: int, period: Optional[int]) -> bool:
-        """Whether ``refresh`` at ``epoch`` would refit (``period=None``: never)."""
-        if period is None:
-            return False
-        if period < 1:
-            raise ValidationError("refresh period must be >= 1")
-        return epoch - self.last_refresh_epoch >= period
+
+
+def refresh_due(epoch: int, period: int) -> bool:
+    """Whether fine-tuning epoch ``epoch`` (counted from 1) refits: every ``period``-th."""
+    return epoch % period == 0
 
 
 def _normalize_rows(m: np.ndarray) -> np.ndarray:
@@ -120,12 +118,11 @@ def fit(
     k: int,
     seed: int = 0,
     init_vectors: Optional[np.ndarray] = None,
-    n_init: int = 4,
 ) -> PrototypeSet:
     """Spherical k-means over unit rows. Deterministic under (inputs, k, seed).
 
     With ``init_vectors`` the run warm-starts from those centroids (one
-    restart); otherwise ``n_init`` k-means++ restarts are run and the best
+    restart); otherwise ``_N_INIT`` k-means++ restarts are run and the best
     final objective wins.
     """
     X = as_f64(embeddings, "embeddings")
@@ -141,7 +138,7 @@ def fit(
             raise ValidationError("init_vectors count must equal k")
     else:
         rng = np.random.default_rng(seed)
-        starts = [_seed_plusplus(X, k, rng) for _ in range(max(1, n_init))]
+        starts = [_seed_plusplus(X, k, rng) for _ in range(_N_INIT)]
 
     best = None
     for centroids in starts:
@@ -149,24 +146,16 @@ def fit(
         if best is None or trace[-1] > best[2][-1]:
             best = (c, assign, trace)
     centroids, _, trace = best
-    return PrototypeSet(vectors=centroids, last_refresh_epoch=0,
-                        objective_trace=trace)
+    return PrototypeSet(vectors=centroids, objective_trace=trace)
 
 
-def refresh(
-    state: PrototypeSet,
-    embeddings: np.ndarray,
-    epoch: int,
-    period: Optional[int],
-    seed: int = 0,
-) -> PrototypeSet:
-    """Refit prototypes when ``period`` epochs have passed since the last fit.
+def refresh(state: PrototypeSet, embeddings: np.ndarray, epoch: int, period: int,
+            seed: int = 0) -> PrototypeSet:
+    """``state`` refit on ``embeddings`` when ``refresh_due(epoch, period)``, else ``state``.
 
-    ``period=None`` disables refreshing. The refit warm-starts from the
-    current prototypes.
+    The refit warm-starts from the current prototypes and so draws nothing:
+    ``seed`` is unused.
     """
-    if not state.refresh_due(epoch, period):
+    if not refresh_due(epoch, period):
         return state
-    fitted = fit(embeddings, state.k, seed=seed, init_vectors=state.vectors)
-    return PrototypeSet(vectors=fitted.vectors, last_refresh_epoch=epoch,
-                        objective_trace=fitted.objective_trace)
+    return fit(embeddings, state.k, init_vectors=state.vectors)

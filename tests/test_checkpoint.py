@@ -17,8 +17,7 @@ def _save(path, with_prototypes=True):
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     save_checkpoint(path, config=preset("smoke").to_dict(), epoch=3,
                     params=enc.init(0, DIMS),
-                    prototypes=(PrototypeSet(vectors, last_refresh_epoch=2)
-                                if with_prototypes else None),
+                    prototypes=PrototypeSet(vectors) if with_prototypes else None,
                     rng_state=np.random.default_rng(9).bit_generator.state)
     return path.read_bytes()
 
@@ -48,7 +47,7 @@ def test_load_restores_every_field(tmp_path):
     assert ck.config == preset("smoke").to_dict()
     assert ck.epoch == 3
     assert ck.rng_state == np.random.default_rng(9).bit_generator.state
-    assert ck.prototypes.k == 5 and ck.prototypes.last_refresh_epoch == 2
+    assert ck.prototypes.k == 5
     np.testing.assert_allclose(ck.params.flat, enc.init(0, DIMS).flat, rtol=1e-7)
 
 

@@ -10,7 +10,7 @@ from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.checkpoint import load_checkpoint, save_checkpoint
 from protoad.config import ConfigError, preset
-from protoad.data import Dataset, read_dataset, write_dataset
+from protoad.data import Dataset, read_dataset, write_dataset, write_framed
 from protoad.pipeline import build_splits
 from protoad.prototypes import PrototypeSet
 
@@ -230,7 +230,7 @@ def test_ambiguous_scores_file_exits_with_validation_code(tmp_path, lines, needl
 
 @pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
                                   "entry_without_shape", "negative_shape",
-                                  "epoch_not_int", "meta_not_object", "config_not_object",
+                                  "epoch_not_int", "config_not_object",
                                   "not_utf8"])
 def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit):
     _checkpoint(tmp_path)
@@ -248,8 +248,6 @@ def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit
         manifest["sections"][0]["shape"] = [-1, 2]
     elif edit == "epoch_not_int":
         manifest["epoch"] = "x"
-    elif edit == "meta_not_object":
-        manifest["prototype_meta"] = [1]
     else:
         manifest["config"] = 5
     line = b"\xff\xfe garbage" if edit == "not_utf8" else json.dumps(manifest).encode()
@@ -259,6 +257,60 @@ def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit
     code, err = _main(["score", "--checkpoint", str(path), "--input", data,
                        "--out", str(tmp_path / "s.jsonl")])
     assert code == 3 and "bad checkpoint manifest" in err, err
+
+
+@pytest.mark.parametrize("command", ["score", "finetune"])
+@pytest.mark.parametrize("section, width, needle", [
+    ("encoder.w2", 7, "encoder layer shapes"),
+    ("prototypes.vectors", 5, "checkpoint prototypes are 5 wide, embeddings 8"),
+], ids=["w2_32x7", "prototypes_5_wide"])
+def test_checkpoint_whose_shapes_disagree_exits_with_validation_code(
+        tmp_path, scored_inputs, command, section, width, needle):
+    ckpt, data = scored_inputs
+    ck = load_checkpoint(ckpt)
+    arrays = {f"encoder.{f}": getattr(ck.params, f) for f in enc.EncoderParams.FIELDS}
+    arrays["prototypes.vectors"] = ck.prototypes.vectors
+    narrow = arrays[section][:, :width]
+    arrays[section] = narrow / np.linalg.norm(narrow, axis=1, keepdims=True)   # unit rows
+    manifest = json.loads((tmp_path / "ft.ckpt").read_bytes().partition(b"\n")[0])
+    for entry in manifest["sections"]:
+        entry["shape"] = list(arrays[entry["name"]].shape)
+    bad = tmp_path / "bad.ckpt"
+    write_framed(bad, manifest, [arrays[e["name"]] for e in manifest["sections"]])
+    split = build_splits(preset("smoke"))
+    write_dataset(tmp_path / "d.train.ds", split.train)
+    write_dataset(tmp_path / "d.valid.ds", split.validation)
+    out = tmp_path / "out"
+    argv = (["score", "--checkpoint", str(bad), "--input", data, "--out", str(out)]
+            if command == "score" else
+            ["finetune", "--checkpoint", str(bad), "--data", str(tmp_path / "d"),
+             "--out", str(out)])
+    code, err = _main(argv)
+    assert code == 3 and needle in err, err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("labels", [[[0.5, 0], [0, 1]], [[-0.7, 0], [0, 1]],
+                                    [[0, 2.9], [0, 0]]], ids=["0.5", "-0.7", "class_2.9"])
+def test_fractional_label_column_exits_with_validation_code(tmp_path, scored_inputs,
+                                                            labels):
+    # (semi, true class) per row; truncated, each file would hold both classes.
+    ckpt, _ = scored_inputs
+    rows = np.zeros((2, preset("smoke").input_dim + 2))
+    rows[:, :-2] = np.random.default_rng(0).normal(size=(2, rows.shape[1] - 2))
+    rows[:, -2:] = labels
+    data = tmp_path / "frac.ds"
+    write_framed(data, {"version": 1, "dim": rows.shape[1] - 2, "count": 2}, [rows])
+    scores = tmp_path / "s.jsonl"
+    scores.write_text('{"id": 0, "score": 0.25}\n{"id": 1, "score": 0.5}\n')
+    for argv in (["eval", "--scores", str(scores), "--input", str(data),
+                  "--out", str(tmp_path / "eval.json")],
+                 ["score", "--checkpoint", ckpt, "--input", str(data),
+                  "--out", str(tmp_path / "scores.jsonl")]):
+        code, err = _main(argv)
+        assert code == 3 and "semi and class columns must hold integers" in err, err
+    assert not (tmp_path / "eval.json").exists()
+    assert not (tmp_path / "scores.jsonl").exists()
 
 
 def test_zero_score_tau_exits_with_validation_code(tmp_path):
@@ -290,12 +342,19 @@ def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle
     ("pretrain_momentum=1.0", "pretrain"), ("finetune_lr=0", "finetune"),
     ("finetune_epochs=-1", "finetune"), ("weak_mask_fraction=0.7", "augmentation"),
     ("strong_noise_multiple=2.0", "augmentation"), ("strong_n_ops=-1", "augmentation"),
-    ("hidden_dim=0", "encoder"),
+    ("hidden_dim=0", "encoder"), ("refresh_period=0", "finetune"),
 ])
 def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair, stage):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
                        "--out", str(tmp_path / "data")])
     assert code == 3 and f"{stage} stage: " in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bad_sweep_gamma_p_token_exits_with_validation_code(tmp_path):
+    code, err = _main(["scenario", "--preset", "smoke", "--sweep-gamma-p", "0.1,abc",
+                       "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+    assert code == 3 and "--sweep-gamma-p expects numbers; could not convert string to float: 'abc'" in err, err
     assert not list(tmp_path.iterdir())
 
 
@@ -344,12 +403,31 @@ def test_uniformity_score_without_training_set_exits_with_validation_code(
     assert not (tmp_path / "scores.jsonl").exists()
 
 
+def test_checkpoint_with_a_saved_refresh_epoch_loads_and_scores_the_same(
+        tmp_path, scored_inputs):
+    # Earlier checkpoints carried "prototype_meta"; it is ignored on load.
+    ckpt, data = scored_inputs
+    manifest_line, _, payload = (tmp_path / "ft.ckpt").read_bytes().partition(b"\n")
+    manifest = json.loads(manifest_line)
+    assert "prototype_meta" not in manifest
+    manifest["prototype_meta"] = {"last_refresh_epoch": 4}
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n" + payload)
+    _, _, expected = _score(tmp_path, ckpt, data)
+    code, _, got = _score(tmp_path, str(old), data)
+    assert code == 0 and got == expected
+    ck = load_checkpoint(old)
+    save_checkpoint(tmp_path / "resaved.ckpt", config=ck.config, epoch=ck.epoch,
+                    params=ck.params, prototypes=ck.prototypes, rng_state=ck.rng_state)
+    assert (tmp_path / "resaved.ckpt").read_bytes() == (tmp_path / "ft.ckpt").read_bytes()
+
+
 # ----------------------------------------------------------- resumed runs
 
 def test_resumed_finetune_refreshes_from_its_own_first_epoch(tmp_path):
-    # ELSA refits its prototypes every epoch. A fine-tuned checkpoint keeps
-    # the epoch of its last refit, but a run started from it counts its own
-    # epochs from 1, so it must refit at every one of them.
+    # ELSA refits its prototypes every epoch. A run started from a fine-tuned
+    # checkpoint counts its own epochs from 1, so it must refit at every one
+    # of them.
     data, pre, first, second = (str(tmp_path / n) for n in ("data", "pre.ckpt",
                                                              "ft1.ckpt", "ft2.ckpt"))
     for argv in (["gen-data", "--preset", "smoke", "--mode", "elsa",
@@ -360,7 +438,6 @@ def test_resumed_finetune_refreshes_from_its_own_first_epoch(tmp_path):
                  ["finetune", "--checkpoint", first, "--data", data, "--out", second]):
         code, err = _main(argv)
         assert code == 0, (argv[0], err)
-    assert load_checkpoint(first).prototypes.last_refresh_epoch > 0
     with open(f"{second}.metrics.jsonl", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
     assert [r["epoch"] for r in records] == list(range(7))

@@ -139,9 +139,9 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
     assert sha("data.train.ds") == \
         "973682280c319651b0ce39347bb10e807a9c0f2d67be9695b08313b015f8b82d"
     assert sha("pre.ckpt") == \
-        "84310c1944cbdf0d155391cee8c1e5fdd82c97ececf6f77c293fac40a86bf5d0"
+        "76d6682ef6f08e4882850261ca104f61c5ee03ca4780b46b93966971e125e654"
     assert sha("ft.ckpt") == \
-        "2a7b2a944c9b58c1276112c884db2053081cd59642f1bb3e847346f52680d43b"
+        "44c14a78395ea3c49ba8eaa3cd41981ebb0e6f2908b0a1747097fa5983d674e5"
     assert sha("scores.jsonl") == \
         "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a"
     result = json.loads((tmp_path / "eval.json").read_text())
@@ -151,16 +151,16 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode, expected", [
     ("elsa", {
-        "pre.ckpt": "e03d2e0d632fea4c12f61e37fe97b79a1a7d89356efad69fa4f9dfde843c3338",
-        "ft.ckpt": "48a305e3dbb6dacadddabe27e211464174262253591363c864df658ba074a641",
+        "pre.ckpt": "5a4652d31da50027c1ea7ffe3779c9caf2af815acdd99b8c9f6d89d41aeacf40",
+        "ft.ckpt": "e448bccf9ebe491547734cbe52d01400dff14ec6acddf703bc9b327426e672b7",
         "scores.jsonl": "ce6b551f1fb2568e08d65c289cd1a0fdc38a88e1dad909eb93019987d1f9455b",
         "embeddings.jsonl":
             "ea1a5e0e31a199833a09aefae72d2c6461a6499cdc88e7cc275ee47803a8b91c",
         "auroc": 0.4596354166666667,
     }),
     ("elsa_plus", {
-        "pre.ckpt": "84310c1944cbdf0d155391cee8c1e5fdd82c97ececf6f77c293fac40a86bf5d0",
-        "ft.ckpt": "2a7b2a944c9b58c1276112c884db2053081cd59642f1bb3e847346f52680d43b",
+        "pre.ckpt": "76d6682ef6f08e4882850261ca104f61c5ee03ca4780b46b93966971e125e654",
+        "ft.ckpt": "44c14a78395ea3c49ba8eaa3cd41981ebb0e6f2908b0a1747097fa5983d674e5",
         "scores.jsonl": "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a",
         "embeddings.jsonl":
             "2dc32b463bd2f73cbe71ef7a61d9c50447b770efc682bc4170686ab10438cfa7",

@@ -55,12 +55,13 @@ def test_fit_antipodal_clusters():
     assert np.min(np.max(sims, axis=1)) > 0.99
 
 
-def test_fit_matches_exhaustive_oracle():
+def test_fit_matches_exhaustive_oracle(monkeypatch):
+    monkeypatch.setattr(proto, "_N_INIT", 20)
     rng = np.random.default_rng(4)
     for trial in range(20):
         n = int(rng.integers(4, 13))
         X = _unit_rows(n, 3, rng)
-        result = proto.fit(X, k=2, seed=trial, n_init=20)
+        result = proto.fit(X, k=2, seed=trial)
         got = np.argmax(X @ result.vectors.T, axis=1)
         _, best_mask = best_two_partition(X)
         groups = {frozenset(np.flatnonzero(got == 0).tolist()),
@@ -154,21 +155,13 @@ def test_prototype_set_rejects_non_unit():
         proto.PrototypeSet(np.array([[1.0, 1.0]]))
 
 
-def test_refresh_period_none_never_refreshes():
-    rng = np.random.default_rng(9)
-    X = _unit_rows(20, 4, rng)
-    state = proto.fit(X, k=2, seed=0)
-    out = proto.refresh(state, X, epoch=50, period=None)
-    assert out is state
-
-
 def test_refresh_every_epoch():
     rng = np.random.default_rng(10)
     X = _unit_rows(20, 4, rng)
     state = proto.fit(X, k=2, seed=0)
     for epoch in (1, 2, 3):
         nxt = proto.refresh(state, X, epoch=epoch, period=1)
-        assert nxt.last_refresh_epoch == epoch
+        assert nxt is not state
         state = nxt
 
 
@@ -185,18 +178,16 @@ def test_refresh_period_three():
     assert refreshed_at == [3, 6, 9]
 
 
-@pytest.mark.parametrize("period", [None, 1, 3])
+@pytest.mark.parametrize("period", [1, 3])
 def test_refresh_due_says_when_refresh_refits(period):
     rng = np.random.default_rng(13)
     X = _unit_rows(20, 4, rng)
     state = proto.fit(X, k=2, seed=0)
     for epoch in range(1, 10):
-        due = state.refresh_due(epoch, period)
+        due = proto.refresh_due(epoch, period)
         nxt = proto.refresh(state, X, epoch=epoch, period=period)
-        assert due == (nxt is not state)
+        assert due == (nxt is not state) == (epoch % period == 0)
         state = nxt
-    with pytest.raises(ValidationError):
-        state.refresh_due(10, 0)
 
 
 def test_refresh_warm_start_tracks_drifting_embeddings():
