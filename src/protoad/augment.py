@@ -105,7 +105,6 @@ class ShiftFamily:
         return cls(mats)
 
     def _checked(self, x, what: str) -> np.ndarray:
-        x = as_f64(x, what)
         if x.shape[-1] != self.dim:
             raise ValidationError(f"{what} width {x.shape[-1]} != shift dim {self.dim}")
         return x
@@ -132,7 +131,6 @@ class ShiftFamily:
 
 def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator) -> np.ndarray:
     """One independent weak view per row: jitter, then noise, then masking."""
-    X = as_f64(X, "batch")
     n, d = X.shape
     lo, hi = cfg.scale_jitter
     out = X * rng.uniform(lo, hi, size=(n, 1))
@@ -148,7 +146,6 @@ def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator) -> n
 
 def strong_batch(X: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) -> np.ndarray:
     """Apply ``n_ops`` randomly chosen destructive transforms per row."""
-    X = as_f64(X, "batch")
     out = X.copy()
     n, d = out.shape
     for _ in range(cfg.n_ops):

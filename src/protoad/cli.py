@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -22,9 +23,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import objective as obj
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, PRESETS, RunConfig, preset
 from .data import ValidationError, read_dataset, write_dataset
+from .encoder import EncoderDims
 from .evalharness import auroc, evaluate_scores
 from .mathcore import NumericError
 from .pipeline import (build_splits, finetune_stage, pretrain_stage, run_ablation,
@@ -168,14 +170,21 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_weights(rc: RunConfig, ckpt: Checkpoint) -> None:
+    """Reject a configuration that does not describe the checkpoint's weights."""
+    p, wanted = ckpt.params, (rc.encoder_dims(), rc.n_prototypes)
+    held = (EncoderDims(p.w1.shape[1], p.w1.shape[0], p.w3.shape[0], p.wh.shape[0]),
+            wanted[1] if ckpt.prototypes is None else ckpt.prototypes.k)
+    if held != wanted:
+        raise ConfigError("checkpoint holds {} and {} prototypes, but the configuration "
+                          "requests {} and {} prototypes".format(*held, *wanted))
+
+
 def cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     rc = resolve_config(args, base=ckpt.config)
+    _check_weights(rc, ckpt)
     train, valid = _load_pair(args.data)
-    if ckpt.prototypes is not None and ckpt.prototypes.k != rc.n_prototypes:
-        raise ConfigError(
-            f"checkpoint holds {ckpt.prototypes.k} prototypes but the "
-            f"configuration requests {rc.n_prototypes}")
     outcome = finetune_stage(rc, ckpt.params, ckpt.prototypes, train, valid)
     save_checkpoint(args.out, config=rc.to_dict(),
                     epoch=outcome.best_checkpoint_epoch,
@@ -198,6 +207,7 @@ def _score_lines(ids, scores):
 def cmd_score(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     rc = resolve_config(args, base=ckpt.config)
+    _check_weights(rc, ckpt)
     ds = read_dataset(args.input)
     if ckpt.prototypes is None:
         raise ConfigError("checkpoint has no prototypes; run finetune first")
@@ -220,11 +230,12 @@ def cmd_eval(args) -> int:
             try:
                 rec = json.loads(line)
                 key, score = rec["id"], rec["score"]
-                if type(key) is not int or type(score) not in (int, float):
+                if type(key) is not int or type(score) not in (int, float) \
+                        or not math.isfinite(score):
                     raise TypeError
-            except (ValueError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError, OverflowError):
                 raise ValidationError(f"bad scores line {n}: expected a JSON object with "
-                                      f"an integer id and a numeric score") from None
+                                      f"an integer id and a finite numeric score") from None
             if key in by_id:
                 raise ValidationError(f"scores file repeats id {key} (line {n})")
             by_id[key] = float(score)

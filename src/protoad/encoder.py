@@ -140,8 +140,8 @@ class ForwardCache:
 
 
 def forward(params: EncoderParams, X) -> ForwardCache:
-    """Full batch forward pass, caching activations for ``backward``."""
-    X = as_f64(X, "input")
+    """Full batch forward pass, caching activations for ``backward``. Raises
+    ``NumericError`` unless every feature norm is finite and above ``EPS_NORM``."""
     if X.ndim != 2 or X.shape[1] != params.w1.shape[1]:
         raise ValidationError(
             f"input dim {X.shape} incompatible with encoder input {params.w1.shape[1]}")
@@ -154,8 +154,8 @@ def forward(params: EncoderParams, X) -> ForwardCache:
     feature = h2 @ params.w3.T
     feature += params.b3
     norms = np.linalg.norm(feature, axis=1)
-    if np.any(norms <= EPS_NORM):
-        raise NumericError("degenerate vector")
+    if not np.all((norms > EPS_NORM) & (norms < np.inf)):     # False for NaN too
+        raise NumericError("degenerate vector: a feature norm is zero or not finite")
     emb = feature / norms[:, None]
     return ForwardCache(x=X, h1=h1, h2=h2, feature=feature, norms=norms, embed=emb)
 
@@ -189,18 +189,16 @@ def backward(
     """
     grads = params.zeros_like()
     if d_embed is not None:
-        de = as_f64(d_embed, "d_embed")
         # d/dv of v/||v||: (I - u u^T)/||v|| applied to the upstream gradient.
-        proj = np.sum(de * cache.embed, axis=1, keepdims=True)
-        df = de - proj * cache.embed
+        proj = np.sum(d_embed * cache.embed, axis=1, keepdims=True)
+        df = d_embed - proj * cache.embed
         df /= cache.norms[:, None]
     else:
         df = np.zeros_like(cache.feature)
     if d_logits is not None:
-        dl = as_f64(d_logits, "d_logits")
-        np.matmul(dl.T, cache.feature, out=grads.wh)
-        np.sum(dl, axis=0, out=grads.bh)
-        df += dl @ params.wh
+        np.matmul(d_logits.T, cache.feature, out=grads.wh)
+        np.sum(d_logits, axis=0, out=grads.bh)
+        df += d_logits @ params.wh
 
     np.matmul(df.T, cache.h2, out=grads.w3)
     np.sum(df, axis=0, out=grads.b3)

@@ -1,8 +1,14 @@
-"""Low-level numerical primitives shared by every other module.
+"""Low-level numerical primitives shared by every other module, on float64 arrays.
 
-Everything here runs in 64-bit floats: the finiteness-checked coercion, the
-row maximum, and the row-wise logsumexp and softmax that the energy score,
-the uniformity score and the shift cross-entropy reduce with.
+Finiteness is one rule with two kinds of check site. Entry sites, where
+outside data becomes a program object, coerce with ``as_f64``: the
+constructors of ``Dataset``, ``Pool``, ``EncoderParams`` (and
+``from_vector``), ``PrototypeSet`` and ``ShiftFamily``, and the scores of
+``evalharness.auroc``. Producer sites check what their arithmetic makes:
+``encoder.forward`` its feature norms (which covers its input and the
+weights the optimizers update), ``pretrain._pair_terms`` its row sums, and
+``objective._energy`` and ``objective._two_terms`` their results. Nothing
+else re-checks; ``tests/test_surface.py`` keeps ``as_f64`` at the entry sites.
 """
 from __future__ import annotations
 
@@ -35,19 +41,17 @@ def row_max(matrix: np.ndarray) -> np.ndarray:
 
 def logsumexp_rows_inplace(matrix: np.ndarray) -> np.ndarray:
     """Row-wise logsumexp that overwrites ``matrix`` with its shifted exponentials."""
-    m = as_f64(matrix, "logsumexp input")
-    if m.ndim != 2 or m.shape[1] == 0:
+    if matrix.ndim != 2 or matrix.shape[1] == 0:
         raise NumericError("empty reduction")
-    shift = row_max(m)
-    m -= shift[:, None]
-    np.exp(m, out=m)
-    return shift + np.log(np.sum(m, axis=1))
+    shift = row_max(matrix)
+    matrix -= shift[:, None]
+    np.exp(matrix, out=matrix)
+    return shift + np.log(np.sum(matrix, axis=1))
 
 
 def softmax_rows(matrix: np.ndarray) -> np.ndarray:
     """Row-wise softmax for a 2-D array; ``matrix`` is left unchanged."""
-    m = as_f64(matrix, "softmax input")
-    e = m - row_max(m)[:, None]
+    e = matrix - row_max(matrix)[:, None]
     np.exp(e, out=e)
     e /= np.sum(e, axis=1, keepdims=True)
     return e

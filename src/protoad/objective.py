@@ -29,7 +29,7 @@ import numpy as np
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import LABELED_ANOMALY, ValidationError
-from .mathcore import NumericError, as_f64, logsumexp_rows_inplace, row_max, softmax_rows
+from .mathcore import NumericError, logsumexp_rows_inplace, row_max, softmax_rows
 
 C_MODES = ("canonical", "appendix")
 
@@ -77,26 +77,22 @@ def _energy(E: np.ndarray, P: np.ndarray, tau: float
 
 def energy_score(E: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
     """Normality score S = logsumexp_p(sim(e, p)/tau) per row; higher = more normal."""
-    return _energy(as_f64(E, "embeddings"), as_f64(prototypes, "prototypes"), tau)[0]
+    return _energy(E, prototypes, tau)[0]
 
 
 def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch scores plus dS/dE rows: softmax(logits) @ P / tau, softmax = w / z."""
-    P = as_f64(prototypes, "prototypes")
-    scores, w, z = _energy(as_f64(E, "embeddings"), P, tau)
+    scores, w, z = _energy(E, prototypes, tau)
     w /= z
-    grad = w @ P
+    grad = w @ prototypes
     grad /= tau
     return scores, grad
 
 
 def score_cosine(E: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Similarity of each row to its nearest prototype; no temperature."""
-    P = as_f64(prototypes, "prototypes")
-    if len(P) == 0:
-        raise ValidationError("prototype set is empty")
-    return np.max(as_f64(E, "embeddings") @ P.T, axis=1)
+    return np.max(E @ prototypes.T, axis=1)
 
 
 # Similarities per row block of ``score_uniformity``: 2**18 float64, 2 MB.
@@ -113,19 +109,17 @@ def score_uniformity(E: np.ndarray, reference: np.ndarray) -> np.ndarray:
     larger) and are reduced in place, so the working memory stays one block
     however many rows are scored.
     """
-    E, R = as_f64(E, "embeddings"), as_f64(reference, "reference")
-    if len(R) == 0:
+    if len(reference) == 0:
         raise ValidationError("empty reference")
-    step = max(1, _UNIFORMITY_BLOCK // len(R))
+    step = max(1, _UNIFORMITY_BLOCK // len(reference))
     s = np.empty(len(E))
     for start in range(0, len(E), step):
-        s[start:start + step] = logsumexp_rows_inplace(E[start:start + step] @ R.T)
+        s[start:start + step] = logsumexp_rows_inplace(E[start:start + step] @ reference.T)
     return s
 
 
 def uniformity_scores_self(E: np.ndarray) -> np.ndarray:
     """Per-row uniformity score against the remaining rows of the same batch."""
-    E = as_f64(E, "embeddings")
     if len(E) < 2:
         raise ValidationError("need at least two rows for self-referenced scores")
     sims = E @ E.T
@@ -134,12 +128,11 @@ def uniformity_scores_self(E: np.ndarray) -> np.ndarray:
 
 
 def _groups(scores, semi) -> Tuple[np.ndarray, np.ndarray]:
-    """``(scores, is_anomaly)``: the scores as float64 and the labeled-anomaly mask."""
-    s = as_f64(scores, "scores")
+    """``(scores, is_anomaly)``: the scores and the labeled-anomaly mask."""
     semi = np.asarray(semi, dtype=np.int64)
-    if len(semi) != len(s):
+    if len(semi) != len(scores):
         raise ValidationError("scores and semi-labels must share one length")
-    return s, semi == LABELED_ANOMALY
+    return scores, semi == LABELED_ANOMALY
 
 
 def _two_terms(s, is_anom, anomaly, normal) -> Tuple[LossBreakdown, np.ndarray]:
@@ -194,14 +187,13 @@ def loss_deepsad(scores, semi, C: float) -> Tuple[LossBreakdown, np.ndarray]:
 
 def loss_shift(logits, shift_ids) -> Tuple[float, np.ndarray]:
     """Mean softmax cross-entropy for predicting which shift was applied."""
-    L = as_f64(logits, "logits")
     ids = np.asarray(shift_ids, dtype=np.int64)
-    if L.ndim != 2 or len(ids) != len(L):
+    if logits.ndim != 2 or len(ids) != len(logits):
         raise ValidationError("logits and shift ids must align")
-    if np.any(ids < 0) or np.any(ids >= L.shape[1]):
+    if np.any(ids < 0) or np.any(ids >= logits.shape[1]):
         raise ValidationError("shift id out of range")
-    probs = softmax_rows(L)
-    n = len(L)
+    probs = softmax_rows(logits)
+    n = len(logits)
     picked = probs[np.arange(n), ids]
     loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
     probs[np.arange(n), ids] -= 1.0
@@ -250,7 +242,6 @@ def score_ensemble(
         raise ValidationError(f"unknown ensemble mode {mode!r}")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    X, P = as_f64(X, "input"), as_f64(prototypes, "prototypes")
     n = len(X)
     k_s = shifts.count
 
@@ -260,11 +251,11 @@ def score_ensemble(
             shifted = shifts.apply(X, k)
             for _ in range(n_samples):
                 emb = enc.embed(params, weak_batch(shifted, weak_cfg, rng))
-                acc += energy_score(emb, P, tau)
+                acc += energy_score(emb, prototypes, tau)
         return acc / (k_s * n_samples)
-    zbar = np.zeros((k_s * n, P.shape[1]))
+    zbar = np.zeros((k_s * n, prototypes.shape[1]))
     for _ in range(n_samples):
         rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
         zbar += enc.embed(params, rows)
     zbar /= n_samples
-    return _energy(zbar, P, 1.0)[0].reshape(k_s, n).sum(axis=0)
+    return _energy(zbar, prototypes, 1.0)[0].reshape(k_s, n).sum(axis=0)

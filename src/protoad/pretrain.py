@@ -46,7 +46,7 @@ import numpy as np
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import Dataset, ValidationError, clustering_pool
-from .mathcore import NumericError, as_f64
+from .mathcore import NumericError
 from .objective import loss_shift, uniformity_scores_self
 
 
@@ -59,11 +59,9 @@ class ContrastiveBatch:
     tau: float
 
     def __post_init__(self):
-        v1 = as_f64(self.view1, "view1")
-        v2 = as_f64(self.view2, "view2")
-        if v1.shape != v2.shape or v1.ndim != 2:
+        if self.view1.shape != self.view2.shape or self.view1.ndim != 2:
             raise ValidationError("views must be 2-D arrays of identical shape")
-        if len(v1) < 2:
+        if len(self.view1) < 2:
             raise ValidationError("contrastive batch needs at least 2 samples")
         if self.tau <= 0:
             raise ValidationError("tau must be positive")
@@ -82,7 +80,7 @@ def _pair_terms(batch: ContrastiveBatch, work: Optional[np.ndarray] = None):
     being one scalar, it leaves ``X`` symmetric, which the gradient relies
     on. ``pos`` is read before the buffer is overwritten. Raises
     ``NumericError`` when a row sum is no longer a normal float64 (for unit
-    rows: ``tau`` below about 0.0028).
+    rows: ``tau`` below about 0.0028) or is NaN (a non-finite view).
     """
     E = np.vstack([batch.view1, batch.view2])
     two_m = len(E)
@@ -95,8 +93,8 @@ def _pair_terms(batch: ContrastiveBatch, work: Optional[np.ndarray] = None):
     np.exp(X, out=X)
     np.fill_diagonal(X, 0.0)
     z = X.sum(axis=1)
-    if np.min(z) < _TINY:
-        raise NumericError(f"contrastive row sum underflows at tau={batch.tau}")
+    if not np.min(z) >= _TINY:
+        raise NumericError(f"contrastive row sum underflows or is NaN at tau={batch.tau}")
     lse = c + np.log(z)
     return E, partner, pos, lse, z, X
 

@@ -49,7 +49,6 @@ class PrototypeSet:
         return len(self.vectors)
 
 
-
 def refresh_due(epoch: int, period: int) -> bool:
     """Whether fine-tuning epoch ``epoch`` (counted from 1) refits: every ``period``-th."""
     return epoch % period == 0
@@ -125,24 +124,23 @@ def fit(
     restart); otherwise ``_N_INIT`` k-means++ restarts are run and the best
     final objective wins.
     """
-    X = as_f64(embeddings, "embeddings")
-    if X.ndim != 2:
+    if embeddings.ndim != 2:
         raise ValidationError("embeddings must be 2-D")
-    n = len(X)
+    n = len(embeddings)
     if not (1 <= k <= n):
         raise ValidationError(f"need 1 <= k <= n, got k={k}, n={n}")
 
     if init_vectors is not None:
-        starts = [_normalize_rows(as_f64(init_vectors, "init_vectors").copy())]
+        starts = [_normalize_rows(init_vectors)]
         if len(starts[0]) != k:
             raise ValidationError("init_vectors count must equal k")
     else:
         rng = np.random.default_rng(seed)
-        starts = [_seed_plusplus(X, k, rng) for _ in range(_N_INIT)]
+        starts = [_seed_plusplus(embeddings, k, rng) for _ in range(_N_INIT)]
 
     best = None
     for centroids in starts:
-        c, assign, trace = _lloyd(X, centroids)
+        c, assign, trace = _lloyd(embeddings, centroids)
         if best is None or trace[-1] > best[2][-1]:
             best = (c, assign, trace)
     centroids, _, trace = best

@@ -175,6 +175,17 @@ def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):
         assert "numeric failure: dataset features contains non-finite entries" in err
 
 
+def test_non_finite_checkpoint_weight_exits_with_numeric_code(tmp_path, scored_inputs):
+    ckpt, data = scored_inputs
+    manifest, _, payload = (tmp_path / "ft.ckpt").read_bytes().partition(b"\n")
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(manifest + b"\n" + np.float32(np.nan).tobytes() + payload[4:])
+    code, err = _main(["score", "--checkpoint", str(bad), "--input", data,
+                       "--out", str(tmp_path / "s.jsonl")])
+    assert code == 5 and "numeric failure: w1 contains non-finite entries" in err, err
+    assert not (tmp_path / "s.jsonl").exists()
+
+
 # ---------------------------------------------------------- malformed files
 
 def _dataset_file(tmp_path, header: bytes):
@@ -200,10 +211,15 @@ def test_malformed_dataset_header_exits_with_validation_code(tmp_path, header):
 @pytest.mark.parametrize("line", [b'{"id": 1, "score": ', b"[1, 0.5]", b'{"id": 1}',
                                   b'{"score": 0.5}', b'{"id": 1, "score": "high"}',
                                   b'{"id": 1, "score": null}', b'{"id": "1", "score": 0.5}',
-                                  b'{"id": 1.0, "score": 0.5}', b"\xff\xfe"],
+                                  b'{"id": 1.0, "score": 0.5}', b"\xff\xfe",
+                                  b'{"id": 1, "score": NaN}', b'{"id": 1, "score": Infinity}',
+                                  b'{"id": 1, "score": -Infinity}',
+                                  b'{"id": 1, "score": 1e400}',
+                                  b'{"id": 1, "score": 1' + b"0" * 400 + b"}"],
                          ids=["truncated", "not_object", "no_score", "no_id",
                               "string_score", "null_score", "string_id", "float_id",
-                              "not_utf8"])
+                              "not_utf8", "nan", "infinity", "minus_infinity",
+                              "overflowing_float", "overflowing_int"])
 def test_malformed_scores_line_exits_with_validation_code(tmp_path, line):
     data = tmp_path / "two.ds"
     write_dataset(data, Dataset(np.zeros((2, 3)), [0, 0], [0, 1], [0, 1]))
@@ -286,6 +302,29 @@ def test_checkpoint_whose_shapes_disagree_exits_with_validation_code(
             ["finetune", "--checkpoint", str(bad), "--data", str(tmp_path / "d"),
              "--out", str(out)])
     code, err = _main(argv)
+    assert code == 3 and needle in err, err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["score", "finetune"])
+@pytest.mark.parametrize("flags, needle", [
+    (["--mode", "elsa"], "shifts=1"), (["--set", "shift_count=2"], "shifts=2"),
+    (["--set", "hidden_dim=48"], "hidden=48"),
+    (["--prototypes", "12"], "and 12 prototypes"),
+], ids=["mode_elsa", "shift_count_2", "hidden_dim_48", "prototypes_12"])
+def test_config_that_does_not_describe_the_checkpoint_exits_with_validation_code(
+        tmp_path, scored_inputs, command, flags, needle):
+    # scored_inputs holds a smoke ELSA+ checkpoint: 4 shifts, hidden 32, 8 prototypes.
+    ckpt, data = scored_inputs
+    split = build_splits(preset("smoke"))
+    write_dataset(tmp_path / "d.train.ds", split.train)
+    write_dataset(tmp_path / "d.valid.ds", split.validation)
+    out = tmp_path / "out"
+    argv = (["score", "--checkpoint", ckpt, "--input", data, "--out", str(out)]
+            if command == "score" else
+            ["finetune", "--checkpoint", ckpt, "--data", str(tmp_path / "d"),
+             "--out", str(out)])
+    code, err = _main(argv + flags)
     assert code == 3 and needle in err, err
     assert not list(tmp_path.glob("out*"))
 

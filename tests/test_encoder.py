@@ -32,6 +32,18 @@ def test_embed_zero_network_is_degenerate():
         enc.embed(zero, np.ones((1, DIMS.input)))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("field", ["w1", "b2", "w3", "b3"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_forward_with_a_non_finite_weight_raises(field, value):
+    # Weights updated in place are checked by their effect on the feature norms.
+    params = _params()
+    getattr(params, field).flat[0] = value
+    X = np.random.default_rng(1).normal(size=(20, DIMS.input))
+    with pytest.raises(NumericError, match="a feature norm is zero or not finite"):
+        enc.forward(params, X)
+
+
 def test_embed_bitwise_stable():
     params = _params()
     x = np.linspace(-1, 1, DIMS.input)[None, :]

@@ -181,7 +181,7 @@ def test_c_constant_modes():
 
 
 def test_loss_elsa_oracle_value():
-    breakdown, _ = obj.loss_elsa([3.0, 5.0], [-1, 0], C100)
+    breakdown, _ = obj.loss_elsa(np.array([3.0, 5.0]), [-1, 0], C100)
     assert breakdown.total == pytest.approx(0.2386897078932106, abs=1e-12)
     assert breakdown.total == pytest.approx(
         breakdown.anomaly_term + breakdown.normal_term, abs=1e-15)
@@ -189,23 +189,23 @@ def test_loss_elsa_oracle_value():
 
 def test_loss_elsa_normal_term_limit():
     s = C100 - 1e-9
-    breakdown, _ = obj.loss_elsa([s, s], [0, 1], C100)
+    breakdown, _ = obj.loss_elsa(np.array([s, s]), [0, 1], C100)
     assert breakdown.normal_term == pytest.approx(1.0 / C100, rel=1e-6)
     assert breakdown.anomaly_term == 0.0
 
 
 def test_loss_elsa_domain_errors():
     with pytest.raises(NumericError, match="score out of"):
-        obj.loss_elsa([-0.1, 3.0], [0, 0], C100)
+        obj.loss_elsa(np.array([-0.1, 3.0]), [0, 0], C100)
     with pytest.raises(NumericError, match="score out of"):
-        obj.loss_elsa([3.0, C100 + 0.1], [0, -1], C100)
+        obj.loss_elsa(np.array([3.0, C100 + 0.1]), [0, -1], C100)
 
 
 def test_loss_elsa_permissive_mode():
-    breakdown, grad = obj.loss_elsa([-0.5, 3.0], [0, -1], C100, strict=False)
+    breakdown, grad = obj.loss_elsa(np.array([-0.5, 3.0]), [0, -1], C100, strict=False)
     assert np.isfinite(breakdown.total)
     with pytest.raises(NumericError):
-        obj.loss_elsa([0.0, 3.0], [0, -1], C100, strict=False)
+        obj.loss_elsa(np.array([0.0, 3.0]), [0, -1], C100, strict=False)
 
 
 def test_loss_elsa_grad():
@@ -220,7 +220,7 @@ def test_loss_elsa_grad():
 
 
 def test_loss_elsa_gradient_signs():
-    _, grad = obj.loss_elsa([3.0, 4.0], [-1, 0], C100)
+    _, grad = obj.loss_elsa(np.array([3.0, 4.0]), [-1, 0], C100)
     assert grad[0] > 0  # descending decreases anomaly scores
     assert grad[1] < 0  # and increases normal scores
 
@@ -364,14 +364,14 @@ def test_uniformity_self_excludes_diagonal():
 # ------------------------------------------------------------ loss_naive
 
 def test_loss_naive_values():
-    b1, _ = obj.loss_naive([5.0], [0])
+    b1, _ = obj.loss_naive(np.array([5.0]), [0])
     assert b1.total == -5.0
-    b2, _ = obj.loss_naive([3.0, 5.0], [-1, 1])
+    b2, _ = obj.loss_naive(np.array([3.0, 5.0]), [-1, 1])
     assert b2.total == -1.0
 
 
 def test_loss_naive_grad_structure():
-    _, grad = obj.loss_naive([3.0, 5.0, 2.0, 1.0], [-1, 0, 1, -1])
+    _, grad = obj.loss_naive(np.array([3.0, 5.0, 2.0, 1.0]), [-1, 0, 1, -1])
     assert np.allclose(grad, [0.25, -0.25, -0.25, 0.25])
 
     def f(s):
@@ -385,12 +385,12 @@ def test_loss_naive_grad_structure():
 # ---------------------------------------------------------- loss_deepsad
 
 def test_loss_deepsad_single_anomaly():
-    b, _ = obj.loss_deepsad([3.0], [-1], C100)
+    b, _ = obj.loss_deepsad(np.array([3.0]), [-1], C100)
     assert b.total == pytest.approx(0.2773794157864211, abs=1e-12)
 
 
 def test_loss_deepsad_all_normal_equals_naive():
-    scores = [2.0, 3.5, 4.0]
+    scores = np.array([2.0, 3.5, 4.0])
     semi = [0, 1, 0]
     sad, _ = obj.loss_deepsad(scores, semi, C100)
     naive, _ = obj.loss_naive(scores, semi)

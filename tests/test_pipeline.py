@@ -3,10 +3,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import protoad
 from protoad import data
 from protoad.config import preset
-from protoad.pipeline import build_splits, run_grid
+from protoad.mathcore import NumericError
+from protoad.pipeline import build_splits, run_grid, run_single
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():
@@ -33,3 +36,10 @@ def test_s3_splits_build_each_pool_once(monkeypatch):
                         lambda pool: (built.append(pool), original(pool)))
     build_splits(preset("smoke").replace(scenario="s3"))
     assert len(built) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergent_elsa_plus_pretraining_raises():
+    # A step of 1e30 blows the weights up; the next forward pass sees it.
+    with pytest.raises(NumericError, match="a feature norm is zero or not finite"):
+        run_single(preset("smoke").replace(pretrain_lr=1e30))

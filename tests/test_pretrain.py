@@ -178,6 +178,18 @@ def test_contrastive_underflowing_row_sum_raises():
         decompose_loss(batch)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_contrastive_non_finite_view_raises(value):
+    # The kernel's row sums catch a non-finite view.
+    v = np.random.default_rng(5).normal(size=(8, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v[2, 1] = value
+    batch = ContrastiveBatch(view1=v[:4], view2=v[4:], tau=0.5)
+    with pytest.raises(NumericError, match="row sum"):
+        contrastive_loss(batch)
+
+
 # ------------------------------------------------------------------ loop
 
 def _train_split(seed=0, samples=120, anomaly_classes=2):

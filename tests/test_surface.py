@@ -1,4 +1,5 @@
-"""A guard on the package surface: ``src/protoad`` ships only code that runs.
+"""Guards on the package surface: ``src/protoad`` ships only code that runs,
+and checks finiteness only where arrays enter it.
 
 The test parses ``src/protoad`` and ``perfbench/`` and lists every function,
 class and method defined in ``src/protoad`` whose name is referenced nowhere
@@ -8,6 +9,10 @@ as an attribute or a string; a method or property only as an attribute or
 a string. Dunder methods run implicitly and are skipped. Anything else left
 unreferenced is dead code or a helper only the tests call, and belongs in
 ``tests/`` or nowhere, unless it is on the allow-list below.
+
+A second test lists the functions of ``src/protoad`` that call
+``mathcore.as_f64`` and requires them to be exactly the entry sites that the
+``mathcore`` docstring names, where outside data becomes a program object.
 """
 import ast
 from pathlib import Path
@@ -26,6 +31,13 @@ ALLOWED = {
         "the alignment/uniformity split of the contrastive loss, checked against it",
     "pipeline.prototype_count_sweep":
         "the prototype-count experiment driver, called as a library function",
+}
+
+ENTRY_SITES = {
+    "data.Pool.__post_init__", "data.Dataset.__init__",
+    "encoder.EncoderParams.__init__", "encoder.EncoderParams.from_vector",
+    "prototypes.PrototypeSet.__post_init__", "augment.ShiftFamily.__init__",
+    "evalharness.auroc",
 }
 
 
@@ -95,3 +107,31 @@ def test_package_defines_nothing_that_neither_it_nor_the_bench_references():
     assert not found - set(ALLOWED), f"unreferenced, not allowed: {sorted(found - set(ALLOWED))}"
     assert not set(ALLOWED) - found, f"allowed but now referenced or gone: " \
                                      f"{sorted(set(ALLOWED) - found)}"
+
+
+def as_f64_callers() -> set:
+    """Qualified names of the ``src/protoad`` functions that call ``as_f64``."""
+    out = set()
+
+    def visit(node, qualified):
+        for child in ast.iter_child_nodes(node):
+            name = qualified
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{qualified}.{child.name}"
+            elif isinstance(child, ast.Call):
+                f = child.func
+                if getattr(f, "id", None) == "as_f64" or getattr(f, "attr", None) == "as_f64":
+                    out.add(qualified)
+            visit(child, name)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
+    return out
+
+
+def test_only_entry_sites_call_as_f64():
+    callers = as_f64_callers()
+    assert not callers - ENTRY_SITES, f"as_f64 outside an entry site: " \
+                                      f"{sorted(callers - ENTRY_SITES)}"
+    assert not ENTRY_SITES - callers, f"entry sites that no longer call as_f64: " \
+                                      f"{sorted(ENTRY_SITES - callers)}"
