@@ -13,7 +13,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .data import ValidationError
+from .data import ValidationError, require
 from .mathcore import as_f64
 
 _ORTHO_TOL = 1e-9
@@ -28,13 +28,12 @@ class WeakAugConfig:
     scale_jitter: Tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        if self.noise_sigma < 0:
-            raise ValidationError("noise_sigma must be >= 0")
-        if not (0.0 <= self.mask_fraction < 0.5):
-            raise ValidationError("mask_fraction must lie in [0, 0.5)")
+        require(self.noise_sigma >= 0, f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        require(0.0 <= self.mask_fraction < 0.5,
+                f"mask_fraction must lie in [0, 0.5), got {self.mask_fraction}")
         lo, hi = self.scale_jitter
-        if not (0.0 < lo <= hi < 2.0):
-            raise ValidationError("scale_jitter must satisfy 0 < lo <= hi < 2")
+        require(0.0 < lo <= hi < 2.0,
+                f"scale_jitter must satisfy 0 < lo <= hi < 2, got {self.scale_jitter}")
 
 
 # The strong transforms, and the factor ranges of "scale" (shrink or blow up).
@@ -57,10 +56,9 @@ class StrongAugConfig:
     apply_probability: float = 0.8
 
     def __post_init__(self):
-        if self.n_ops < 0:
-            raise ValidationError("n_ops must be >= 0")
-        if not (0.0 <= self.apply_probability <= 1.0):
-            raise ValidationError("apply_probability must lie in [0, 1]")
+        require(self.n_ops >= 0, f"n_ops must be >= 0, got {self.n_ops}")
+        require(0.0 <= self.apply_probability <= 1.0,
+                f"apply_probability must lie in [0, 1], got {self.apply_probability}")
 
     def validate_against(self, weak: WeakAugConfig) -> None:
         """Strong parameters must strictly dominate the weak ones."""

@@ -2,7 +2,9 @@
 
 Subcommands: gen-data, pretrain, finetune, score, eval, scenario, ablation.
 Every config key can come from a preset, a JSON config file, a dedicated
-flag, or a generic --set key=value override (applied in that order). All
+flag, or a generic --set key=value override (applied in that order). A flag
+is only a spelling of its config key and holds no rule of its own: the
+configuration judges its value (exit 3), as for the same ``--set``. All
 commands are deterministic under (inputs, seed); artifacts embed the
 effective configuration.
 
@@ -22,7 +24,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import objective as obj
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, PRESETS, RunConfig, preset
 from .data import ValidationError, read_dataset, write_dataset
@@ -49,18 +50,18 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float)
     p.add_argument("--gamma-l", type=float, dest="gamma_l")
     p.add_argument("--gamma-p", type=float, dest="gamma_p")
-    p.add_argument("--scenario", choices=("s1", "s2", "s3"))
-    p.add_argument("--mode", choices=("elsa", "elsa_plus"))
+    p.add_argument("--scenario")
+    p.add_argument("--mode")
     p.add_argument("--prototypes", type=int, dest="n_prototypes")
-    p.add_argument("--loss", choices=obj.LOSSES, dest="loss_name")
-    p.add_argument("--score", choices=obj.SCORES, dest="score_name")
-    p.add_argument("--c-mode", choices=obj.C_MODES, dest="c_mode")
+    p.add_argument("--loss", dest="loss_name")
+    p.add_argument("--score", dest="score_name")
+    p.add_argument("--c-mode", dest="c_mode")
     p.add_argument("--pretrain-epochs", type=int, dest="pretrain_epochs")
     p.add_argument("--finetune-epochs", type=int, dest="finetune_epochs")
     p.add_argument("--samples-per-class", type=int, dest="samples_per_class")
     p.add_argument("--input-dim", type=int, dest="input_dim")
     p.add_argument("--n-ensemble", type=int, dest="n_ensemble")
-    p.add_argument("--ensemble-mode", choices=obj.ENSEMBLE_MODES, dest="ensemble_mode")
+    p.add_argument("--ensemble-mode", dest="ensemble_mode")
 
 
 def _parse_value(raw: str):

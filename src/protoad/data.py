@@ -33,6 +33,12 @@ class ValidationError(ValueError):
     """Invalid configuration or precondition violation."""
 
 
+def require(ok: bool, message: str) -> None:
+    """One configuration rule: raise ``ValidationError(message)`` unless ``ok``."""
+    if not ok:
+        raise ValidationError(message)
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Geometry of a synthetic pool.
@@ -52,18 +58,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValidationError("input_dim must be positive")
-        if self.normal_subclusters < 1:
-            raise ValidationError("normal_subclusters must be >= 1")
-        if self.anomaly_classes < 0:
-            raise ValidationError("anomaly_classes must be >= 0")
-        if self.samples_per_class < 1:
-            raise ValidationError("samples_per_class must be >= 1")
-        if not (0.0 <= self.within_spread < self.cluster_spread):
-            raise ValidationError(
-                "within_spread must satisfy 0 <= within_spread < cluster_spread"
-            )
+        require(self.input_dim >= 1, f"input_dim must be positive, got {self.input_dim}")
+        require(self.normal_subclusters >= 1,
+                f"normal_subclusters must be >= 1, got {self.normal_subclusters}")
+        require(self.anomaly_classes >= 0,
+                f"anomaly_classes must be >= 0, got {self.anomaly_classes}")
+        require(self.samples_per_class >= 1,
+                f"samples_per_class must be >= 1, got {self.samples_per_class}")
+        require(0.0 <= self.within_spread < self.cluster_spread,
+                f"within_spread must satisfy 0 <= within_spread < cluster_spread, got "
+                f"{self.within_spread} and {self.cluster_spread}")
 
 
 @dataclass
@@ -205,6 +209,9 @@ def generate(spec: SyntheticSpec) -> Pool:
     )
 
 
+SCENARIOS = ("s1", "s2", "s3")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Which contamination scenario to build and with what ratios.
@@ -222,18 +229,16 @@ class ScenarioConfig:
     val_fraction: float = 0.05
 
     def __post_init__(self):
-        if self.scenario not in ("s1", "s2", "s3"):
-            raise ValidationError(f"unknown scenario {self.scenario!r}")
-        for name in ("gamma_l", "gamma_p"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
-        if self.scenario == "s1" and self.gamma_p > 0.0:
-            raise ValidationError("scenario s1 forbids contamination (gamma_p must be 0)")
-        if not (0.0 < self.test_fraction < 1.0):
-            raise ValidationError("test_fraction must lie in (0, 1)")
-        if not (0.0 <= self.val_fraction < 1.0):
-            raise ValidationError("val_fraction must lie in [0, 1)")
+        require(self.scenario in SCENARIOS,
+                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
+        for name, v in (("gamma_l", self.gamma_l), ("gamma_p", self.gamma_p)):
+            require(0.0 <= v <= 1.0, f"{name} must lie in [0, 1], got {v}")
+        require(self.scenario != "s1" or self.gamma_p <= 0.0,
+                f"scenario s1 forbids contamination (gamma_p must be 0), got {self.gamma_p}")
+        require(0.0 < self.test_fraction < 1.0,
+                f"test_fraction must lie in (0, 1), got {self.test_fraction}")
+        require(0.0 <= self.val_fraction < 1.0,
+                f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
 @dataclass

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import ValidationError
+from .data import ValidationError, require
 from .mathcore import EPS_NORM, NumericError, as_f64
 
 
@@ -37,8 +37,8 @@ class EncoderDims:
 
     def __post_init__(self):
         for name in ("input", "hidden", "embed", "shifts"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"encoder dim {name} must be positive")
+            require(getattr(self, name) >= 1,
+                    f"encoder dim {name} must be positive, got {getattr(self, name)}")
 
 
 class EncoderParams:

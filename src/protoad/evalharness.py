@@ -21,7 +21,7 @@ from . import encoder as enc
 from . import objective as obj
 from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch
-from .data import Dataset, ValidationError, clustering_pool
+from .data import Dataset, ValidationError, clustering_pool, require
 from .mathcore import as_f64
 from .pretrain import train_epoch, two_views
 
@@ -106,14 +106,16 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ValidationError("bad fine-tune settings")
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
-        if self.loss_name not in obj.LOSSES:
-            raise ValidationError(f"unknown loss {self.loss_name!r}")
-        if self.refresh_period < 1:
-            raise ValidationError(f"refresh_period must be >= 1, got {self.refresh_period}")
+        require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
+        require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
+        require(self.lr > 0, f"lr must be positive, got {self.lr}")
+        require(self.tau > 0, f"tau must be positive, got {self.tau}")
+        require(self.loss_name in obj.LOSSES,
+                f"loss_name must be one of {obj.LOSSES}, got {self.loss_name!r}")
+        require(self.c_mode in obj.C_MODES,
+                f"c_mode must be one of {obj.C_MODES}, got {self.c_mode!r}")
+        require(self.refresh_period >= 1,
+                f"refresh_period must be >= 1, got {self.refresh_period}")
 
 
 @dataclass

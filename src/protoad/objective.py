@@ -35,15 +35,13 @@ C_MODES = ("canonical", "appendix")
 
 
 def c_constant(n_prototypes: int, tau: float, mode: str = "canonical") -> float:
-    """The score cap C used by the inverse losses.
+    """The score cap C of k >= 1 prototypes at tau > 0, used by the inverse losses.
 
     canonical: ln(k) + 1/tau, the score when sim = 1 against all prototypes.
     appendix:  ln(k + 1/tau), kept for comparison with the literal pseudocode.
     """
     if mode not in C_MODES:
         raise ValidationError(f"unknown c-mode {mode!r}")
-    if n_prototypes < 1 or tau <= 0:
-        raise ValidationError("need n_prototypes >= 1 and tau > 0")
     if mode == "appendix":
         return math.log(n_prototypes + 1.0 / tau)
     return math.log(n_prototypes) + 1.0 / tau

@@ -17,7 +17,6 @@ it as ``n_prototypes`` in the RunConfig.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -130,8 +129,8 @@ def finetune_and_eval(
     k = n_prototypes if n_prototypes is not None else ctx.rc.n_prototypes
     tau = ctx.rc.effective_score_tau
     rc = ctx.rc.replace(loss_name=loss_name or ctx.rc.loss_name,
-                        score_name=score_name or ctx.rc.score_name, n_prototypes=k,
-                        strict_scores=ctx.rc.strict_scores and math.log(k) > 1.0 / tau)
+                        score_name=score_name or ctx.rc.score_name, n_prototypes=k)
+    rc = rc.replace(strict_scores=rc.strict_scores and rc.energy_positive)
     train, test = ctx.split.train, ctx.split.test
     outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
                              eval_probe=test_auroc_probe(test, tau))

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
-from .data import Dataset, ValidationError, clustering_pool
+from .data import Dataset, ValidationError, clustering_pool, require
 from .mathcore import NumericError
 from .objective import loss_shift, uniformity_scores_self
 
@@ -135,12 +135,11 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 2:
-            raise ValidationError("need epochs >= 0 and batch_size >= 2")
-        if self.lr <= 0 or not (0.0 <= self.momentum < 1.0):
-            raise ValidationError("bad optimizer settings")
-        if self.tau <= 0:
-            raise ValidationError("tau must be positive")
+        require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
+        require(self.batch_size >= 2, f"batch_size must be >= 2, got {self.batch_size}")
+        require(self.lr > 0, f"lr must be positive, got {self.lr}")
+        require(0.0 <= self.momentum < 1.0, f"momentum must lie in [0, 1), got {self.momentum}")
+        require(self.tau > 0, f"tau must be positive, got {self.tau}")
 
 
 @dataclass

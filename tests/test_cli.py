@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 
@@ -9,7 +11,7 @@ from protoad import cli
 from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.checkpoint import load_checkpoint, save_checkpoint
-from protoad.config import ConfigError, preset
+from protoad.config import ConfigError, RunConfig, preset
 from protoad.data import Dataset, read_dataset, write_dataset, write_framed
 from protoad.pipeline import build_splits
 from protoad.prototypes import PrototypeSet
@@ -356,7 +358,7 @@ def test_zero_score_tau_exits_with_validation_code(tmp_path):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", "score_tau=0",
                        "--out", str(tmp_path / "data")])
     assert code == 3
-    assert "score_tau must be positive, got 0" in err
+    assert "finetune stage: tau must be positive, got 0" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -368,6 +370,10 @@ def test_zero_score_tau_exits_with_validation_code(tmp_path):
     ("seed=true", "seed must be int, got True"),
     ("strict_scores=1", "strict_scores must be bool, got 1"),
     ("refresh_period=[3]", "refresh_period must be Optional[int], got [3]"),
+    ("tau=NaN", "tau must be float, got nan"),
+    ("pretrain_lr=NaN", "pretrain_lr must be float, got nan"),
+    ("finetune_lr=Infinity", "finetune_lr must be float, got inf"),
+    ("weak_jitter=[0.9, NaN]", "weak_jitter must be Tuple[float, float], got (0.9, nan)"),
 ])
 def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
@@ -376,18 +382,71 @@ def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("pair, stage", [
-    ("pretrain_lr=-1", "pretrain"), ("pretrain_batch=1", "pretrain"),
-    ("pretrain_momentum=1.0", "pretrain"), ("finetune_lr=0", "finetune"),
-    ("finetune_epochs=-1", "finetune"), ("weak_mask_fraction=0.7", "augmentation"),
-    ("strong_noise_multiple=2.0", "augmentation"), ("strong_n_ops=-1", "augmentation"),
-    ("hidden_dim=0", "encoder"), ("refresh_period=0", "finetune"),
-])
-def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair, stage):
+def test_non_finite_flag_value_exits_with_validation_code(tmp_path):
+    code, err = _main(["gen-data", "--preset", "smoke", "--tau", "nan",
+                       "--out", str(tmp_path / "data")])
+    assert code == 3 and "tau must be float, got nan" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+STAGE_REJECTIONS = [
+    ("pretrain_lr=-1", "pretrain stage: lr must be positive, got -1"),
+    ("pretrain_batch=1", "pretrain stage: batch_size must be >= 2, got 1"),
+    ("pretrain_momentum=1.0", "pretrain stage: momentum must lie in [0, 1), got 1.0"),
+    ("finetune_lr=0", "finetune stage: lr must be positive, got 0"),
+    ("finetune_epochs=-1", "finetune stage: epochs must be >= 0, got -1"),
+    ("weak_mask_fraction=0.7",
+     "augmentation stage: mask_fraction must lie in [0, 0.5), got 0.7"),
+    ("strong_noise_multiple=2.0",
+     "augmentation stage: strong noise_sigma 0.1 must be >= 4x weak noise_sigma 0.05"),
+    ("strong_n_ops=-1", "augmentation stage: n_ops must be >= 0, got -1"),
+    ("hidden_dim=0", "encoder stage: encoder dim hidden must be positive, got 0"),
+    ("refresh_period=0", "finetune stage: refresh_period must be >= 1, got 0"),
+    ("tau=0", "pretrain stage: tau must be positive, got 0"),
+    ("pretrain_tau=-0.5", "pretrain stage: tau must be positive, got -0.5"),
+    ("scenario=s9", "scenario stage: scenario must be one of ('s1', 's2', 's3'), got 's9'"),
+    ("gamma_l=1.5", "scenario stage: gamma_l must lie in [0, 1], got 1.5"),
+    ("scenario=s1", "scenario stage: scenario s1 forbids contamination "
+                    "(gamma_p must be 0), got 0.05"),
+    ("loss_name=x",
+     "finetune stage: loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'x'"),
+    ("c_mode=x", "finetune stage: c_mode must be one of ('canonical', 'appendix'), got 'x'"),
+]
+
+
+@pytest.mark.parametrize("pair, expected", STAGE_REJECTIONS,
+                         ids=[f"{pair}-{text.split(' stage: ')[0]}"
+                              for pair, text in STAGE_REJECTIONS])
+def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair, expected):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
                        "--out", str(tmp_path / "data")])
-    assert code == 3 and f"{stage} stage: " in err, err
+    assert code == 3 and expected in err, err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, key, value", [
+    ("--mode", "mode", "bogus"), ("--scenario", "scenario", "s9"),
+    ("--loss", "loss_name", "x"), ("--c-mode", "c_mode", "x"),
+    ("--score", "score_name", "x"), ("--ensemble-mode", "ensemble_mode", "x"),
+])
+def test_bad_flag_value_exits_exactly_as_its_set_spelling(tmp_path, flag, key, value):
+    out = ["--out", str(tmp_path / "data")]
+    by_flag = _main(["gen-data", "--preset", "smoke", flag, value, *out])
+    by_set = _main(["gen-data", "--preset", "smoke", "--set", f"{key}={value}", *out])
+    assert by_flag[0] == 3 and by_flag == by_set, (by_flag, by_set)
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_flags_are_plain_spellings_of_config_keys():
+    # A parser rule (choices, a dest that is no config key) would be a second
+    # home for a configuration rule.
+    parser = argparse.ArgumentParser(add_help=False)
+    cli._add_config_flags(parser)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    flags = [a for a in parser._actions if a.dest not in ("preset", "config", "set")]
+    assert len(flags) == 16
+    for action in flags:
+        assert action.dest in fields and action.choices is None, action.option_strings
 
 
 def test_bad_sweep_gamma_p_token_exits_with_validation_code(tmp_path):

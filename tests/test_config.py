@@ -34,10 +34,12 @@ def test_presets_are_valid_and_independent_copies():
 
 
 def test_violations_list_every_problem():
-    rc = RunConfig(gamma_l=1.5, n_ensemble=0, mode="bogus")
+    # Run-level rules do not stop the stage builds: all four problems are listed.
+    rc = RunConfig(gamma_l=1.5, n_ensemble=0, mode="bogus", pretrain_batch=1)
     problems = rc.violations()
-    assert len(problems) == 3
-    for needle in ("gamma_l", "n_ensemble", "mode must be one of"):
+    assert len(problems) == 4
+    for needle in ("scenario stage: gamma_l", "n_ensemble", "mode must be one of",
+                   "pretrain stage: batch_size must be >= 2, got 1"):
         assert sum(needle in p for p in problems) == 1, needle
     with pytest.raises(ConfigError) as info:
         rc.validated()
@@ -58,11 +60,11 @@ def test_unknown_preset_raises():
 
 @pytest.mark.parametrize("changes", [{"score_tau": 0.0}, {"tau": 0.0}, {"tau": -1.0}])
 def test_non_positive_score_tau_is_listed_not_raised(changes):
-    problems = RunConfig(**changes).violations()
-    name = next(iter(changes))
-    assert [p for p in problems if p.startswith(name)] == \
-        [f"{name} must be positive, got {changes[name]}"]
-    assert not any("ln(n_prototypes)" in p for p in problems)
+    # Each stage that receives the temperature reports it, once.
+    (name, value), = changes.items()
+    stages = ["finetune"] if name == "score_tau" else ["pretrain", "finetune"]
+    assert RunConfig(**changes).violations() == \
+        [f"{stage} stage: tau must be positive, got {value}" for stage in stages]
 
 
 def test_every_training_config_field_is_reachable():
@@ -77,6 +79,18 @@ def test_every_training_config_field_is_reachable():
         kept = [f.name for f in dataclasses.fields(built)
                 if getattr(built, f.name) == getattr(default, f.name)]
         assert kept == [], type(built).__name__
+
+
+@pytest.mark.parametrize("changes, needle", [
+    ({"tau": float("nan")}, "tau must be float, got nan"),
+    ({"score_tau": float("inf")}, "score_tau must be Optional[float], got inf"),
+    ({"gamma_p": -float("inf")}, "gamma_p must be float, got -inf"),
+    ({"weak_jitter": (0.9, float("nan"))}, "weak_jitter must be Tuple[float, float]"),
+    ({"pretrain_lr": 10 ** 400}, "pretrain_lr must be float"),
+])
+def test_non_finite_float_fields_are_type_violations(changes, needle):
+    problems = RunConfig(**changes).violations()
+    assert len(problems) == 1 and problems[0].startswith(needle), problems
 
 
 def test_wrong_types_are_listed_before_value_checks():
