@@ -9,7 +9,7 @@ as tentative anomalies for the early-stop score.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,11 +107,14 @@ class ShiftFamily:
             raise ValidationError(f"{what} width {x.shape[-1]} != shift dim {self.dim}")
         return x
 
-    def apply(self, x: np.ndarray, index: int) -> np.ndarray:
+    def apply(self, x: np.ndarray, index: int, out: Optional[np.ndarray] = None
+              ) -> np.ndarray:
+        """shift_index(x); slot 0 returns ``x`` itself, any other slot writes
+        into ``out`` when it is given."""
         if not (0 <= index < self.count):
             raise ValidationError(f"shift index {index} out of range [0, {self.count})")
         x = self._checked(x, "sample")
-        return x if index == 0 else x @ self.matrices[index].T
+        return x if index == 0 else np.matmul(x, self.matrices[index].T, out=out)
 
     def expand(self, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Stack shift_k(X) for every k; returns (count*n rows, shift ids).
@@ -127,17 +130,30 @@ class ShiftFamily:
         return rows, ids
 
 
-def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator) -> np.ndarray:
-    """One independent weak view per row: jitter, then noise, then masking."""
+def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator,
+               out: Optional[np.ndarray] = None,
+               scratch: Optional[np.ndarray] = None) -> np.ndarray:
+    """One independent weak view per row: jitter, then noise, then masking.
+
+    ``out`` receives the view and ``scratch`` the noise and then the mask
+    draws: float64 C-contiguous arrays of ``X``'s shape that do not overlap
+    ``X``. Either is allocated when not given, and the view is returned.
+    Buffers change no draw and no bit, since ``sigma * noise + X * scale``
+    is exact in either order. Without them at most three ``X``-sized arrays
+    are alive at once: the view, the draws and ``argsort``'s indices.
+    """
     n, d = X.shape
     lo, hi = cfg.scale_jitter
-    out = X * rng.uniform(lo, hi, size=(n, 1))
+    out = np.multiply(X, rng.uniform(lo, hi, size=(n, 1)), out=out)
     if cfg.noise_sigma > 0:
-        out += cfg.noise_sigma * rng.standard_normal((n, d))
+        scratch = rng.standard_normal((n, d), out=scratch)
+        scratch *= cfg.noise_sigma
+        out += scratch
     n_mask = int(cfg.mask_fraction * d)
     if n_mask > 0:
         # Per-row random coordinate subset of fixed size.
-        cols = np.argsort(rng.random((n, d)), axis=1)[:, :n_mask]
+        cols = np.argsort(rng.random((n, d), out=scratch), axis=1)[:, :n_mask]
+        del scratch    # draws this call made are freed before the masked write
         out[np.arange(n)[:, None], cols] = 0.0
     return out
 

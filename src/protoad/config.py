@@ -39,21 +39,33 @@ class ConfigError(ValidationError):
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
 
 
-def _fits(value, annotation: str) -> bool:
+def _fits(value, annotation: str, finite: bool = True) -> bool:
     """Whether ``value`` has the type a RunConfig field is annotated with.
 
     An int fits a float field; a bool fits only a bool field. A float field
-    takes only finite values (an int too large for a float is not finite).
+    takes only finite values (an int too large for a float is not finite),
+    unless ``finite`` is False.
     """
     if annotation.startswith("Optional["):
-        return value is None or _fits(value, annotation[len("Optional["):-1])
+        return value is None or _fits(value, annotation[len("Optional["):-1], finite)
     if annotation.startswith("Tuple["):
         kinds = annotation[len("Tuple["):-1].split(", ")
         return (isinstance(value, tuple) and len(value) == len(kinds)
-                and all(map(_fits, value, kinds)))
+                and all(_fits(v, k, finite) for v, k in zip(value, kinds)))
     return (isinstance(value, _KINDS[annotation])
             and isinstance(value, bool) == (annotation == "bool")
-            and (annotation != "float" or abs(value) <= sys.float_info.max))
+            and (not finite or annotation != "float" or abs(value) <= sys.float_info.max))
+
+
+def _type_violation(name: str, value, annotation: str) -> str:
+    """The message for a field whose value does not fit its annotation.
+
+    When the value fits but for a non-finite number, the message says so.
+    """
+    if _fits(value, annotation, finite=False):
+        annotation = ("a finite float" if annotation == "float"
+                      else annotation.replace("float", "finite float"))
+    return f"{name} must be {annotation}, got {value!r}"
 
 
 @dataclass
@@ -113,7 +125,7 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def violations(self) -> List[str]:
-        out = [f"{f.name} must be {f.type}, got {getattr(self, f.name)!r}"
+        out = [_type_violation(f.name, getattr(self, f.name), f.type)
                for f in dataclasses.fields(self) if not _fits(getattr(self, f.name), f.type)]
         if out:     # the checks below compare values of the declared types
             return out
@@ -123,6 +135,9 @@ class RunConfig:
             # (a non-positive tau has no domain; the finetune stage reports it)
             out.append(f"ln(n_prototypes)={math.log(self.n_prototypes):.4f} must exceed "
                        f"1/tau={1.0 / self.effective_score_tau:.4f} for positive scores")
+        if self.pretrain_tau is not None and self.score_tau is not None and not self.tau > 0:
+            # (otherwise a stage receives tau and reports it)
+            out.append(f"tau must be positive, got {self.tau}")
         if self.mode not in MODES:
             out.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "elsa_plus" and self.shift_count < 2:

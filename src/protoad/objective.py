@@ -17,15 +17,25 @@ their own domain checks.
 
 Every score takes a 2-D batch, one sample per row, and returns one float64
 score per row; a single sample is a batch of one.
+
+The "scores" ensemble runs on two threads: a producer thread draws the weak
+views, shift by shift, from the caller's one generator in the serial order,
+while the calling thread embeds and scores the views drawn before, so every
+bit is the serial loop's. Meanwhile OpenBLAS is held to one thread for the
+whole process (``blas.one_thread``). After an error the generator may be up
+to ``_RING_DEPTH`` views ahead of the serial loop.
 """
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
+from . import blas
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import LABELED_ANOMALY, ValidationError
@@ -216,6 +226,9 @@ def loss_by_name(name: str, scores, semi, C: float, strict: bool = True
 
 ENSEMBLE_MODES = ("scores", "embeddings")
 
+# Weak views that the "scores" ensemble's producer may draw ahead of the encoder.
+_RING_DEPTH = 3
+
 
 def score_ensemble(
     X,
@@ -231,10 +244,18 @@ def score_ensemble(
     """Ensembled normality score over weak draws and shifting transforms.
 
     "scores" (default): mean of the energy score over n_samples weak views of
-    every shifted copy, S_en(x) = E[S(weak(shift(x)))].
+    every shifted copy, S_en(x) = E[S(weak(shift(x)))]. The views are drawn
+    shift by shift, all n_samples draws of shift 0 first, from ``rng`` alone;
+    the scores and ``rng``'s final state are the serial loop's, bit for bit.
+    A producer thread draws the views while this thread scores the ones
+    before, and OpenBLAS runs on one thread, process-wide, until the call
+    returns. An error on either thread is raised here once the producer has
+    stopped; ``rng`` may then be up to ``_RING_DEPTH`` views past where the
+    serial loop would have left it.
     "embeddings": average the embeddings of the weak views per shifted copy
     first, then sum raw-similarity energies over shifts (the evaluation
     recipe of the reference pseudocode; no temperature, so ``tau`` = 1).
+    It runs on the calling thread alone.
     """
     if mode not in ENSEMBLE_MODES:
         raise ValidationError(f"unknown ensemble mode {mode!r}")
@@ -244,16 +265,52 @@ def score_ensemble(
     k_s = shifts.count
 
     if mode == "scores":
-        acc = np.zeros(n)
-        for k in range(k_s):
-            shifted = shifts.apply(X, k)
-            for _ in range(n_samples):
-                emb = enc.embed(params, weak_batch(shifted, weak_cfg, rng))
-                acc += energy_score(emb, prototypes, tau)
-        return acc / (k_s * n_samples)
+        return _mean_view_energy(X, params, prototypes, tau, weak_cfg, shifts,
+                                 n_samples, rng)
     zbar = np.zeros((k_s * n, prototypes.shape[1]))
     for _ in range(n_samples):
         rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
         zbar += enc.embed(params, rows)
     zbar /= n_samples
     return _energy(zbar, prototypes, 1.0)[0].reshape(k_s, n).sum(axis=0)
+
+
+def _mean_view_energy(X, params, prototypes, tau, weak_cfg, shifts, n_samples, rng
+                      ) -> np.ndarray:
+    """The "scores" ensemble: views pass from the producer to this thread and
+    back through a ring of ``_RING_DEPTH`` buffers, in the serial order."""
+    free = queue.SimpleQueue()     # empty view buffers; None stops the producer
+    ready = queue.SimpleQueue()    # drawn views, or the producer's exception
+    for _ in range(_RING_DEPTH):
+        free.put(np.empty(X.shape))
+    shifted = np.empty(X.shape)    # the producer's current shifted copy
+    scratch = np.empty(X.shape)    # and its noise and mask draws
+
+    def draw_views():
+        try:
+            for k in range(shifts.count):
+                rows = shifts.apply(X, k, out=shifted)
+                for _ in range(n_samples):
+                    view = free.get()
+                    if view is None:
+                        return
+                    ready.put(weak_batch(rows, weak_cfg, rng, view, scratch))
+        except BaseException as exc:    # raised again on the calling thread
+            ready.put(exc)
+
+    total = shifts.count * n_samples
+    acc = np.zeros(len(X))
+    producer = threading.Thread(target=draw_views, name="score_ensemble views")
+    with blas.one_thread():
+        producer.start()
+        try:
+            for _ in range(total):
+                view = ready.get()
+                if isinstance(view, BaseException):
+                    raise view
+                acc += energy_score(enc.embed(params, view), prototypes, tau)
+                free.put(view)
+        finally:
+            free.put(None)
+            producer.join()
+    return acc / total

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,38 @@ def test_weak_equals_out_of_place_noise_bitwise(cfg):
     a = weak_batch(X, cfg, np.random.default_rng(5))
     b = weak_batch_by_copy(X, cfg, np.random.default_rng(5))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("cfg", [WeakAugConfig(), WeakAugConfig(noise_sigma=0.0),
+                                 WeakAugConfig(mask_fraction=0.0)])
+def test_weak_into_given_buffers_equals_out_of_place_noise_bitwise(cfg):
+    X = np.random.default_rng(1).normal(size=(300, 32))
+    X_before = X.copy()
+    out, scratch = np.full_like(X, np.nan), np.full_like(X, np.nan)
+    rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = weak_batch(X, cfg, rng, out, scratch)
+    assert got is out
+    assert np.array_equal(got, weak_batch_by_copy(X, cfg, want_rng))
+    assert np.array_equal(X, X_before)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [512, 64])
+def test_weak_without_buffers_keeps_three_batch_sized_arrays_at_most(rows):
+    # Pre-training draws 512-row views, 1324 calls per acceptance run, and
+    # fine-tuning 64-row batches: each call still returns a fresh array and
+    # holds at most the view, one draw buffer and argsort's indices at once.
+    X = np.random.default_rng(2).normal(size=(rows, 32))
+    rng = np.random.default_rng(3)
+    first = weak_batch(X, WeakAugConfig(), rng)
+    tracemalloc.start()
+    try:
+        second = weak_batch(X, WeakAugConfig(), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert second is not first and not np.shares_memory(second, X)
+    assert peak <= 3 * X.nbytes + 8192
 
 
 def test_weak_masks_exactly_floor_fraction():
@@ -72,6 +106,16 @@ def test_shift_preserves_norm():
     x = rng.normal(size=16)
     for k in range(fam.count):
         assert abs(np.linalg.norm(fam.apply(x, k)) - np.linalg.norm(x)) < 1e-9
+
+
+def test_shift_into_a_given_buffer_equals_the_product_bitwise():
+    fam = ShiftFamily.random(dim=32, count=3, seed=4)
+    X = np.random.default_rng(5).normal(size=(100, 32))
+    out = np.full_like(X, np.nan)
+    assert fam.apply(X, 0, out=out) is X
+    for k in (1, 2):
+        assert fam.apply(X, k, out=out) is out
+        assert np.array_equal(out, X @ fam.matrices[k].T)
 
 
 def test_shift_orthogonality_tolerance():

@@ -370,10 +370,11 @@ def test_zero_score_tau_exits_with_validation_code(tmp_path):
     ("seed=true", "seed must be int, got True"),
     ("strict_scores=1", "strict_scores must be bool, got 1"),
     ("refresh_period=[3]", "refresh_period must be Optional[int], got [3]"),
-    ("tau=NaN", "tau must be float, got nan"),
-    ("pretrain_lr=NaN", "pretrain_lr must be float, got nan"),
-    ("finetune_lr=Infinity", "finetune_lr must be float, got inf"),
-    ("weak_jitter=[0.9, NaN]", "weak_jitter must be Tuple[float, float], got (0.9, nan)"),
+    ("tau=NaN", "tau must be a finite float, got nan"),
+    ("pretrain_lr=NaN", "pretrain_lr must be a finite float, got nan"),
+    ("finetune_lr=Infinity", "finetune_lr must be a finite float, got inf"),
+    ("weak_jitter=[0.9, NaN]",
+     "weak_jitter must be Tuple[finite float, finite float], got (0.9, nan)"),
 ])
 def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
@@ -385,7 +386,7 @@ def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle
 def test_non_finite_flag_value_exits_with_validation_code(tmp_path):
     code, err = _main(["gen-data", "--preset", "smoke", "--tau", "nan",
                        "--out", str(tmp_path / "data")])
-    assert code == 3 and "tau must be float, got nan" in err, err
+    assert code == 3 and "tau must be a finite float, got nan" in err, err
     assert not list(tmp_path.iterdir())
 
 

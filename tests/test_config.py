@@ -67,6 +67,16 @@ def test_non_positive_score_tau_is_listed_not_raised(changes):
         [f"{stage} stage: tau must be positive, got {value}" for stage in stages]
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    ({"pretrain_tau": 0.5, "score_tau": 0.5}, ["tau must be positive, got -1.0"]),
+    ({"pretrain_tau": 0.5}, ["finetune stage: tau must be positive, got -1.0"]),
+    ({"score_tau": 0.5}, ["pretrain stage: tau must be positive, got -1.0"]),
+])
+def test_bad_tau_is_listed_once_whichever_overrides_are_set(overrides, expected):
+    # With both overrides no stage receives tau, so the run-level rule reports it.
+    assert RunConfig(tau=-1.0, **overrides).violations() == expected
+
+
 def test_every_training_config_field_is_reachable():
     # Every mapped RunConfig value differs from the matching training default.
     rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01,
@@ -82,11 +92,12 @@ def test_every_training_config_field_is_reachable():
 
 
 @pytest.mark.parametrize("changes, needle", [
-    ({"tau": float("nan")}, "tau must be float, got nan"),
-    ({"score_tau": float("inf")}, "score_tau must be Optional[float], got inf"),
-    ({"gamma_p": -float("inf")}, "gamma_p must be float, got -inf"),
-    ({"weak_jitter": (0.9, float("nan"))}, "weak_jitter must be Tuple[float, float]"),
-    ({"pretrain_lr": 10 ** 400}, "pretrain_lr must be float"),
+    ({"tau": float("nan")}, "tau must be a finite float, got nan"),
+    ({"score_tau": float("inf")}, "score_tau must be Optional[finite float], got inf"),
+    ({"gamma_p": -float("inf")}, "gamma_p must be a finite float, got -inf"),
+    ({"weak_jitter": (0.9, float("nan"))},
+     "weak_jitter must be Tuple[finite float, finite float]"),
+    ({"pretrain_lr": 10 ** 400}, "pretrain_lr must be a finite float"),
 ])
 def test_non_finite_float_fields_are_type_violations(changes, needle):
     problems = RunConfig(**changes).violations()

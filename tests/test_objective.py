@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from protoad import blas
 from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.augment import ShiftFamily, WeakAugConfig
@@ -432,7 +435,7 @@ def test_elsa_gradient_step_moves_scores_correctly():
 # --------------------------------------------------------- score_ensemble
 
 def _tiny_encoder(dim=6):
-    return enc.init(0, enc.EncoderDims(input=dim, hidden=16, embed=5, shifts=2))
+    return enc.init(0, enc.EncoderDims(input=dim, hidden=max(16, dim), embed=5, shifts=2))
 
 
 def test_ensemble_degenerate_equals_plain_energy():
@@ -481,15 +484,158 @@ def test_ensemble_modes_rank_correlated():
 
 
 @pytest.mark.parametrize("mode", obj.ENSEMBLE_MODES)
-@pytest.mark.parametrize("count", [1, 3])
-def test_ensemble_equals_copying_oracle_bitwise(mode, count):
-    params = _tiny_encoder()
+@pytest.mark.parametrize("count, rows, dim, n_samples", [
+    pytest.param(1, 40, 6, 3, id="1"),                  # one slot: ELSA
+    pytest.param(3, 40, 6, 3, id="3"),
+    pytest.param(3, 40, 6, 1, id="one-draw"),
+    pytest.param(3, 1, 6, 3, id="one-row"),
+    pytest.param(4, 1000, 32, 10, id="1000x32-40-views"),   # every view buffer reused
+])
+def test_ensemble_equals_copying_oracle_bitwise(mode, count, rows, dim, n_samples):
+    params = _tiny_encoder(dim)
     rng = np.random.default_rng(8)
-    X = rng.normal(size=(40, 6))
+    X = rng.normal(size=(rows, dim))
     P = rng.normal(size=(4, 5))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     kw = dict(tau=0.5, weak_cfg=WeakAugConfig(),
-              shifts=ShiftFamily.random(6, count=count, seed=3), n_samples=3, mode=mode)
-    got = obj.score_ensemble(X, params, P, rng=np.random.default_rng(12), **kw)
-    want = score_ensemble_by_copy(X, params, P, rng=np.random.default_rng(12), **kw)
+              shifts=ShiftFamily.random(dim, count=count, seed=3), n_samples=n_samples,
+              mode=mode)
+    got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
+    got = obj.score_ensemble(X, params, P, rng=got_rng, **kw)
+    want = score_ensemble_by_copy(X, params, P, rng=want_rng, **kw)
     assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _ensemble_inputs():
+    params = _tiny_encoder()
+    rng = np.random.default_rng(13)
+    X = rng.normal(size=(30, 6))
+    P = rng.normal(size=(4, 5))
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    kw = dict(tau=0.5, weak_cfg=WeakAugConfig(), shifts=ShiftFamily.random(6, count=3, seed=4),
+              n_samples=4)
+    return X, params, P, kw
+
+
+def _blas_threads():
+    found = blas.controls()
+    return found[0]() if found is not None else None
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test, so that a hold left on shows."""
+    found = blas.controls()
+    if found is None:
+        yield
+        return
+    get, put = found
+    before = get()
+    put(2)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _fail_on_call(fn, failing_call):
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise RuntimeError(f"call {failing_call} fails")
+        return fn(*args, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("owner, name", [(enc, "embed"), (obj, "weak_batch")],
+                         ids=["encoder.embed", "objective.weak_batch"])
+def test_ensemble_error_on_either_thread_propagates_and_leaves_nothing(
+        monkeypatch, two_blas_threads, owner, name):
+    # encoder.embed runs on the calling thread, objective.weak_batch on the producer.
+    X, params, P, kw = _ensemble_inputs()
+    threads, blas_threads = threading.active_count(), _blas_threads()
+    monkeypatch.setattr(owner, name, _fail_on_call(getattr(owner, name), 3))
+    raised = []
+
+    def score():     # on its own thread, so that a producer left blocked fails the test
+        try:
+            obj.score_ensemble(X, params, P, rng=np.random.default_rng(1), **kw)
+        except RuntimeError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=score, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert [str(e) for e in raised] == ["call 3 fails"]
+    assert threading.active_count() == threads
+    assert _blas_threads() == blas_threads
+
+
+def test_ensemble_holds_one_blas_thread_only_while_it_scores(monkeypatch, two_blas_threads):
+    X, params, P, kw = _ensemble_inputs()
+    before, seen = _blas_threads(), []
+    embed = enc.embed
+
+    def recording_embed(*args):
+        seen.append(_blas_threads())
+        return embed(*args)
+
+    monkeypatch.setattr(enc, "embed", recording_embed)
+    obj.score_ensemble(X, params, P, rng=np.random.default_rng(1), **kw)
+    assert seen == [None if before is None else 1] * 12
+    assert _blas_threads() == before
+
+
+def test_ensemble_without_openblas_controls_scores_the_same(monkeypatch):
+    X, params, P, kw = _ensemble_inputs()
+    want = score_ensemble_by_copy(X, params, P, rng=np.random.default_rng(2), **kw)
+    monkeypatch.setattr(blas, "controls", lambda: None)
+    got = obj.score_ensemble(X, params, P, rng=np.random.default_rng(2), **kw)
+    assert np.array_equal(got, want)
+
+
+def test_concurrent_ensembles_each_equal_the_oracle_and_restore_blas_threads(
+        two_blas_threads):
+    # More scoring threads than cores, switching often: every call keeps its
+    # own ring and generator, and the shared one-thread hold ends with the last.
+    X, params, P, kw = _ensemble_inputs()
+    want = {seed: score_ensemble_by_copy(X, params, P, rng=np.random.default_rng(seed),
+                                         **kw) for seed in range(4)}
+    before, got = _blas_threads(), {}
+
+    def score(seed):
+        for _ in range(5):
+            got[seed] = obj.score_ensemble(X, params, P, rng=np.random.default_rng(seed),
+                                           **kw)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=score, args=(seed,)) for seed in want]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert all(np.array_equal(got[seed], want[seed]) for seed in want)
+    assert _blas_threads() == before
+
+
+def test_nested_one_thread_holds_restore_the_count_when_the_block_raises(monkeypatch):
+    count = [2]
+    monkeypatch.setattr(blas, "controls",
+                        lambda: (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    with pytest.raises(KeyError):
+        with blas.one_thread():
+            with blas.one_thread():
+                assert count == [1]
+            assert count == [1]         # the outer hold is still on
+            raise KeyError("block fails")
+    assert count == [2]

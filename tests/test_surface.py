@@ -13,6 +13,10 @@ unreferenced is dead code or a helper only the tests call, and belongs in
 A second test lists the functions of ``src/protoad`` that call
 ``mathcore.as_f64`` and requires them to be exactly the entry sites that the
 ``mathcore`` docstring names, where outside data becomes a program object.
+
+A third keeps threads and foreign calls where they are owned: ``threading``
+only in ``objective`` (the ensemble's producer thread) and ``blas`` (its hold
+lock), ``ctypes`` only in ``blas``.
 """
 import ast
 from pathlib import Path
@@ -39,6 +43,8 @@ ENTRY_SITES = {
     "prototypes.PrototypeSet.__post_init__", "augment.ShiftFamily.__init__",
     "evalharness.auroc",
 }
+
+IMPORT_OWNERS = {"threading": {"objective", "blas"}, "ctypes": {"blas"}}
 
 
 def _bound_locally(fn: ast.AST) -> set:
@@ -135,3 +141,24 @@ def test_only_entry_sites_call_as_f64():
                                       f"{sorted(callers - ENTRY_SITES)}"
     assert not ENTRY_SITES - callers, f"entry sites that no longer call as_f64: " \
                                       f"{sorted(ENTRY_SITES - callers)}"
+
+
+def importers(modules) -> dict:
+    """Per top-level module name in ``modules``: the ``src/protoad`` modules importing it."""
+    out = {name: set() for name in modules}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in out:
+                    out[name.split(".")[0]].add(path.stem)
+    return out
+
+
+def test_threads_and_foreign_calls_are_imported_only_by_their_owners():
+    assert importers(IMPORT_OWNERS) == IMPORT_OWNERS
