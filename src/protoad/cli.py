@@ -55,13 +55,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prototypes", type=int, dest="n_prototypes")
     p.add_argument("--loss", dest="loss_name")
     p.add_argument("--score", dest="score_name")
-    p.add_argument("--c-mode", dest="c_mode")
     p.add_argument("--pretrain-epochs", type=int, dest="pretrain_epochs")
     p.add_argument("--finetune-epochs", type=int, dest="finetune_epochs")
     p.add_argument("--samples-per-class", type=int, dest="samples_per_class")
     p.add_argument("--input-dim", type=int, dest="input_dim")
     p.add_argument("--n-ensemble", type=int, dest="n_ensemble")
-    p.add_argument("--ensemble-mode", dest="ensemble_mode")
 
 
 def _parse_value(raw: str):
@@ -106,9 +104,22 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
     return rc.validated()
 
 
+def _finite_or_null(value):
+    """``value`` with every non-finite float, at any depth, replaced by None:
+    strict JSON has no NaN or infinity, and writes null in their place."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+        json.dump(_finite_or_null(payload), fh, sort_keys=True, indent=2,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -124,7 +135,8 @@ def _write_metrics(path, kind: str, records: List[dict]) -> None:
         for rec in records:
             line = {"schema": METRICS_SCHEMA, "kind": kind}
             line.update(rec)
-            fh.write(json.dumps(line, sort_keys=True) + "\n")
+            fh.write(json.dumps(_finite_or_null(line), sort_keys=True,
+                                allow_nan=False) + "\n")
 
 
 def _dataset_paths(prefix: str):
@@ -215,7 +227,7 @@ def cmd_score(args) -> int:
     weak, _ = rc.resolve_augs(ds.features)
     scores = evaluate_scores(rc.score_name, ckpt.params, ckpt.prototypes, ds, None,
                              weak, rc.shift_family(), rc.effective_score_tau,
-                             rc.n_ensemble, rc.score_rng(), ensemble_mode=rc.ensemble_mode)
+                             rc.n_ensemble, rc.score_rng())
     order = np.argsort(ds.ids, kind="mergesort")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(_score_lines(ds.ids[order].tolist(), scores[order].tolist()))

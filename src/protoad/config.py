@@ -26,10 +26,14 @@ from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .data import ScenarioConfig, SyntheticSpec, ValidationError
 from .encoder import EncoderDims
 from .evalharness import FinetuneConfig
-from .objective import ENSEMBLE_MODES, SCORES
+from .objective import SCORES
 from .pretrain import PretrainConfig
 
 MODES = ("elsa", "elsa_plus")
+
+# Removed options and the one value each held in every file written before
+# their removal (checkpoint snapshots, gen-data config files).
+_RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical"}
 
 
 class ConfigError(ValidationError):
@@ -93,8 +97,6 @@ class RunConfig:
     mode: str = "elsa_plus"
     loss_name: str = "elsa"
     score_name: str = "energy"
-    c_mode: str = "canonical"
-    ensemble_mode: str = "scores"
     n_ensemble: int = 10
     n_prototypes: int = 16
     tau: float = 0.5
@@ -144,8 +146,6 @@ class RunConfig:
             out.append(f"mode elsa_plus requires shift_count >= 2, got {self.shift_count}")
         if self.score_name not in SCORES:
             out.append(f"score_name must be one of {SCORES}, got {self.score_name!r}")
-        if self.ensemble_mode not in ENSEMBLE_MODES:
-            out.append(f"ensemble_mode must be one of {ENSEMBLE_MODES}")
         if self.n_ensemble < 1:
             out.append(f"n_ensemble must be >= 1, got {self.n_ensemble}")
         for stage, build in (("data", self.synthetic_spec),
@@ -259,7 +259,6 @@ class RunConfig:
                               tau=self.effective_score_tau,
                               loss_name=self.loss_name,
                               refresh_period=self.effective_refresh_period,
-                              c_mode=self.c_mode,
                               strict_scores=self.strict_scores,
                               seed=self.seed + 5)
 
@@ -271,11 +270,16 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """The configuration ``data`` spells; a retired key is dropped when it
+        holds the one value the program still runs, and rejected otherwise."""
+        kwargs = dict(data)
+        for key, kept in _RETIRED.items():
+            if key in kwargs and kwargs.pop(key) != kept:
+                raise ConfigError(f"the {key} option was removed; only {kept!r} is "
+                                  f"accepted, got {data[key]!r}")
+        unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(data)
         if isinstance(kwargs.get("weak_jitter"), list):
             kwargs["weak_jitter"] = tuple(kwargs["weak_jitter"])
         return cls(**kwargs)

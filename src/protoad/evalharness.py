@@ -70,16 +70,15 @@ def earlystop_score(
     View A is a weak draw of each held-out sample, view B a weak draw of a
     strong distortion of it. Both views are expanded over every shifting
     transform; a sample's score is the sum over shifts of the raw-similarity
-    energy against the prototypes. Originals get label 1.
+    energy against the prototypes (``objective.summed_shift_energy``, one
+    draw, no temperature). Originals get label 1.
     """
     if len(validation) == 0:
         raise ValidationError("validation set is empty")
     X = validation.features
 
     def energy(rows):
-        # "embeddings" mode scores raw similarities and ignores tau.
-        return obj.score_ensemble(rows, params, protos.vectors, 1.0, weak_cfg,
-                                  shifts, 1, rng, mode="embeddings")
+        return obj.summed_shift_energy(rows, params, protos.vectors, weak_cfg, shifts, rng)
 
     # Draw order: weak(X), then strong(X), then weak(strong(X)).
     originals = energy(X)
@@ -101,7 +100,6 @@ class FinetuneConfig:
     tau: float = 0.5
     loss_name: str = "elsa"
     refresh_period: int = 1
-    c_mode: str = "canonical"
     strict_scores: bool = True
     seed: int = 0
 
@@ -112,8 +110,6 @@ class FinetuneConfig:
         require(self.tau > 0, f"tau must be positive, got {self.tau}")
         require(self.loss_name in obj.LOSSES,
                 f"loss_name must be one of {obj.LOSSES}, got {self.loss_name!r}")
-        require(self.c_mode in obj.C_MODES,
-                f"c_mode must be one of {obj.C_MODES}, got {self.c_mode!r}")
         require(self.refresh_period >= 1,
                 f"refresh_period must be >= 1, got {self.refresh_period}")
 
@@ -174,7 +170,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     influences training or model selection.
     """
     params = params.copy()
-    C = obj.c_constant(protos.k, cfg.tau, cfg.c_mode)
+    C = obj.c_constant(protos.k, cfg.tau)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()
     n_steps = 0
@@ -255,7 +251,6 @@ def evaluate_scores(
     tau: float,
     n_ensemble: int,
     rng: np.random.Generator,
-    ensemble_mode: str = "scores",
 ) -> np.ndarray:
     """Per-sample normality scores on a test set under one scoring rule.
 
@@ -263,8 +258,7 @@ def evaluate_scores(
     """
     if score_name == "energy":
         return obj.score_ensemble(test.features, params, protos.vectors, tau,
-                                  weak_cfg, shifts, n_ensemble, rng,
-                                  mode=ensemble_mode)
+                                  weak_cfg, shifts, n_ensemble, rng)
     if score_name == "cosine":
         return obj.score_cosine(enc.embed(params, test.features), protos.vectors)
     if score_name == "uniformity":

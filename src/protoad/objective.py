@@ -8,9 +8,9 @@ cap C = ln k + 1/tau attained only when a sample matches every prototype
 perfectly. Ablation scores (nearest-prototype cosine, reference-set
 uniformity) and losses (naive, inverse-anomaly-only) live here too.
 
-``_energy`` is the one energy form: ``energy_score``, ``energy_score_grad``
-and both ``score_ensemble`` modes reach it, so the early-stop score and the
-test probe do too. ``_two_terms`` is the one loss body: every loss is a
+``_energy`` is the one energy form: ``energy_score``, ``energy_score_grad``,
+``score_ensemble`` and early stopping's ``summed_shift_energy`` reach it, so
+the test probe does too. ``_two_terms`` is the one loss body: every loss is a
 term over labeled anomalies plus a term over the rest, and ``loss_elsa``,
 ``loss_naive`` and ``loss_deepsad`` keep only their per-group values and
 their own domain checks.
@@ -18,7 +18,7 @@ their own domain checks.
 Every score takes a 2-D batch, one sample per row, and returns one float64
 score per row; a single sample is a batch of one.
 
-The "scores" ensemble runs on two threads: a producer thread draws the weak
+``score_ensemble`` runs on two threads: a producer thread draws the weak
 views, shift by shift, from the caller's one generator in the serial order,
 while the calling thread embeds and scores the views drawn before, so every
 bit is the serial loop's. Meanwhile OpenBLAS is held to one thread for the
@@ -41,19 +41,10 @@ from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import LABELED_ANOMALY, ValidationError
 from .mathcore import NumericError, logsumexp_rows_inplace, row_max, softmax_rows
 
-C_MODES = ("canonical", "appendix")
 
-
-def c_constant(n_prototypes: int, tau: float, mode: str = "canonical") -> float:
-    """The score cap C of k >= 1 prototypes at tau > 0, used by the inverse losses.
-
-    canonical: ln(k) + 1/tau, the score when sim = 1 against all prototypes.
-    appendix:  ln(k + 1/tau), kept for comparison with the literal pseudocode.
-    """
-    if mode not in C_MODES:
-        raise ValidationError(f"unknown c-mode {mode!r}")
-    if mode == "appendix":
-        return math.log(n_prototypes + 1.0 / tau)
+def c_constant(n_prototypes: int, tau: float) -> float:
+    """The score cap C = ln(k) + 1/tau of k >= 1 prototypes at tau > 0, used by the
+    inverse losses: the score when sim = 1 against all prototypes."""
     return math.log(n_prototypes) + 1.0 / tau
 
 
@@ -96,6 +87,16 @@ def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
     grad = w @ prototypes
     grad /= tau
     return scores, grad
+
+
+def summed_shift_energy(X, params: enc.EncoderParams, prototypes: np.ndarray,
+                        weak_cfg: WeakAugConfig, shifts: ShiftFamily,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Early stopping's score: one weak draw of each row, expanded over every
+    shift, and the raw-similarity energy (tau 1) of each copy summed over shifts."""
+    rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
+    energies = energy_score(enc.embed(params, rows), prototypes, 1.0)
+    return energies.reshape(shifts.count, len(X)).sum(axis=0)
 
 
 def score_cosine(E: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -224,9 +225,7 @@ def loss_by_name(name: str, scores, semi, C: float, strict: bool = True
     raise ValidationError(f"unknown loss {name!r}; expected one of {LOSSES}")
 
 
-ENSEMBLE_MODES = ("scores", "embeddings")
-
-# Weak views that the "scores" ensemble's producer may draw ahead of the encoder.
+# Weak views that the ensemble's producer may draw ahead of the encoder.
 _RING_DEPTH = 3
 
 
@@ -239,46 +238,21 @@ def score_ensemble(
     shifts: ShiftFamily,
     n_samples: int,
     rng: np.random.Generator,
-    mode: str = "scores",
 ) -> np.ndarray:
-    """Ensembled normality score over weak draws and shifting transforms.
+    """Ensembled normality score: the mean of the energy score over n_samples
+    weak views of every shifted copy, S_en(x) = E[S(weak(shift(x)))].
 
-    "scores" (default): mean of the energy score over n_samples weak views of
-    every shifted copy, S_en(x) = E[S(weak(shift(x)))]. The views are drawn
-    shift by shift, all n_samples draws of shift 0 first, from ``rng`` alone;
-    the scores and ``rng``'s final state are the serial loop's, bit for bit.
-    A producer thread draws the views while this thread scores the ones
-    before, and OpenBLAS runs on one thread, process-wide, until the call
-    returns. An error on either thread is raised here once the producer has
-    stopped; ``rng`` may then be up to ``_RING_DEPTH`` views past where the
-    serial loop would have left it.
-    "embeddings": average the embeddings of the weak views per shifted copy
-    first, then sum raw-similarity energies over shifts (the evaluation
-    recipe of the reference pseudocode; no temperature, so ``tau`` = 1).
-    It runs on the calling thread alone.
+    The views are drawn shift by shift, all n_samples draws of shift 0 first,
+    from ``rng`` alone; the scores and ``rng``'s final state are the serial
+    loop's, bit for bit. A producer thread draws the views while this thread
+    scores the ones before, and OpenBLAS runs on one thread, process-wide,
+    until the call returns. Views pass from the producer to this thread and
+    back through a ring of ``_RING_DEPTH`` buffers. An error on either thread
+    is raised here once the producer has stopped; ``rng`` may then be up to
+    ``_RING_DEPTH`` views past where the serial loop would have left it.
     """
-    if mode not in ENSEMBLE_MODES:
-        raise ValidationError(f"unknown ensemble mode {mode!r}")
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
-    n = len(X)
-    k_s = shifts.count
-
-    if mode == "scores":
-        return _mean_view_energy(X, params, prototypes, tau, weak_cfg, shifts,
-                                 n_samples, rng)
-    zbar = np.zeros((k_s * n, prototypes.shape[1]))
-    for _ in range(n_samples):
-        rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
-        zbar += enc.embed(params, rows)
-    zbar /= n_samples
-    return _energy(zbar, prototypes, 1.0)[0].reshape(k_s, n).sum(axis=0)
-
-
-def _mean_view_energy(X, params, prototypes, tau, weak_cfg, shifts, n_samples, rng
-                      ) -> np.ndarray:
-    """The "scores" ensemble: views pass from the producer to this thread and
-    back through a ring of ``_RING_DEPTH`` buffers, in the serial order."""
     free = queue.SimpleQueue()     # empty view buffers; None stops the producer
     ready = queue.SimpleQueue()    # drawn views, or the producer's exception
     for _ in range(_RING_DEPTH):

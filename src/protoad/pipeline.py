@@ -25,7 +25,7 @@ import numpy as np
 from . import encoder as enc
 from . import objective as obj
 from .config import RunConfig
-from .data import Dataset, Pool, ScenarioSplit, build_scenario, generate
+from .data import Dataset, Pool, ScenarioSplit, build_scenario, generate, require
 from .evalharness import (RunResult, auroc, evaluate_scores, finetune_loop,
                           prototype_inputs, reference_embeddings, split_hash,
                           test_auroc_probe)
@@ -137,7 +137,7 @@ def finetune_and_eval(
     weak, _, shifts = stage_augs(rc, train)
     scores = evaluate_scores(rc.score_name, outcome.best_params, outcome.best_prototypes,
                              test, train, weak, shifts, tau, rc.n_ensemble,
-                             rc.score_rng(), ensemble_mode=rc.ensemble_mode)
+                             rc.score_rng())
     final = auroc(scores, test.eval_normal_labels())
     report = {
         "loss_name": rc.loss_name,
@@ -186,9 +186,12 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3,
              workers: int = 1) -> Dict:
     """The grid analogue of the paper-style (normal x anomaly) sweep."""
     rc = rc.validated()
+    require(workers >= 1, f"workers must be >= 1, got {workers}")
     cells = [(rc, i, j, n_anomaly_mixes)
              for i in range(n_normal_configs) for j in range(n_anomaly_mixes)]
+    workers = min(workers, len(cells))
     if workers > 1:
+        # The pool starts all its workers at once, so it gets no more than the cells.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as ex:
             reports = list(ex.map(_grid_cell, cells))

@@ -120,7 +120,12 @@ def weak_batch_by_copy(X, cfg, rng) -> np.ndarray:
 
 def score_ensemble_by_copy(X, params, P, tau, weak_cfg, shifts, n_samples, rng,
                            mode="scores") -> np.ndarray:
-    """``objective.score_ensemble`` built from the copying oracles above."""
+    """``objective.score_ensemble`` built from the copying oracles above.
+
+    mode "embeddings" is the recipe that averages the embeddings of the weak
+    views before scoring and sums raw-similarity energies over shifts (``tau``
+    unused); with one draw it is ``objective.summed_shift_energy``.
+    """
     n, k_s = len(X), shifts.count
     if mode == "scores":
         acc = np.zeros(n)

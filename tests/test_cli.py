@@ -77,25 +77,32 @@ def test_unknown_set_key_exits_with_validation_code(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+# A value for each dedicated flag that differs from the smoke preset's.
+FLAG_VALUES = {"seed": "7", "tau": "0.6", "gamma_l": "0.2", "gamma_p": "0.1",
+               "scenario": "s3", "mode": "elsa", "n_prototypes": "12",
+               "loss_name": "deepsad", "score_name": "cosine", "pretrain_epochs": "2",
+               "finetune_epochs": "5", "samples_per_class": "40", "input_dim": "12",
+               "n_ensemble": "3"}
+
+
+def _dedicated_flags():
+    """The dedicated config flags, as the ``gen-data`` parser of ``cli.build_parser``
+    holds them: every option but the generic ``--preset``, ``--config``,
+    ``--set``, ``--help`` and the command's own ``--out``."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [a for a in sub.choices["gen-data"]._actions
+            if a.dest not in ("help", "preset", "config", "set", "out")]
+
+
 @pytest.mark.parametrize("flag, value, key, expected", [
-    ("--seed", "7", "seed", 7),
-    ("--tau", "0.6", "tau", 0.6),
-    ("--gamma-l", "0.2", "gamma_l", 0.2),
-    ("--gamma-p", "0.1", "gamma_p", 0.1),
-    ("--scenario", "s3", "scenario", "s3"),
-    ("--mode", "elsa", "mode", "elsa"),
-    ("--prototypes", "12", "n_prototypes", 12),
-    ("--loss", "deepsad", "loss_name", "deepsad"),
-    ("--score", "cosine", "score_name", "cosine"),
-    ("--c-mode", "appendix", "c_mode", "appendix"),
-    ("--pretrain-epochs", "2", "pretrain_epochs", 2),
-    ("--finetune-epochs", "5", "finetune_epochs", 5),
-    ("--samples-per-class", "40", "samples_per_class", 40),
-    ("--input-dim", "12", "input_dim", 12),
-    ("--n-ensemble", "3", "n_ensemble", 3),
-    ("--ensemble-mode", "embeddings", "ensemble_mode", "embeddings"),
-])
+    (a.option_strings[0], FLAG_VALUES.get(a.dest), a.dest,
+     (a.type or str)(FLAG_VALUES[a.dest]) if a.dest in FLAG_VALUES else None)
+    for a in _dedicated_flags()])
 def test_dedicated_flag_sets_its_config_key(flag, value, key, expected):
+    # A flag left behind when its config key goes fails here, not at run time.
+    assert key in {f.name for f in dataclasses.fields(RunConfig)}, flag
+    assert value is not None, f"FLAG_VALUES has no value for {flag}"
     assert getattr(preset("smoke"), key) != expected
     rc = cli.resolve_config(_args("--preset", "smoke", flag, value))
     assert getattr(rc, key) == expected
@@ -411,7 +418,6 @@ STAGE_REJECTIONS = [
                     "(gamma_p must be 0), got 0.05"),
     ("loss_name=x",
      "finetune stage: loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'x'"),
-    ("c_mode=x", "finetune stage: c_mode must be one of ('canonical', 'appendix'), got 'x'"),
 ]
 
 
@@ -427,8 +433,7 @@ def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair
 
 @pytest.mark.parametrize("flag, key, value", [
     ("--mode", "mode", "bogus"), ("--scenario", "scenario", "s9"),
-    ("--loss", "loss_name", "x"), ("--c-mode", "c_mode", "x"),
-    ("--score", "score_name", "x"), ("--ensemble-mode", "ensemble_mode", "x"),
+    ("--loss", "loss_name", "x"), ("--score", "score_name", "x"),
 ])
 def test_bad_flag_value_exits_exactly_as_its_set_spelling(tmp_path, flag, key, value):
     out = ["--out", str(tmp_path / "data")]
@@ -441,11 +446,9 @@ def test_bad_flag_value_exits_exactly_as_its_set_spelling(tmp_path, flag, key, v
 def test_config_flags_are_plain_spellings_of_config_keys():
     # A parser rule (choices, a dest that is no config key) would be a second
     # home for a configuration rule.
-    parser = argparse.ArgumentParser(add_help=False)
-    cli._add_config_flags(parser)
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    flags = [a for a in parser._actions if a.dest not in ("preset", "config", "set")]
-    assert len(flags) == 16
+    flags = _dedicated_flags()
+    assert len(flags) == 14
     for action in flags:
         assert action.dest in fields and action.choices is None, action.option_strings
 
@@ -519,6 +522,111 @@ def test_checkpoint_with_a_saved_refresh_epoch_loads_and_scores_the_same(
     save_checkpoint(tmp_path / "resaved.ckpt", config=ck.config, epoch=ck.epoch,
                     params=ck.params, prototypes=ck.prototypes, rng_state=ck.rng_state)
     assert (tmp_path / "resaved.ckpt").read_bytes() == (tmp_path / "ft.ckpt").read_bytes()
+
+
+# --------------------------------------------------------- retired options
+
+# Retired options and the one value files written before their removal carry.
+RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical"}
+
+
+def _with_config(tmp_path, ckpt, name, **changes):
+    """A copy of checkpoint ``ckpt`` whose config snapshot has ``changes``."""
+    manifest_line, _, payload = (tmp_path / ckpt).read_bytes().partition(b"\n")
+    manifest = json.loads(manifest_line)
+    manifest["config"].update(changes)
+    (tmp_path / name).write_bytes(json.dumps(manifest, sort_keys=True).encode()
+                                  + b"\n" + payload)
+    return str(tmp_path / name)
+
+
+def test_checkpoint_with_retired_keys_at_their_values_scores_and_finetunes_the_same(
+        tmp_path, scored_inputs):
+    ckpt, data = scored_inputs
+    old = _with_config(tmp_path, "ft.ckpt", "old.ckpt", **RETIRED)
+    _, _, expected = _score(tmp_path, ckpt, data)
+    code, _, got = _score(tmp_path, old, data)
+    assert code == 0 and got == expected
+    split, prefix = build_splits(preset("smoke")), str(tmp_path / "data")
+    write_dataset(f"{prefix}.train.ds", split.train)
+    write_dataset(f"{prefix}.valid.ds", split.validation)
+    outputs = []
+    for name, source in (("new", ckpt), ("old", old)):
+        out = tmp_path / f"{name}-ft.ckpt"
+        code, err = _main(["finetune", "--checkpoint", source, "--data", prefix,
+                           "--finetune-epochs", "1", "--out", str(out)])
+        assert code == 0, err
+        with open(f"{out}.metrics.jsonl", encoding="utf-8") as fh:
+            records = [{k: v for k, v in json.loads(line).items() if k != "wallclock"}
+                       for line in fh]
+        outputs.append((out.read_bytes(), records))
+    assert outputs[0] == outputs[1]
+    assert not RETIRED.keys() & load_checkpoint(tmp_path / "old-ft.ckpt").config.keys()
+
+
+@pytest.mark.parametrize("route", ["score", "config", "set"])
+@pytest.mark.parametrize("key, value", [("ensemble_mode", "embeddings"),
+                                        ("c_mode", "appendix")])
+def test_retired_key_at_another_value_exits_with_validation_code(
+        tmp_path, scored_inputs, route, key, value):
+    ckpt, data = scored_inputs
+    out = tmp_path / "out"
+    if route == "score":
+        argv = ["score", "--checkpoint", _with_config(tmp_path, "ft.ckpt", "old.ckpt",
+                                                      **{key: value}),
+                "--input", data, "--out", str(out)]
+    elif route == "config":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**preset("smoke").to_dict(), key: value}))
+        argv = ["gen-data", "--config", str(path), "--out", str(out)]
+    else:
+        argv = ["gen-data", "--preset", "smoke", "--set", f"{key}={value}",
+                "--out", str(out)]
+    code, err = _main(argv)
+    assert code == 3, err
+    assert f"the {key} option was removed; only {RETIRED[key]!r} is accepted, " \
+           f"got {value!r}" in err, err
+    assert not list(tmp_path.glob("out*"))
+
+
+# ----------------------------------------------------- metrics and reports
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_metrics_and_reports_are_strict_json_with_null_for_nan(tmp_path):
+    # The epoch-0 records hold no loss yet: NaN in memory, null on disk.
+    p = lambda name: str(tmp_path / name)
+    common = ["--preset", "smoke", "--pretrain-epochs", "1", "--finetune-epochs", "1"]
+    for argv in (["gen-data", *common, "--out", p("data")],
+                 ["pretrain", *common, "--data", p("data"), "--out", p("pre.ckpt")],
+                 ["finetune", "--checkpoint", p("pre.ckpt"), "--data", p("data"),
+                  "--out", p("ft.ckpt")],
+                 ["scenario", *common, "--out", p("report.json"),
+                  "--metrics", p("scenario.jsonl")]):
+        code, err = _main(argv)
+        assert code == 0, (argv[0], err)
+    for name in ("pre.ckpt.metrics.jsonl", "ft.ckpt.metrics.jsonl", "scenario.jsonl"):
+        records = [_strict_json(line) for line in (tmp_path / name).read_text().splitlines()]
+        assert [r["epoch"] for r in records] == [0, 1], name
+        assert records[0]["loss"] is None or records[0]["loss"]["total"] is None, name
+    report = _strict_json((tmp_path / "report.json").read_text())
+    assert report["pretrain_trace"][0]["align"] is None
+    assert report["finetune_trace"][0]["loss"]["total"] is None
+
+
+# -------------------------------------------------------------------- grid
+
+def test_grid_with_fewer_than_one_worker_exits_with_validation_code(tmp_path):
+    for workers in ("0", "-1"):
+        code, err = _main(["scenario", "--preset", "smoke", "--grid", "--workers", workers,
+                           "--out", str(tmp_path / "r.json")])
+        assert code == 3 and f"workers must be >= 1, got {workers}" in err, err
+    assert not list(tmp_path.iterdir())
 
 
 # ----------------------------------------------------------- resumed runs

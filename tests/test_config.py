@@ -82,7 +82,7 @@ def test_every_training_config_field_is_reachable():
     rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01,
                    pretrain_momentum=0.5, pretrain_tau=0.3, score_tau=0.7,
                    finetune_epochs=4, finetune_batch=8, finetune_lr=0.01,
-                   loss_name="deepsad", refresh_period=5, c_mode="appendix",
+                   loss_name="deepsad", refresh_period=5,
                    strict_scores=False, seed=1)
     for built in (rc.pretrain_config(), rc.finetune_config()):
         default = type(built)()

@@ -139,9 +139,9 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
     assert sha("data.train.ds") == \
         "973682280c319651b0ce39347bb10e807a9c0f2d67be9695b08313b015f8b82d"
     assert sha("pre.ckpt") == \
-        "76d6682ef6f08e4882850261ca104f61c5ee03ca4780b46b93966971e125e654"
+        "1d1046d455e3c622ba2ba6778f5c9bbcd4e47404ea910756d5c30bf39fcecfa6"
     assert sha("ft.ckpt") == \
-        "44c14a78395ea3c49ba8eaa3cd41981ebb0e6f2908b0a1747097fa5983d674e5"
+        "f00f719f6310de4719e67e8c4205ee824efdf6ef673a6e053079399507e97934"
     assert sha("scores.jsonl") == \
         "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a"
     result = json.loads((tmp_path / "eval.json").read_text())
@@ -151,42 +151,37 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode, expected", [
     ("elsa", {
-        "pre.ckpt": "5a4652d31da50027c1ea7ffe3779c9caf2af815acdd99b8c9f6d89d41aeacf40",
-        "ft.ckpt": "e448bccf9ebe491547734cbe52d01400dff14ec6acddf703bc9b327426e672b7",
+        "pre.ckpt": "63f3889ebe2402df5130abf55ef46388d68ab1cc3e0b433098f9b774b08d5baa",
+        "ft.ckpt": "16954bd18a3f81ece33f110ba599c1ef259280b952c1065ccd19dd7e97a29b0c",
         "scores.jsonl": "ce6b551f1fb2568e08d65c289cd1a0fdc38a88e1dad909eb93019987d1f9455b",
-        "embeddings.jsonl":
-            "ea1a5e0e31a199833a09aefae72d2c6461a6499cdc88e7cc275ee47803a8b91c",
         "auroc": 0.4596354166666667,
     }),
     ("elsa_plus", {
-        "pre.ckpt": "76d6682ef6f08e4882850261ca104f61c5ee03ca4780b46b93966971e125e654",
-        "ft.ckpt": "44c14a78395ea3c49ba8eaa3cd41981ebb0e6f2908b0a1747097fa5983d674e5",
+        "pre.ckpt": "1d1046d455e3c622ba2ba6778f5c9bbcd4e47404ea910756d5c30bf39fcecfa6",
+        "ft.ckpt": "f00f719f6310de4719e67e8c4205ee824efdf6ef673a6e053079399507e97934",
         "scores.jsonl": "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a",
-        "embeddings.jsonl":
-            "2dc32b463bd2f73cbe71ef7a61d9c50447b770efc682bc4170686ab10438cfa7",
         "auroc": 0.8619791666666666,
     }),
 ])
 def test_golden_cli_chain_by_mode(mode, expected, tmp_path, monkeypatch):
-    # Both modes through the CLI, plus ensemble scoring in "embeddings" mode.
+    # Both modes through the CLI.
     monkeypatch.delenv(cli.ENV_SEED, raising=False)
     p = lambda name: str(tmp_path / name)
     common = ["--preset", "smoke", "--seed", "3", "--mode", mode]
-    score = ["score", "--checkpoint", p("ft.ckpt"), "--input", p("data.test.ds")]
     steps = [
         ["gen-data", *common, "--out", p("data")],
         ["pretrain", *common, "--data", p("data"), "--out", p("pre.ckpt")],
         ["finetune", "--checkpoint", p("pre.ckpt"), "--data", p("data"),
          "--out", p("ft.ckpt")],
-        [*score, "--out", p("scores.jsonl")],
-        [*score, "--ensemble-mode", "embeddings", "--out", p("embeddings.jsonl")],
+        ["score", "--checkpoint", p("ft.ckpt"), "--input", p("data.test.ds"),
+         "--out", p("scores.jsonl")],
         ["eval", "--scores", p("scores.jsonl"), "--input", p("data.test.ds"),
          "--out", p("eval.json")],
     ]
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [cli.main(argv) for argv in steps]
     assert codes == [0] * len(steps)
-    for name in ("pre.ckpt", "ft.ckpt", "scores.jsonl", "embeddings.jsonl"):
+    for name in ("pre.ckpt", "ft.ckpt", "scores.jsonl"):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == \
             expected[name], name
     _close(json.loads((tmp_path / "eval.json").read_text())["auroc"], expected["auroc"])

@@ -178,9 +178,8 @@ def test_energy_score_and_grad_equal_copying_oracles_bitwise(n, k, tau):
 
 
 def test_c_constant_modes():
+    # C = ln k + 1/tau, the energy when every similarity is 1.
     assert C100 == pytest.approx(math.log(100) + 2.0, abs=1e-12)
-    assert obj.c_constant(100, 0.5, "appendix") == pytest.approx(
-        math.log(100 + 2.0), abs=1e-12)
 
 
 def test_loss_elsa_oracle_value():
@@ -465,25 +464,23 @@ def test_ensemble_deterministic_under_seed():
 
 
 def test_ensemble_modes_rank_correlated():
-    # The two ensembling recipes differ numerically but order test points
-    # almost identically.
+    # The shipped ensemble and early stopping's one-draw raw-similarity score
+    # differ numerically but order test points almost identically.
     params = _tiny_encoder()
     rng = np.random.default_rng(7)
     X = np.vstack([rng.normal(size=(30, 6)), 3.0 + rng.normal(size=(30, 6))])
     P = rng.normal(size=(6, 5))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
-    fam = ShiftFamily.random(6, count=2, seed=2)
-    kw = dict(tau=0.5, weak_cfg=WeakAugConfig(noise_sigma=0.05),
-              shifts=fam, n_samples=8)
-    a = obj.score_ensemble(X, params, P, rng=np.random.default_rng(11),
-                           mode="scores", **kw)
-    b = obj.score_ensemble(X, params, P, rng=np.random.default_rng(11),
-                           mode="embeddings", **kw)
+    weak, fam = WeakAugConfig(noise_sigma=0.05), ShiftFamily.random(6, count=2, seed=2)
+    a = obj.score_ensemble(X, params, P, 0.5, weak, fam, 8, np.random.default_rng(11))
+    b = obj.summed_shift_energy(X, params, P, weak, fam, np.random.default_rng(11))
     assert not np.allclose(a, b)
     assert spearman(a, b) > 0.9
 
 
-@pytest.mark.parametrize("mode", obj.ENSEMBLE_MODES)
+# "scores" checks score_ensemble; "embeddings" checks early stopping's
+# summed_shift_energy, the oracle's embeddings recipe at tau 1 with one draw.
+@pytest.mark.parametrize("recipe", ["scores", "embeddings"])
 @pytest.mark.parametrize("count, rows, dim, n_samples", [
     pytest.param(1, 40, 6, 3, id="1"),                  # one slot: ELSA
     pytest.param(3, 40, 6, 3, id="3"),
@@ -491,18 +488,22 @@ def test_ensemble_modes_rank_correlated():
     pytest.param(3, 1, 6, 3, id="one-row"),
     pytest.param(4, 1000, 32, 10, id="1000x32-40-views"),   # every view buffer reused
 ])
-def test_ensemble_equals_copying_oracle_bitwise(mode, count, rows, dim, n_samples):
+def test_ensemble_equals_copying_oracle_bitwise(recipe, count, rows, dim, n_samples):
     params = _tiny_encoder(dim)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(rows, dim))
     P = rng.normal(size=(4, 5))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
-    kw = dict(tau=0.5, weak_cfg=WeakAugConfig(),
-              shifts=ShiftFamily.random(dim, count=count, seed=3), n_samples=n_samples,
-              mode=mode)
+    weak, shifts = WeakAugConfig(), ShiftFamily.random(dim, count=count, seed=3)
     got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
-    got = obj.score_ensemble(X, params, P, rng=got_rng, **kw)
-    want = score_ensemble_by_copy(X, params, P, rng=want_rng, **kw)
+    if recipe == "scores":
+        got = obj.score_ensemble(X, params, P, 0.5, weak, shifts, n_samples, got_rng)
+        want = score_ensemble_by_copy(X, params, P, 0.5, weak, shifts, n_samples,
+                                      want_rng)
+    else:
+        got = obj.summed_shift_energy(X, params, P, weak, shifts, got_rng)
+        want = score_ensemble_by_copy(X, params, P, 1.0, weak, shifts, 1, want_rng,
+                                      mode="embeddings")
     assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import protoad
-from protoad import data
+from protoad import data, pipeline
 from protoad.config import preset
 from protoad.mathcore import NumericError
 from protoad.pipeline import build_splits, run_grid, run_single
@@ -26,6 +27,32 @@ def test_grid_cells_do_not_depend_on_worker_count():
     pooled = run_grid(preset("smoke"), 2, 1, workers=2)
     assert pooled["cells"] == serial["cells"]
     assert pooled["mean_auroc"] == serial["mean_auroc"]
+
+
+@pytest.mark.parametrize("workers, pool_size", [(1, None), (2, 2), (64, 12)])
+def test_grid_pool_starts_no_more_workers_than_cells(monkeypatch, workers, pool_size):
+    # The pool forks all its workers up front, so 64 workers for 12 cells
+    # would start 52 idle processes. The fake pool starts none.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pipeline, "_grid_cell", lambda cell: {"final_auroc": 0.5})
+    report = run_grid(preset("smoke"), workers=workers)
+    assert len(report["cells"]) == 12
+    assert sizes == ([] if pool_size is None else [pool_size])
 
 
 def test_s3_splits_build_each_pool_once(monkeypatch):

@@ -100,8 +100,6 @@ RULE_FIELDS = {
     "shift_count": st.integers(-1, 5),
     "loss_name": st.sampled_from(obj.LOSSES + ("x",)),
     "score_name": st.sampled_from(obj.SCORES + ("x",)),
-    "c_mode": st.sampled_from(obj.C_MODES + ("x",)),
-    "ensemble_mode": st.sampled_from(obj.ENSEMBLE_MODES + ("x",)),
     "n_ensemble": st.integers(-1, 3),
     "pretrain_batch": st.integers(0, 4),
     "pretrain_lr": _real(-0.1, 0.1),
@@ -148,6 +146,6 @@ def test_violations_are_empty_exactly_when_every_stage_builds(changes):
         assert builds != any(p.startswith(f"{stage} stage: ") for p in problems), stage
     if not problems:
         cfg = rc.finetune_config()
-        obj.c_constant(rc.n_prototypes, cfg.tau, cfg.c_mode)
+        obj.c_constant(rc.n_prototypes, cfg.tau)
         rc.shift_family()
         assert rc.energy_positive or not rc.strict_scores
