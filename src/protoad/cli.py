@@ -226,7 +226,7 @@ def cmd_score(args) -> int:
         raise ConfigError("checkpoint has no prototypes; run finetune first")
     weak, _ = rc.resolve_augs(ds.features)
     scores = evaluate_scores(rc.score_name, ckpt.params, ckpt.prototypes, ds, None,
-                             weak, rc.shift_family(), rc.effective_score_tau,
+                             weak, rc.shift_family(), rc.tau,
                              rc.n_ensemble, rc.score_rng())
     order = np.argsort(ds.ids, kind="mergesort")
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -33,7 +33,8 @@ MODES = ("elsa", "elsa_plus")
 
 # Removed options and the one value each held in every file written before
 # their removal (checkpoint snapshots, gen-data config files).
-_RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical"}
+_RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical",
+            "pretrain_tau": None, "score_tau": None}
 
 
 class ConfigError(ValidationError):
@@ -100,8 +101,6 @@ class RunConfig:
     n_ensemble: int = 10
     n_prototypes: int = 16
     tau: float = 0.5
-    pretrain_tau: Optional[float] = None
-    score_tau: Optional[float] = None
 
     # augmentation
     weak_noise_scale: float = 0.05   # x data std
@@ -133,13 +132,10 @@ class RunConfig:
             return out
         if self.n_prototypes < 1:
             out.append(f"n_prototypes must be >= 1, got {self.n_prototypes}")
-        elif self.strict_scores and self.effective_score_tau > 0 and not self.energy_positive:
-            # (a non-positive tau has no domain; the finetune stage reports it)
+        elif self.strict_scores and self.tau > 0 and not self.energy_positive:
+            # (a non-positive tau has no domain; each stage reports it)
             out.append(f"ln(n_prototypes)={math.log(self.n_prototypes):.4f} must exceed "
-                       f"1/tau={1.0 / self.effective_score_tau:.4f} for positive scores")
-        if self.pretrain_tau is not None and self.score_tau is not None and not self.tau > 0:
-            # (otherwise a stage receives tau and reports it)
-            out.append(f"tau must be positive, got {self.tau}")
+                       f"1/tau={1.0 / self.tau:.4f} for positive scores")
         if self.mode not in MODES:
             out.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "elsa_plus" and self.shift_count < 2:
@@ -172,17 +168,9 @@ class RunConfig:
         return self.mode == "elsa_plus"
 
     @property
-    def effective_pretrain_tau(self) -> float:
-        return self.pretrain_tau if self.pretrain_tau is not None else self.tau
-
-    @property
-    def effective_score_tau(self) -> float:
-        return self.score_tau if self.score_tau is not None else self.tau
-
-    @property
     def energy_positive(self) -> bool:
-        """Whether every energy score is positive: ln k > 1/tau at the score tau."""
-        return math.log(self.n_prototypes) > 1.0 / self.effective_score_tau
+        """Whether every energy score is positive: ln k > 1/tau."""
+        return math.log(self.n_prototypes) > 1.0 / self.tau
 
     @property
     def effective_refresh_period(self) -> int:
@@ -249,14 +237,14 @@ class RunConfig:
                               batch_size=self.pretrain_batch,
                               lr=self.pretrain_lr,
                               momentum=self.pretrain_momentum,
-                              tau=self.effective_pretrain_tau,
+                              tau=self.tau,
                               seed=self.seed + 3)
 
     def finetune_config(self) -> FinetuneConfig:
         return FinetuneConfig(epochs=self.finetune_epochs,
                               batch_size=self.finetune_batch,
                               lr=self.finetune_lr,
-                              tau=self.effective_score_tau,
+                              tau=self.tau,
                               loss_name=self.loss_name,
                               refresh_period=self.effective_refresh_period,
                               strict_scores=self.strict_scores,

@@ -127,16 +127,15 @@ def finetune_and_eval(
     permissive mode, mirroring how an unguarded implementation behaves.
     """
     k = n_prototypes if n_prototypes is not None else ctx.rc.n_prototypes
-    tau = ctx.rc.effective_score_tau
     rc = ctx.rc.replace(loss_name=loss_name or ctx.rc.loss_name,
                         score_name=score_name or ctx.rc.score_name, n_prototypes=k)
     rc = rc.replace(strict_scores=rc.strict_scores and rc.energy_positive)
     train, test = ctx.split.train, ctx.split.test
     outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
-                             eval_probe=test_auroc_probe(test, tau))
+                             eval_probe=test_auroc_probe(test, rc.tau))
     weak, _, shifts = stage_augs(rc, train)
     scores = evaluate_scores(rc.score_name, outcome.best_params, outcome.best_prototypes,
-                             test, train, weak, shifts, tau, rc.n_ensemble,
+                             test, train, weak, shifts, rc.tau, rc.n_ensemble,
                              rc.score_rng())
     final = auroc(scores, test.eval_normal_labels())
     report = {

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -8,13 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoad import cli
+from protoad import cli, config
 from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.checkpoint import load_checkpoint, save_checkpoint
-from protoad.config import ConfigError, RunConfig, preset
+from protoad.config import PRESETS, ConfigError, RunConfig, preset
 from protoad.data import Dataset, read_dataset, write_dataset, write_framed
-from protoad.pipeline import build_splits
+from protoad.pipeline import build_splits, run_single
 from protoad.prototypes import PrototypeSet
 
 from oracles import score_lines_by_json
@@ -362,14 +363,6 @@ def test_fractional_label_column_exits_with_validation_code(tmp_path, scored_inp
     assert not (tmp_path / "scores.jsonl").exists()
 
 
-def test_zero_score_tau_exits_with_validation_code(tmp_path):
-    code, err = _main(["gen-data", "--preset", "smoke", "--set", "score_tau=0",
-                       "--out", str(tmp_path / "data")])
-    assert code == 3
-    assert "finetune stage: tau must be positive, got 0" in err
-    assert not list(tmp_path.iterdir())
-
-
 @pytest.mark.parametrize("pair, needle", [
     ("samples_per_class=abc", "samples_per_class must be int, got 'abc'"),
     ("weak_jitter=[1.0]", "weak_jitter must be Tuple[float, float], got (1.0,)"),
@@ -412,7 +405,8 @@ STAGE_REJECTIONS = [
     ("hidden_dim=0", "encoder stage: encoder dim hidden must be positive, got 0"),
     ("refresh_period=0", "finetune stage: refresh_period must be >= 1, got 0"),
     ("tau=0", "pretrain stage: tau must be positive, got 0"),
-    ("pretrain_tau=-0.5", "pretrain stage: tau must be positive, got -0.5"),
+    ("tau=0", "finetune stage: tau must be positive, got 0"),
+    ("tau=-0.5", "pretrain stage: tau must be positive, got -0.5"),
     ("scenario=s9", "scenario stage: scenario must be one of ('s1', 's2', 's3'), got 's9'"),
     ("gamma_l=1.5", "scenario stage: gamma_l must lie in [0, 1], got 1.5"),
     ("scenario=s1", "scenario stage: scenario s1 forbids contamination "
@@ -459,6 +453,24 @@ def test_bad_sweep_gamma_p_token_exits_with_validation_code(tmp_path):
                        "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
     assert code == 3 and "--sweep-gamma-p expects numbers; could not convert string to float: 'abc'" in err, err
     assert not list(tmp_path.iterdir())
+
+
+def test_pollution_sweep_writes_one_row_per_level(tmp_path):
+    report, table = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    code, err = _main(["scenario", "--preset", "smoke", "--sweep-gamma-p", "0,0.1",
+                       "--csv", str(table), "--out", str(report)])
+    assert code == 0, err
+    with open(table, newline="", encoding="utf-8") as fh:
+        header, *lines = list(csv.reader(fh))
+    rows = json.loads(report.read_text())["rows"]
+    assert header == ["gamma_p", "final_auroc", "pretrain_baseline_auroc"]
+    assert len(lines) == len(rows) == 2
+    assert [float(line[0]) for line in lines] == [row["gamma_p"] for row in rows] == [0.0, 0.1]
+    # Contamination changes the split; every other setting stays fixed.
+    assert rows[0]["split_hash"] != rows[1]["split_hash"]
+    single = run_single(preset("smoke").replace(scenario="s2", gamma_p=0.0))
+    assert float(lines[0][1]) == rows[0]["final_auroc"] == single["final_auroc"]
+    assert rows[0]["split_hash"] == single["split_hash"]
 
 
 # ------------------------------------------------------------ score rules
@@ -528,7 +540,17 @@ def test_checkpoint_with_a_saved_refresh_epoch_loads_and_scores_the_same(
 # --------------------------------------------------------- retired options
 
 # Retired options and the one value files written before their removal carry.
-RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical"}
+RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical",
+           "pretrain_tau": None, "score_tau": None}
+
+
+def test_retired_keys_are_retired_on_both_sides():
+    # Retiring a key is one entry here and one in config._RETIRED; its field
+    # and every preset value go.
+    assert RETIRED == config._RETIRED
+    assert not RETIRED.keys() & {f.name for f in dataclasses.fields(RunConfig)}
+    for name in PRESETS:
+        assert not RETIRED.keys() & preset(name).to_dict().keys(), name
 
 
 def _with_config(ckpt, path, **changes):
@@ -566,7 +588,8 @@ def test_checkpoint_with_retired_keys_at_their_values_scores_and_finetunes_the_s
 
 @pytest.mark.parametrize("route", ["score", "config", "set"])
 @pytest.mark.parametrize("key, value", [("ensemble_mode", "embeddings"),
-                                        ("c_mode", "appendix")])
+                                        ("c_mode", "appendix"),
+                                        ("pretrain_tau", 0.5), ("score_tau", 0.5)])
 def test_retired_key_at_another_value_exits_with_validation_code(
         tmp_path, scored_inputs, route, key, value):
     ckpt, data = scored_inputs

@@ -8,7 +8,7 @@ from protoad.config import PRESETS, ConfigError, RunConfig, preset
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_dict_round_trip(name):
-    rc = preset(name).replace(pretrain_tau=0.3, refresh_period=2)
+    rc = preset(name).replace(tau=0.3, refresh_period=2)
     d = rc.to_dict()
     assert isinstance(d["weak_jitter"], list)
     assert RunConfig.from_dict(d) == rc
@@ -58,29 +58,20 @@ def test_unknown_preset_raises():
 
 
 
-@pytest.mark.parametrize("changes", [{"score_tau": 0.0}, {"tau": 0.0}, {"tau": -1.0}])
+@pytest.mark.parametrize("changes", [{"tau": 0.0}, {"tau": -1.0},
+                                     {"tau": 0.0, "n_prototypes": 1}])
 def test_non_positive_score_tau_is_listed_not_raised(changes):
-    # Each stage that receives the temperature reports it, once.
-    (name, value), = changes.items()
-    stages = ["finetune"] if name == "score_tau" else ["pretrain", "finetune"]
+    # Pre-training and scoring share the one temperature: each stage reports a
+    # bad value once, and the positive-energy rule (ln k > 1/tau) stays silent.
     assert RunConfig(**changes).violations() == \
-        [f"{stage} stage: tau must be positive, got {value}" for stage in stages]
-
-
-@pytest.mark.parametrize("overrides, expected", [
-    ({"pretrain_tau": 0.5, "score_tau": 0.5}, ["tau must be positive, got -1.0"]),
-    ({"pretrain_tau": 0.5}, ["finetune stage: tau must be positive, got -1.0"]),
-    ({"score_tau": 0.5}, ["pretrain stage: tau must be positive, got -1.0"]),
-])
-def test_bad_tau_is_listed_once_whichever_overrides_are_set(overrides, expected):
-    # With both overrides no stage receives tau, so the run-level rule reports it.
-    assert RunConfig(tau=-1.0, **overrides).violations() == expected
+        [f"{stage} stage: tau must be positive, got {changes['tau']}"
+         for stage in ("pretrain", "finetune")]
 
 
 def test_every_training_config_field_is_reachable():
     # Every mapped RunConfig value differs from the matching training default.
     rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01,
-                   pretrain_momentum=0.5, pretrain_tau=0.3, score_tau=0.7,
+                   pretrain_momentum=0.5, tau=0.3,
                    finetune_epochs=4, finetune_batch=8, finetune_lr=0.01,
                    loss_name="deepsad", refresh_period=5,
                    strict_scores=False, seed=1)
@@ -93,7 +84,7 @@ def test_every_training_config_field_is_reachable():
 
 @pytest.mark.parametrize("changes, needle", [
     ({"tau": float("nan")}, "tau must be a finite float, got nan"),
-    ({"score_tau": float("inf")}, "score_tau must be Optional[finite float], got inf"),
+    ({"tau": float("inf")}, "tau must be a finite float, got inf"),
     ({"gamma_p": -float("inf")}, "gamma_p must be a finite float, got -inf"),
     ({"weak_jitter": (0.9, float("nan"))},
      "weak_jitter must be Tuple[finite float, finite float]"),

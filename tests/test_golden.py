@@ -139,9 +139,9 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
     assert sha("data.train.ds") == \
         "973682280c319651b0ce39347bb10e807a9c0f2d67be9695b08313b015f8b82d"
     assert sha("pre.ckpt") == \
-        "1d1046d455e3c622ba2ba6778f5c9bbcd4e47404ea910756d5c30bf39fcecfa6"
+        "83d95bd73131476e788d891482bde4ac003680309e5936d7dc35660633f6b091"
     assert sha("ft.ckpt") == \
-        "f00f719f6310de4719e67e8c4205ee824efdf6ef673a6e053079399507e97934"
+        "3557de0cf276ea57697448d57363fddf9a3c00ec3604bf08a950724ad9c061df"
     assert sha("scores.jsonl") == \
         "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a"
     result = json.loads((tmp_path / "eval.json").read_text())
@@ -151,14 +151,14 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode, expected", [
     ("elsa", {
-        "pre.ckpt": "63f3889ebe2402df5130abf55ef46388d68ab1cc3e0b433098f9b774b08d5baa",
-        "ft.ckpt": "16954bd18a3f81ece33f110ba599c1ef259280b952c1065ccd19dd7e97a29b0c",
+        "pre.ckpt": "2c21f116aef950d560396165a06cefd040eb10303c87e9be636aef322c378177",
+        "ft.ckpt": "6782c95a63f4323e570f17a89b9c1e109d445bd613221d086b905e866b891008",
         "scores.jsonl": "ce6b551f1fb2568e08d65c289cd1a0fdc38a88e1dad909eb93019987d1f9455b",
         "auroc": 0.4596354166666667,
     }),
     ("elsa_plus", {
-        "pre.ckpt": "1d1046d455e3c622ba2ba6778f5c9bbcd4e47404ea910756d5c30bf39fcecfa6",
-        "ft.ckpt": "f00f719f6310de4719e67e8c4205ee824efdf6ef673a6e053079399507e97934",
+        "pre.ckpt": "83d95bd73131476e788d891482bde4ac003680309e5936d7dc35660633f6b091",
+        "ft.ckpt": "3557de0cf276ea57697448d57363fddf9a3c00ec3604bf08a950724ad9c061df",
         "scores.jsonl": "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a",
         "auroc": 0.8619791666666666,
     }),

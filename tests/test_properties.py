@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from protoad import objective as obj
+from protoad.augment import ShiftFamily
 from protoad.config import MODES, ConfigError, RunConfig
 from protoad.data import SCENARIOS, ValidationError
 from protoad.evalharness import auroc
@@ -81,17 +82,34 @@ def test_energy_reaches_the_cap_when_every_similarity_is_one(k, tau, d):
     assert S[0] == pytest.approx(obj.c_constant(k, tau), rel=1e-12)
 
 
+# ------------------------------------------------------------------ shifts
+
+@PROPERTY
+@given(st.integers(1, 24), st.integers(1, 6), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 5))
+def test_shift_family_is_orthogonal_and_expand_stacks_each_shift(dim, count, seed, n):
+    family = ShiftFamily.random(dim, count, seed=seed)
+    eye = np.eye(dim)
+    assert family.count == count and np.array_equal(family.matrices[0], eye)
+    for q in family.matrices:
+        assert np.max(np.abs(q.T @ q - eye)) < 1e-9
+        assert np.max(np.abs(q @ q.T - eye)) < 1e-9
+    X = np.random.default_rng(seed).standard_normal((n, dim))
+    rows, ids = family.expand(X)
+    assert rows.shape == (count * n, dim)
+    for k in range(count):
+        assert np.array_equal(ids[k * n:(k + 1) * n], np.full(n, k))
+        assert np.array_equal(rows[k * n:(k + 1) * n], family.apply(X, k)), k
+
+
 # ------------------------------------------------------------------ configuration
 
 def _real(lo, hi):
     return st.one_of(st.floats(lo, hi), st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
 
 
-_TAU = _real(-1.0, 3.0)
 RULE_FIELDS = {
-    "tau": st.one_of(_TAU, st.just("0.5")),
-    "pretrain_tau": st.none() | _TAU,
-    "score_tau": st.none() | _TAU,
+    "tau": st.one_of(_real(-1.0, 3.0), st.just("0.5")),
     "n_prototypes": st.integers(-1, 40),
     "gamma_l": _real(-0.5, 1.5),
     "gamma_p": _real(-0.5, 1.5),
