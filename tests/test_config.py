@@ -68,6 +68,19 @@ def test_non_positive_score_tau_is_listed_not_raised(changes):
          for stage in ("pretrain", "finetune")]
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    ({"pretrain_tau": None, "score_tau": None}, ["pretrain", "finetune"]),
+    ({"pretrain_tau": None}, ["pretrain", "finetune"]),
+    ({"score_tau": None}, ["pretrain", "finetune"]),
+])
+def test_bad_tau_is_listed_once_whichever_overrides_are_set(overrides, expected):
+    # A file written before the overrides were retired carries them as null;
+    # they are dropped, and each stage still reports the one bad tau once.
+    rc = RunConfig.from_dict({**RunConfig(tau=-1.0).to_dict(), **overrides})
+    assert rc.violations() == \
+        [f"{stage} stage: tau must be positive, got -1.0" for stage in expected]
+
+
 def test_every_training_config_field_is_reachable():
     # Every mapped RunConfig value differs from the matching training default.
     rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01,
