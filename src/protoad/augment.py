@@ -60,13 +60,6 @@ class StrongAugConfig:
         require(0.0 <= self.apply_probability <= 1.0,
                 f"apply_probability must lie in [0, 1], got {self.apply_probability}")
 
-    def validate_against(self, weak: WeakAugConfig) -> None:
-        """Strong parameters must strictly dominate the weak ones."""
-        if self.noise_sigma < 4.0 * weak.noise_sigma:
-            raise ValidationError(
-                f"strong noise_sigma {self.noise_sigma} must be >= 4x weak "
-                f"noise_sigma {weak.noise_sigma}")
-
 
 class ShiftFamily:
     """A fixed family of orthogonal transforms; slot 0 is the identity."""

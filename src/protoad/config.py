@@ -5,8 +5,9 @@ provenance, and owns the derived objects (synthetic spec, scenario config,
 augmentation configs, training configs). Each rule has one home: a stage
 config checks the single fields it receives, and ``violations`` checks the
 types and the rules no one stage can see. It collects *all* violations,
-every stage's included, and a valid configuration builds every stage
-(augmentations at unit data scale).
+every stage's included, and a valid configuration builds every stage.
+The augmentations read no field: their magnitudes are constants scaled to
+the data spread.
 """
 from __future__ import annotations
 
@@ -21,44 +22,48 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import encoder as enc
+from . import objective as obj
 from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig
 from .data import ScenarioConfig, SyntheticSpec, ValidationError
 from .encoder import EncoderDims
 from .evalharness import FinetuneConfig
-from .objective import SCORES
 from .pretrain import PretrainConfig
 
 MODES = ("elsa", "elsa_plus")
+SHIFT_COUNT = 4                # shifting transforms of ELSA+, identity included
+WEAK_NOISE_SCALE = 0.05        # weak noise sigma, x data std
+STRONG_NOISE_MULTIPLE = 6.0    # strong noise sigma, x weak noise sigma
 
 # Removed options and the one value each held in every file written before
 # their removal (checkpoint snapshots, gen-data config files).
 _RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical",
-            "pretrain_tau": None, "score_tau": None}
+            "pretrain_tau": None, "score_tau": None,
+            "test_fraction": 0.2, "val_fraction": 0.05,
+            "weak_noise_scale": 0.05, "weak_mask_fraction": 0.1,
+            "weak_jitter": [0.9, 1.1], "strong_noise_multiple": 6.0,
+            "strong_n_ops": 3, "strong_apply_probability": 0.8,
+            "shift_count": 4, "pretrain_momentum": 0.9, "strict_scores": True}
 
 
 class ConfigError(ValidationError):
     """Invalid run configuration; the message lists every violation."""
 
 
-_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool}
+_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
 def _fits(value, annotation: str, finite: bool = True) -> bool:
     """Whether ``value`` has the type a RunConfig field is annotated with.
 
-    An int fits a float field; a bool fits only a bool field. A float field
+    An int fits a float field; a bool fits no field. A float field
     takes only finite values (an int too large for a float is not finite),
     unless ``finite`` is False.
     """
     if annotation.startswith("Optional["):
         return value is None or _fits(value, annotation[len("Optional["):-1], finite)
-    if annotation.startswith("Tuple["):
-        kinds = annotation[len("Tuple["):-1].split(", ")
-        return (isinstance(value, tuple) and len(value) == len(kinds)
-                and all(_fits(v, k, finite) for v, k in zip(value, kinds)))
     return (isinstance(value, _KINDS[annotation])
-            and isinstance(value, bool) == (annotation == "bool")
+            and not isinstance(value, bool)
             and (not finite or annotation != "float" or abs(value) <= sys.float_info.max))
 
 
@@ -68,8 +73,7 @@ def _type_violation(name: str, value, annotation: str) -> str:
     When the value fits but for a non-finite number, the message says so.
     """
     if _fits(value, annotation, finite=False):
-        annotation = ("a finite float" if annotation == "float"
-                      else annotation.replace("float", "finite float"))
+        annotation = "a finite float"
     return f"{name} must be {annotation}, got {value!r}"
 
 
@@ -87,8 +91,6 @@ class RunConfig:
     scenario: str = "s1"
     gamma_l: float = 0.05
     gamma_p: float = 0.0
-    test_fraction: float = 0.2
-    val_fraction: float = 0.05
 
     # encoder
     hidden_dim: int = 64
@@ -102,25 +104,14 @@ class RunConfig:
     n_prototypes: int = 16
     tau: float = 0.5
 
-    # augmentation
-    weak_noise_scale: float = 0.05   # x data std
-    weak_mask_fraction: float = 0.1
-    weak_jitter: Tuple[float, float] = (0.9, 1.1)
-    strong_noise_multiple: float = 6.0
-    strong_n_ops: int = 3
-    strong_apply_probability: float = 0.8
-    shift_count: int = 4
-
     # training
     pretrain_epochs: int = 200
     pretrain_batch: int = 128
     pretrain_lr: float = 0.05
-    pretrain_momentum: float = 0.9
     finetune_epochs: int = 50
     finetune_batch: int = 64
     finetune_lr: float = 1e-4
     refresh_period: Optional[int] = None  # default: 1 for elsa, 3 for elsa_plus
-    strict_scores: bool = True
 
     seed: int = 0
 
@@ -132,22 +123,19 @@ class RunConfig:
             return out
         if self.n_prototypes < 1:
             out.append(f"n_prototypes must be >= 1, got {self.n_prototypes}")
-        elif self.strict_scores and self.tau > 0 and not self.energy_positive:
+        elif self.tau > 0 and not self.energy_positive:
             # (a non-positive tau has no domain; each stage reports it)
             out.append(f"ln(n_prototypes)={math.log(self.n_prototypes):.4f} must exceed "
                        f"1/tau={1.0 / self.tau:.4f} for positive scores")
         if self.mode not in MODES:
             out.append(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "elsa_plus" and self.shift_count < 2:
-            out.append(f"mode elsa_plus requires shift_count >= 2, got {self.shift_count}")
-        if self.score_name not in SCORES:
-            out.append(f"score_name must be one of {SCORES}, got {self.score_name!r}")
+        if self.score_name not in obj.SCORES:
+            out.append(f"score_name must be one of {obj.SCORES}, got {self.score_name!r}")
         if self.n_ensemble < 1:
             out.append(f"n_ensemble must be >= 1, got {self.n_ensemble}")
         for stage, build in (("data", self.synthetic_spec),
                              ("scenario", self.scenario_config),
                              ("encoder", self.encoder_dims),
-                             ("augmentation", lambda: self._augs_at(1.0)),
                              ("pretrain", self.pretrain_config),
                              ("finetune", self.finetune_config)):
             try:
@@ -170,7 +158,7 @@ class RunConfig:
     @property
     def energy_positive(self) -> bool:
         """Whether every energy score is positive: ln k > 1/tau."""
-        return math.log(self.n_prototypes) > 1.0 / self.tau
+        return obj.energy_positive(self.n_prototypes, self.tau)
 
     @property
     def effective_refresh_period(self) -> int:
@@ -191,14 +179,12 @@ class RunConfig:
 
     def scenario_config(self) -> ScenarioConfig:
         return ScenarioConfig(scenario=self.scenario, gamma_l=self.gamma_l,
-                              gamma_p=self.gamma_p, seed=self.seed,
-                              test_fraction=self.test_fraction,
-                              val_fraction=self.val_fraction)
+                              gamma_p=self.gamma_p, seed=self.seed)
 
     def encoder_dims(self) -> EncoderDims:
         return EncoderDims(input=self.input_dim, hidden=self.hidden_dim,
                            embed=self.embed_dim,
-                           shifts=self.shift_count if self.shift_mode else 1)
+                           shifts=SHIFT_COUNT if self.shift_mode else 1)
 
     def initial_params(self) -> enc.EncoderParams:
         """Encoder weights before pre-training."""
@@ -214,18 +200,9 @@ class RunConfig:
 
     def resolve_augs(self, features) -> Tuple[WeakAugConfig, StrongAugConfig]:
         """Absolute augmentation magnitudes, scaled to the data spread."""
-        return self._augs_at(float(features.std()) if len(features) else 1.0)
-
-    def _augs_at(self, std: float) -> Tuple[WeakAugConfig, StrongAugConfig]:
-        weak = WeakAugConfig(noise_sigma=self.weak_noise_scale * std,
-                             mask_fraction=self.weak_mask_fraction,
-                             scale_jitter=tuple(self.weak_jitter))
-        strong = StrongAugConfig(
-            noise_sigma=self.strong_noise_multiple * weak.noise_sigma,
-            n_ops=self.strong_n_ops,
-            apply_probability=self.strong_apply_probability)
-        strong.validate_against(weak)
-        return weak, strong
+        std = float(features.std()) if len(features) else 1.0
+        weak = WeakAugConfig(noise_sigma=WEAK_NOISE_SCALE * std)
+        return weak, StrongAugConfig(noise_sigma=STRONG_NOISE_MULTIPLE * weak.noise_sigma)
 
     def shift_family(self) -> ShiftFamily:
         """The shifting transforms; ELSA runs with the identity alone."""
@@ -236,7 +213,6 @@ class RunConfig:
         return PretrainConfig(epochs=self.pretrain_epochs,
                               batch_size=self.pretrain_batch,
                               lr=self.pretrain_lr,
-                              momentum=self.pretrain_momentum,
                               tau=self.tau,
                               seed=self.seed + 3)
 
@@ -247,29 +223,26 @@ class RunConfig:
                               tau=self.tau,
                               loss_name=self.loss_name,
                               refresh_period=self.effective_refresh_period,
-                              strict_scores=self.strict_scores,
                               seed=self.seed + 5)
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["weak_jitter"] = list(d["weak_jitter"])
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         """The configuration ``data`` spells; a retired key is dropped when it
-        holds the one value the program still runs, and rejected otherwise."""
+        holds the one value the program still runs, and rejected otherwise
+        (a bool is no number here, as in ``_fits``)."""
         kwargs = dict(data)
         for key, kept in _RETIRED.items():
-            if key in kwargs and kwargs.pop(key) != kept:
+            value = kwargs.pop(key, kept)
+            if value != kept or isinstance(value, bool) != isinstance(kept, bool):
                 raise ConfigError(f"the {key} option was removed; only {kept!r} is "
                                   f"accepted, got {data[key]!r}")
         unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if isinstance(kwargs.get("weak_jitter"), list):
-            kwargs["weak_jitter"] = tuple(kwargs["weak_jitter"])
         return cls(**kwargs)
 
     @classmethod

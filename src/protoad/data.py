@@ -210,6 +210,8 @@ def generate(spec: SyntheticSpec) -> Pool:
 
 
 SCENARIOS = ("s1", "s2", "s3")
+TEST_FRACTION = 0.2     # of each class, held out for testing
+VAL_FRACTION = 0.05     # of the unlabeled set, held out for validation
 
 
 @dataclass(frozen=True)
@@ -225,8 +227,6 @@ class ScenarioConfig:
     gamma_l: float = 0.0
     gamma_p: float = 0.0
     seed: int = 0
-    test_fraction: float = 0.2
-    val_fraction: float = 0.05
 
     def __post_init__(self):
         require(self.scenario in SCENARIOS,
@@ -235,10 +235,6 @@ class ScenarioConfig:
             require(0.0 <= v <= 1.0, f"{name} must lie in [0, 1], got {v}")
         require(self.scenario != "s1" or self.gamma_p <= 0.0,
                 f"scenario s1 forbids contamination (gamma_p must be 0), got {self.gamma_p}")
-        require(0.0 < self.test_fraction < 1.0,
-                f"test_fraction must lie in (0, 1), got {self.test_fraction}")
-        require(0.0 <= self.val_fraction < 1.0,
-                f"val_fraction must lie in [0, 1), got {self.val_fraction}")
 
 
 @dataclass
@@ -304,7 +300,7 @@ def build_scenario(
         raise ValidationError("pool must contain at least two classes")
 
     normal_idx = rng.permutation(pool.class_indices(0))
-    n_test_normal = max(1, int(round(config.test_fraction * len(normal_idx))))
+    n_test_normal = max(1, int(round(TEST_FRACTION * len(normal_idx))))
     test_normal = normal_idx[:n_test_normal]
     train_normal = normal_idx[n_test_normal:]
     if len(train_normal) == 0:
@@ -314,7 +310,7 @@ def build_scenario(
     test_anom_parts = [np.empty(0, dtype=np.int64)]
     for cls in anomaly_classes:
         idx = rng.permutation(pool.class_indices(cls))
-        n_test = int(round(config.test_fraction * len(idx)))
+        n_test = int(round(TEST_FRACTION * len(idx)))
         test_anom_parts.append(idx[:n_test])
         anom_train_pools[cls] = idx[n_test:]
 
@@ -359,12 +355,12 @@ def build_scenario(
 
     # Freeze the 5-to-95 validation split of the unlabeled set.
     unlabeled_idx = rng.permutation(unlabeled_idx)
-    n_val = int(round(config.val_fraction * len(unlabeled_idx)))
+    n_val = int(round(VAL_FRACTION * len(unlabeled_idx)))
     val_idx = unlabeled_idx[:n_val]
     train_unlabeled = unlabeled_idx[n_val:]
 
     if config.scenario == "s3":
-        n_test_out = int(round(config.test_fraction * len(outlier_pool)))
+        n_test_out = int(round(TEST_FRACTION * len(outlier_pool)))
         test_anom_parts = [len(pool) + len(aux_pool)
                            + rng.permutation(len(outlier_pool))[:max(1, n_test_out)]]
 
@@ -393,7 +389,14 @@ def build_scenario(
 # --------------------------------------------------------------------------
 
 def write_framed(path, header: dict, arrays: Sequence[np.ndarray]) -> None:
-    """Write ``header`` as one sorted-key JSON line, then each array as float32."""
+    """Write ``header`` as one sorted-key JSON line, then each array as float32.
+
+    An entry beyond the float32 range would be stored as infinity, which no
+    reader accepts, so it raises ``ValidationError`` before the file is opened.
+    """
+    for i, arr in enumerate(arrays):
+        if np.abs(arr).max(initial=0.0) > np.finfo(np.float32).max:
+            raise ValidationError(f"payload section {i} exceeds the float32 range")
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("ascii"))
         for arr in arrays:
@@ -444,12 +447,7 @@ def read_framed(path, label: str, version_key: str, version: int,
 
 
 def write_dataset(path, ds: Dataset) -> None:
-    rows = np.empty((len(ds), ds.dim + 2), dtype="<f4")
-    if np.abs(ds.features).max(initial=0.0) > np.finfo(np.float32).max:
-        raise ValidationError("dataset features exceed the float32 range")
-    rows[:, :ds.dim] = ds.features
-    rows[:, ds.dim] = ds.semi
-    rows[:, ds.dim + 1] = ds._true_class
+    rows = np.column_stack([ds.features, ds.semi, ds._true_class])
     write_framed(path, {"version": 1, "dim": int(ds.dim), "count": int(len(ds))},
                  [rows])
 

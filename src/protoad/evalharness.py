@@ -100,7 +100,6 @@ class FinetuneConfig:
     tau: float = 0.5
     loss_name: str = "elsa"
     refresh_period: int = 1
-    strict_scores: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -165,12 +164,14 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     where ``prototypes.refresh_due(epoch, refresh_period)``, epochs counted
     from 1 in every run, resumed or not; the training set is embedded only
     on the epochs that refit. The early-stop score is recorded each
-    epoch and the best-scoring snapshot is returned. ``eval_probe(params,
+    epoch and the best-scoring snapshot is returned. The loss runs strict
+    exactly when ``obj.energy_positive(k, tau)``. ``eval_probe(params,
     protos)``, when given, only logs a per-epoch test metric; it never
     influences training or model selection.
     """
     params = params.copy()
     C = obj.c_constant(protos.k, cfg.tau)
+    strict = obj.energy_positive(protos.k, cfg.tau)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()
     n_steps = 0
@@ -190,7 +191,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
         scores, ds_de = obj.energy_score_grad(embed, protos.vectors, cfg.tau)
         semi = np.tile(train.semi[take], 2 * shifts.count)   # two views, all shifts
         breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, semi, C,
-                                               strict=cfg.strict_scores)
+                                               strict=strict)
         return breakdown, d_scores[:, None] * ds_de
 
     def adam(grads):

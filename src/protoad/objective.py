@@ -48,6 +48,12 @@ def c_constant(n_prototypes: int, tau: float) -> float:
     return math.log(n_prototypes) + 1.0 / tau
 
 
+def energy_positive(n_prototypes: int, tau: float) -> bool:
+    """Whether every energy score of k prototypes at tau > 0 is positive, its
+    lower bound ln k - 1/tau included; the inverse loss then runs strict."""
+    return math.log(n_prototypes) > 1.0 / tau
+
+
 @dataclass
 class LossBreakdown:
     total: float

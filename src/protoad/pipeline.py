@@ -124,12 +124,12 @@ def finetune_and_eval(
     Overrides allow seed-paired ablation rows (different loss or score on
     identical splits and pretraining) and prototype-count sweeps. When the
     prototype count cannot guarantee positive energy scores the loss runs in
-    permissive mode, mirroring how an unguarded implementation behaves.
+    permissive mode (``finetune_loop`` derives it), mirroring how an unguarded
+    implementation behaves.
     """
     k = n_prototypes if n_prototypes is not None else ctx.rc.n_prototypes
     rc = ctx.rc.replace(loss_name=loss_name or ctx.rc.loss_name,
                         score_name=score_name or ctx.rc.score_name, n_prototypes=k)
-    rc = rc.replace(strict_scores=rc.strict_scores and rc.energy_positive)
     train, test = ctx.split.train, ctx.split.test
     outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
                              eval_probe=test_auroc_probe(test, rc.tau))
@@ -142,7 +142,7 @@ def finetune_and_eval(
         "loss_name": rc.loss_name,
         "score_name": rc.score_name,
         "n_prototypes": k,
-        "strict_scores": rc.strict_scores,
+        "strict_scores": rc.energy_positive,
         "split_hash": ctx.split_digest,
         "best_checkpoint_epoch": outcome.best_checkpoint_epoch,
         "final_auroc": final,

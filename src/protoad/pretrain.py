@@ -123,6 +123,7 @@ def decompose_loss(batch: ContrastiveBatch) -> Tuple[float, float]:
 
 
 _PROBE_SIZE = 128    # clean samples in the fixed per-epoch probe batch
+MOMENTUM = 0.9       # of the pre-training SGD
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,6 @@ class PretrainConfig:
     epochs: int = 200
     batch_size: int = 128
     lr: float = 0.05
-    momentum: float = 0.9
     tau: float = 0.5
     seed: int = 0
 
@@ -138,7 +138,6 @@ class PretrainConfig:
         require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
         require(self.batch_size >= 2, f"batch_size must be >= 2, got {self.batch_size}")
         require(self.lr > 0, f"lr must be positive, got {self.lr}")
-        require(0.0 <= self.momentum < 1.0, f"momentum must lie in [0, 1), got {self.momentum}")
         require(self.tau > 0, f"tau must be positive, got {self.tau}")
 
 
@@ -259,7 +258,7 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
         return (loss, align), np.vstack([g1, g2])
 
     def sgd(grads):
-        enc.sgd_momentum_step(params, velocity, grads, cfg.lr, cfg.momentum)
+        enc.sgd_momentum_step(params, velocity, grads, cfg.lr, MOMENTUM)
 
     views = functools.partial(two_views, weak_cfg=weak_cfg, shifts=shifts, rng=rng)
     t0 = time.time()

@@ -108,7 +108,12 @@ def _lloyd(X: np.ndarray, centroids: np.ndarray
                 pick = int(order[ptr])
                 nxt[e] = X[pick]
                 counts[e] = 1
-        centroids = _normalize_rows(nxt)
+        # A cluster whose rows sum to zero scores the same against any unit
+        # vector, so it keeps its centroid and the objective cannot fall.
+        degenerate = np.linalg.norm(nxt, axis=1) <= EPS_NORM
+        nxt = _normalize_rows(nxt)
+        nxt[degenerate] = centroids[degenerate]
+        centroids = nxt
     return centroids, assign, trace
 
 

@@ -79,10 +79,12 @@ def test_weak_masks_exactly_floor_fraction():
 
 
 def test_weak_config_validation():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"mask_fraction must lie in \[0, 0.5\), got 0.5"):
         WeakAugConfig(mask_fraction=0.5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="scale_jitter must satisfy 0 < lo <= hi < 2"):
         WeakAugConfig(scale_jitter=(0.0, 1.0))
+    with pytest.raises(ValidationError, match="scale_jitter must satisfy"):
+        WeakAugConfig(scale_jitter=(1.1, 0.9))
 
 
 def test_weak_output_finite():
@@ -205,11 +207,13 @@ def test_strong_dominates_weak_displacement():
     assert sd / wd >= 4.0
 
 
-def test_strong_noise_dominance_enforced():
-    weak_cfg = WeakAugConfig(noise_sigma=0.1)
-    with pytest.raises(ValidationError):
-        StrongAugConfig(noise_sigma=0.2).validate_against(weak_cfg)
-    StrongAugConfig(noise_sigma=0.4).validate_against(weak_cfg)
+def test_strong_config_validation():
+    with pytest.raises(ValidationError, match="n_ops must be >= 0, got -1"):
+        StrongAugConfig(n_ops=-1)
+    for p in (-0.1, 1.5):
+        with pytest.raises(ValidationError, match=r"apply_probability must lie in \[0, 1\]"):
+            StrongAugConfig(apply_probability=p)
+    StrongAugConfig(n_ops=0, apply_probability=1.0)
 
 
 def test_strong_output_finite():

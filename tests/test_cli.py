@@ -319,10 +319,9 @@ def test_checkpoint_whose_shapes_disagree_exits_with_validation_code(
 
 @pytest.mark.parametrize("command", ["score", "finetune"])
 @pytest.mark.parametrize("flags, needle", [
-    (["--mode", "elsa"], "shifts=1"), (["--set", "shift_count=2"], "shifts=2"),
-    (["--set", "hidden_dim=48"], "hidden=48"),
+    (["--mode", "elsa"], "shifts=1"), (["--set", "hidden_dim=48"], "hidden=48"),
     (["--prototypes", "12"], "and 12 prototypes"),
-], ids=["mode_elsa", "shift_count_2", "hidden_dim_48", "prototypes_12"])
+], ids=["mode_elsa", "hidden_dim_48", "prototypes_12"])
 def test_config_that_does_not_describe_the_checkpoint_exits_with_validation_code(
         tmp_path, scored_inputs, command, flags, needle):
     # scored_inputs holds a smoke ELSA+ checkpoint: 4 shifts, hidden 32, 8 prototypes.
@@ -365,17 +364,12 @@ def test_fractional_label_column_exits_with_validation_code(tmp_path, scored_inp
 
 @pytest.mark.parametrize("pair, needle", [
     ("samples_per_class=abc", "samples_per_class must be int, got 'abc'"),
-    ("weak_jitter=[1.0]", "weak_jitter must be Tuple[float, float], got (1.0,)"),
-    ("weak_jitter=5", "weak_jitter must be Tuple[float, float], got 5"),
     ("pretrain_epochs=2.5", "pretrain_epochs must be int, got 2.5"),
     ("seed=true", "seed must be int, got True"),
-    ("strict_scores=1", "strict_scores must be bool, got 1"),
     ("refresh_period=[3]", "refresh_period must be Optional[int], got [3]"),
     ("tau=NaN", "tau must be a finite float, got nan"),
     ("pretrain_lr=NaN", "pretrain_lr must be a finite float, got nan"),
     ("finetune_lr=Infinity", "finetune_lr must be a finite float, got inf"),
-    ("weak_jitter=[0.9, NaN]",
-     "weak_jitter must be Tuple[finite float, finite float], got (0.9, nan)"),
 ])
 def test_wrong_typed_set_value_exits_with_validation_code(tmp_path, pair, needle):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
@@ -394,14 +388,8 @@ def test_non_finite_flag_value_exits_with_validation_code(tmp_path):
 STAGE_REJECTIONS = [
     ("pretrain_lr=-1", "pretrain stage: lr must be positive, got -1"),
     ("pretrain_batch=1", "pretrain stage: batch_size must be >= 2, got 1"),
-    ("pretrain_momentum=1.0", "pretrain stage: momentum must lie in [0, 1), got 1.0"),
     ("finetune_lr=0", "finetune stage: lr must be positive, got 0"),
     ("finetune_epochs=-1", "finetune stage: epochs must be >= 0, got -1"),
-    ("weak_mask_fraction=0.7",
-     "augmentation stage: mask_fraction must lie in [0, 0.5), got 0.7"),
-    ("strong_noise_multiple=2.0",
-     "augmentation stage: strong noise_sigma 0.1 must be >= 4x weak noise_sigma 0.05"),
-    ("strong_n_ops=-1", "augmentation stage: n_ops must be >= 0, got -1"),
     ("hidden_dim=0", "encoder stage: encoder dim hidden must be positive, got 0"),
     ("refresh_period=0", "finetune stage: refresh_period must be >= 1, got 0"),
     ("tau=0", "pretrain stage: tau must be positive, got 0"),
@@ -541,7 +529,12 @@ def test_checkpoint_with_a_saved_refresh_epoch_loads_and_scores_the_same(
 
 # Retired options and the one value files written before their removal carry.
 RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical",
-           "pretrain_tau": None, "score_tau": None}
+           "pretrain_tau": None, "score_tau": None,
+           "test_fraction": 0.2, "val_fraction": 0.05,
+           "weak_noise_scale": 0.05, "weak_mask_fraction": 0.1,
+           "weak_jitter": [0.9, 1.1], "strong_noise_multiple": 6.0,
+           "strong_n_ops": 3, "strong_apply_probability": 0.8,
+           "shift_count": 4, "pretrain_momentum": 0.9, "strict_scores": True}
 
 
 def test_retired_keys_are_retired_on_both_sides():
@@ -551,6 +544,27 @@ def test_retired_keys_are_retired_on_both_sides():
     assert not RETIRED.keys() & {f.name for f in dataclasses.fields(RunConfig)}
     for name in PRESETS:
         assert not RETIRED.keys() & preset(name).to_dict().keys(), name
+
+
+# Fields that hold one value in every preset and have no dedicated flag, each
+# kept for the open ROADMAP item that sets it.
+KEPT_WITHOUT_CALLER = {
+    "refresh_period": "item 3 measures ELSA+ with no refresh",
+    "pretrain_lr": "item 4's collapse detector is tested with pretrain_lr=1e30",
+    "cluster_spread": "item 1 adds a harder geometry (cluster_spread=0.7)",
+    "within_spread": "item 1's harder geometry (within_spread=0.55); perfbench reads it",
+}
+
+
+def test_every_run_option_has_a_caller():
+    # A field that no preset moves off its default and no flag sets holds one
+    # value everywhere: it is a constant, unless the allow-list says why not.
+    default = RunConfig()
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    in_presets = {name for name in fields for rc in PRESETS.values()
+                  if getattr(rc, name) != getattr(default, name)}
+    flagged = {a.dest for a in _dedicated_flags()}
+    assert fields - in_presets - flagged == set(KEPT_WITHOUT_CALLER)
 
 
 def _with_config(ckpt, path, **changes):
@@ -589,7 +603,10 @@ def test_checkpoint_with_retired_keys_at_their_values_scores_and_finetunes_the_s
 @pytest.mark.parametrize("route", ["score", "config", "set"])
 @pytest.mark.parametrize("key, value", [("ensemble_mode", "embeddings"),
                                         ("c_mode", "appendix"),
-                                        ("pretrain_tau", 0.5), ("score_tau", 0.5)])
+                                        ("pretrain_tau", 0.5), ("score_tau", 0.5),
+                                        ("shift_count", 2), ("strong_n_ops", 2),
+                                        ("weak_jitter", [1.0]), ("strict_scores", 1)],
+                         ids=lambda v: json.dumps(v) if isinstance(v, list) else None)
 def test_retired_key_at_another_value_exits_with_validation_code(
         tmp_path, scored_inputs, route, key, value):
     ckpt, data = scored_inputs

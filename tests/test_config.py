@@ -9,13 +9,11 @@ from protoad.config import PRESETS, ConfigError, RunConfig, preset
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_dict_round_trip(name):
     rc = preset(name).replace(tau=0.3, refresh_period=2)
-    d = rc.to_dict()
-    assert isinstance(d["weak_jitter"], list)
-    assert RunConfig.from_dict(d) == rc
+    assert RunConfig.from_dict(rc.to_dict()) == rc
 
 
 def test_json_file_round_trip(tmp_path):
-    rc = preset("smoke").replace(seed=11, weak_jitter=(0.8, 1.2))
+    rc = preset("smoke").replace(seed=11, within_spread=0.55)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(rc.to_dict()))
     assert RunConfig.from_json_file(path) == rc
@@ -83,11 +81,9 @@ def test_bad_tau_is_listed_once_whichever_overrides_are_set(overrides, expected)
 
 def test_every_training_config_field_is_reachable():
     # Every mapped RunConfig value differs from the matching training default.
-    rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01,
-                   pretrain_momentum=0.5, tau=0.3,
+    rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01, tau=0.3,
                    finetune_epochs=4, finetune_batch=8, finetune_lr=0.01,
-                   loss_name="deepsad", refresh_period=5,
-                   strict_scores=False, seed=1)
+                   loss_name="deepsad", refresh_period=5, seed=1)
     for built in (rc.pretrain_config(), rc.finetune_config()):
         default = type(built)()
         kept = [f.name for f in dataclasses.fields(built)
@@ -99,8 +95,7 @@ def test_every_training_config_field_is_reachable():
     ({"tau": float("nan")}, "tau must be a finite float, got nan"),
     ({"tau": float("inf")}, "tau must be a finite float, got inf"),
     ({"gamma_p": -float("inf")}, "gamma_p must be a finite float, got -inf"),
-    ({"weak_jitter": (0.9, float("nan"))},
-     "weak_jitter must be Tuple[finite float, finite float]"),
+    ({"within_spread": float("inf")}, "within_spread must be a finite float, got inf"),
     ({"pretrain_lr": 10 ** 400}, "pretrain_lr must be a finite float"),
 ])
 def test_non_finite_float_fields_are_type_violations(changes, needle):
@@ -110,11 +105,11 @@ def test_non_finite_float_fields_are_type_violations(changes, needle):
 
 def test_wrong_types_are_listed_before_value_checks():
     # Without the type check, "tau <= 0" would raise TypeError on a string.
-    rc = RunConfig(tau="0.5", n_prototypes=8.0, weak_jitter=(0.9, "1.1"))
+    rc = RunConfig(cluster_spread="1.0", tau="0.5", n_prototypes=8.0)
     assert rc.violations() == [
+        "cluster_spread must be float, got '1.0'",
         "n_prototypes must be int, got 8.0",
         "tau must be float, got '0.5'",
-        "weak_jitter must be Tuple[float, float], got (0.9, '1.1')",
     ]
     with pytest.raises(ConfigError, match="tau must be float"):
         rc.validated()

@@ -291,6 +291,7 @@ def test_write_dataset_rejects_features_beyond_float32(tmp_path, value):
     path = tmp_path / "big.ds"
     with pytest.raises(ValidationError, match="float32 range"):
         write_dataset(path, dataset(value))
+    assert not path.exists()
     largest = float(np.finfo(np.float32).max)    # still round-trips
     write_dataset(path, dataset(largest))
     assert read_dataset(path).features[1, 2] == largest
