@@ -401,12 +401,15 @@ STAGE_REJECTIONS = [
                     "(gamma_p must be 0), got 0.05"),
     ("loss_name=x",
      "finetune stage: loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'x'"),
+    # A retired key is refused before any stage sees it.
+    ("weak_mask_fraction=0.7",
+     "the weak_mask_fraction option was removed; only 0.1 is accepted, got 0.7"),
 ]
 
 
 @pytest.mark.parametrize("pair, expected", STAGE_REJECTIONS,
-                         ids=[f"{pair}-{text.split(' stage: ')[0]}"
-                              for pair, text in STAGE_REJECTIONS])
+                         ids=[f"{pair}-{text.split(' stage: ')[0]}" if " stage: " in text
+                              else f"{pair}-retired" for pair, text in STAGE_REJECTIONS])
 def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair, expected):
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
                        "--out", str(tmp_path / "data")])
