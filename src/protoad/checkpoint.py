@@ -1,12 +1,12 @@
 """Checkpoint files in the shared ``data`` framing.
 
 The header line is the manifest: the format version, the full run
-configuration, the epoch, an optional RNG state, and one section entry
-(name + shape) per weight array; the float32 payload concatenates the
-sections in manifest order: the encoder fields, then any prototype vectors,
-which must be as wide as the embedding. Other manifest keys are ignored.
-Arrays are widened back to float64 on load, so save -> load -> save
-reproduces the file byte for byte.
+configuration (a JSON object) and the epoch (an integer), both required, an
+optional RNG state, and one section entry (name + shape) per weight array;
+the float32 payload concatenates the sections in manifest order: the encoder
+fields, then any prototype vectors, which must be as wide as the embedding.
+Other manifest keys are ignored. Arrays are widened back to float64 on load,
+so save -> load -> save reproduces the file byte for byte.
 """
 from __future__ import annotations
 
@@ -53,11 +53,10 @@ def load_checkpoint(path) -> Checkpoint:
         params = EncoderParams(*(arrays[f"encoder.{f}"] for f in EncoderParams.FIELDS))
     except KeyError as exc:
         raise ValidationError(f"checkpoint missing section {exc}") from exc
-    try:
-        config = dict(manifest.get("config") or {})
-        epoch = int(manifest.get("epoch", 0))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad checkpoint manifest: {exc}") from exc
+    config, epoch = manifest.get("config"), manifest.get("epoch")
+    if not isinstance(config, dict) or type(epoch) is not int:
+        raise ValidationError("bad checkpoint manifest: it needs a config object "
+                              "and an integer epoch")
 
     protos = None
     if "prototypes.vectors" in arrays:

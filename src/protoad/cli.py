@@ -78,7 +78,7 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
     flag. ``PROTOAD_SEED`` applies last, and only when ``--seed`` is absent.
     """
     rc = preset(args.preset)
-    if base:
+    if base is not None:
         rc = RunConfig.from_dict(base)
     if args.config:
         rc = RunConfig.from_json_file(args.config)
@@ -388,7 +388,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # Every producer of a non-finite value checks for it and raises
+        # NumericError; numpy's own overflow warning would only repeat it.
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 5

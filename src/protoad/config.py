@@ -1,7 +1,9 @@
 """Run configuration: every tunable of the pipeline in one validated bundle.
 
 A RunConfig round-trips through JSON, echoes into every artifact for
-provenance, and owns the derived objects (synthetic spec, scenario config,
+provenance, and reads back exactly the keys it writes: a checkpoint
+snapshot, a config file and ``--set`` pairs may name its fields and
+nothing else. It owns the derived objects (synthetic spec, scenario config,
 augmentation configs, training configs). Each rule has one home: a stage
 config checks the single fields it receives, and ``violations`` checks the
 types and the rules no one stage can see. It collects *all* violations,
@@ -34,16 +36,6 @@ MODES = ("elsa", "elsa_plus")
 SHIFT_COUNT = 4                # shifting transforms of ELSA+, identity included
 WEAK_NOISE_SCALE = 0.05        # weak noise sigma, x data std
 STRONG_NOISE_MULTIPLE = 6.0    # strong noise sigma, x weak noise sigma
-
-# Removed options and the one value each held in every file written before
-# their removal (checkpoint snapshots, gen-data config files).
-_RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical",
-            "pretrain_tau": None, "score_tau": None,
-            "test_fraction": 0.2, "val_fraction": 0.05,
-            "weak_noise_scale": 0.05, "weak_mask_fraction": 0.1,
-            "weak_jitter": [0.9, 1.1], "strong_noise_multiple": 6.0,
-            "strong_n_ops": 3, "strong_apply_probability": 0.8,
-            "shift_count": 4, "pretrain_momentum": 0.9, "strict_scores": True}
 
 
 class ConfigError(ValidationError):
@@ -231,24 +223,23 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        """The configuration ``data`` spells; a retired key is dropped when it
-        holds the one value the program still runs, and rejected otherwise
-        (a bool is no number here, as in ``_fits``)."""
-        kwargs = dict(data)
-        for key, kept in _RETIRED.items():
-            value = kwargs.pop(key, kept)
-            if value != kept or isinstance(value, bool) != isinstance(kept, bool):
-                raise ConfigError(f"the {key} option was removed; only {kept!r} is "
-                                  f"accepted, got {data[key]!r}")
-        unknown = set(kwargs) - {f.name for f in dataclasses.fields(cls)}
+        """The configuration ``data`` spells; every key must name a field."""
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**kwargs)
+        return cls(**data)
 
     @classmethod
     def from_json_file(cls, path) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """The configuration a JSON file holds as one object."""
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:     # not JSON, or not UTF-8 text
+            raise ConfigError(f"bad config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"bad config file {path}: not a JSON object")
+        return cls.from_dict(data)
 
     def replace(self, **changes) -> "RunConfig":
         return dataclasses.replace(self, **changes)

@@ -4,12 +4,13 @@ import csv
 import dataclasses
 import io
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from protoad import cli, config
+from protoad import cli
 from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.checkpoint import load_checkpoint, save_checkpoint
@@ -77,6 +78,18 @@ def test_unknown_set_key_exits_with_validation_code(tmp_path):
     assert code == 3
     assert "unknown config keys: ['nope']" in err.getvalue()
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", [b"not json", b"\xff\xfe{}", b"[1]", b"[]", b"5",
+                                  b'"abc"', b"null"],
+                         ids=["not_json", "not_utf8", "list", "empty_list", "number",
+                              "string", "null"])
+def test_config_file_that_is_no_json_object_exits_with_validation_code(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    code, err = _main(["gen-data", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3 and f"bad config file {path}" in err, err
+    assert not list(tmp_path.glob("out*"))
 
 
 # A value for each dedicated flag that differs from the smoke preset's.
@@ -186,6 +199,16 @@ def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):
         assert "numeric failure: dataset features contains non-finite entries" in err
 
 
+def test_divergent_run_prints_only_the_numeric_failure(tmp_path, recwarn):
+    # The step of 1e30 overflows the next forward pass; the CLI reports the
+    # non-finite values it finds, and numpy adds no RuntimeWarning of its own.
+    code, err = _main(["scenario", "--preset", "smoke", "--set", "pretrain_lr=1e30",
+                       "--out", str(tmp_path / "report.json")])
+    assert code == 5 and err.startswith("numeric failure: "), err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_finite_checkpoint_weight_exits_with_numeric_code(tmp_path, scored_inputs):
     ckpt, data = scored_inputs
     manifest, _, payload = (tmp_path / "ft.ckpt").read_bytes().partition(b"\n")
@@ -257,8 +280,8 @@ def test_ambiguous_scores_file_exits_with_validation_code(tmp_path, lines, needl
 
 @pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
                                   "entry_without_shape", "negative_shape",
-                                  "epoch_not_int", "config_not_object",
-                                  "not_utf8"])
+                                  "epoch_not_int", "no_epoch", "no_config",
+                                  "config_null", "config_not_object", "not_utf8"])
 def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit):
     _checkpoint(tmp_path)
     manifest_line, _, payload = (tmp_path / "init.ckpt").read_bytes().partition(b"\n")
@@ -275,6 +298,12 @@ def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit
         manifest["sections"][0]["shape"] = [-1, 2]
     elif edit == "epoch_not_int":
         manifest["epoch"] = "x"
+    elif edit == "no_epoch":
+        del manifest["epoch"]
+    elif edit == "no_config":
+        del manifest["config"]
+    elif edit == "config_null":
+        manifest["config"] = None
     else:
         manifest["config"] = 5
     line = b"\xff\xfe garbage" if edit == "not_utf8" else json.dumps(manifest).encode()
@@ -401,9 +430,8 @@ STAGE_REJECTIONS = [
                     "(gamma_p must be 0), got 0.05"),
     ("loss_name=x",
      "finetune stage: loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'x'"),
-    # A retired key is refused before any stage sees it.
-    ("weak_mask_fraction=0.7",
-     "the weak_mask_fraction option was removed; only 0.1 is accepted, got 0.7"),
+    # A retired key is an unknown key, refused before any stage sees it.
+    ("weak_mask_fraction=0.7", "unknown config keys: ['weak_mask_fraction']"),
 ]
 
 
@@ -530,23 +558,22 @@ def test_checkpoint_with_a_saved_refresh_epoch_loads_and_scores_the_same(
 
 # --------------------------------------------------------- retired options
 
-# Retired options and the one value files written before their removal carry.
-RETIRED = {"ensemble_mode": "scores", "c_mode": "canonical",
-           "pretrain_tau": None, "score_tau": None,
-           "test_fraction": 0.2, "val_fraction": 0.05,
-           "weak_noise_scale": 0.05, "weak_mask_fraction": 0.1,
-           "weak_jitter": [0.9, 1.1], "strong_noise_multiple": 6.0,
-           "strong_n_ops": 3, "strong_apply_probability": 0.8,
-           "shift_count": 4, "pretrain_momentum": 0.9, "strict_scores": True}
+# Retired options, each once held by files that the program wrote.
+RETIRED = ["ensemble_mode", "c_mode", "pretrain_tau", "score_tau",
+           "test_fraction", "val_fraction", "weak_noise_scale", "weak_mask_fraction",
+           "weak_jitter", "strong_noise_multiple", "strong_n_ops",
+           "strong_apply_probability", "shift_count", "pretrain_momentum",
+           "strict_scores"]
 
 
 def test_retired_keys_are_retired_on_both_sides():
-    # Retiring a key is one entry here and one in config._RETIRED; its field
-    # and every preset value go.
-    assert RETIRED == config._RETIRED
-    assert not RETIRED.keys() & {f.name for f in dataclasses.fields(RunConfig)}
+    # No field or preset writes a retired key, and none is read back.
+    assert not set(RETIRED) & {f.name for f in dataclasses.fields(RunConfig)}
     for name in PRESETS:
-        assert not RETIRED.keys() & preset(name).to_dict().keys(), name
+        assert not set(RETIRED) & preset(name).to_dict().keys(), name
+    for key in RETIRED:
+        with pytest.raises(ConfigError, match=re.escape(f"unknown config keys: ['{key}']")):
+            RunConfig.from_dict({**RunConfig().to_dict(), key: None})
 
 
 # Fields that hold one value in every preset and have no dedicated flag, each
@@ -582,25 +609,14 @@ def _with_config(ckpt, path, **changes):
 
 def test_checkpoint_with_retired_keys_at_their_values_scores_and_finetunes_the_same(
         tmp_path, scored_inputs):
+    # Whatever value a retired key holds, score and finetune both refuse the
+    # snapshot by naming every such key, and write nothing.
     ckpt, data = scored_inputs
-    old = _with_config(ckpt, tmp_path / "old.ckpt", **RETIRED)
-    _, _, expected = _score(tmp_path, ckpt, data)
-    code, _, got = _score(tmp_path, old, data)
-    assert code == 0 and got == expected
-    split, prefix = build_splits(preset("smoke")), str(tmp_path / "data")
-    write_dataset(f"{prefix}.train.ds", split.train)
-    write_dataset(f"{prefix}.valid.ds", split.validation)
-    outputs = []
-    for name, source in (("new", ckpt), ("old", old)):
-        out = tmp_path / f"{name}-ft.ckpt"
-        code, err = _main(["finetune", "--checkpoint", source, "--data", prefix,
-                           "--finetune-epochs", "1", "--out", str(out)])
-        assert code == 0, err
-        with open(f"{out}.metrics.jsonl", encoding="utf-8") as fh:
-            records = [{k: v for k, v in json.loads(line).items() if k != "wallclock"}
-                       for line in fh]
-        outputs.append((out.read_bytes(), records))
-    assert outputs[0] == outputs[1]
+    old = _with_config(ckpt, tmp_path / "old.ckpt", **dict.fromkeys(RETIRED, 0))
+    for argv in (["score", "--input", data], ["finetune", "--data", data]):
+        code, err = _main([*argv, "--checkpoint", old, "--out", str(tmp_path / "out")])
+        assert code == 3 and f"unknown config keys: {sorted(RETIRED)}" in err, err
+    assert not list(tmp_path.glob("out*"))
 
 
 @pytest.mark.parametrize("route", ["score", "config", "set"])
@@ -625,9 +641,7 @@ def test_retired_key_at_another_value_exits_with_validation_code(
         argv = ["gen-data", "--preset", "smoke", "--set", f"{key}={value}",
                 "--out", str(out)]
     code, err = _main(argv)
-    assert code == 3, err
-    assert f"the {key} option was removed; only {RETIRED[key]!r} is accepted, " \
-           f"got {value!r}" in err, err
+    assert code == 3 and f"unknown config keys: ['{key}']" in err, err
     assert not list(tmp_path.glob("out*"))
 
 

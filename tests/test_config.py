@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -72,10 +73,13 @@ def test_non_positive_score_tau_is_listed_not_raised(changes):
     ({"score_tau": None}, ["pretrain", "finetune"]),
 ])
 def test_bad_tau_is_listed_once_whichever_overrides_are_set(overrides, expected):
-    # A file written before the overrides were retired carries them as null;
-    # they are dropped, and each stage still reports the one bad tau once.
-    rc = RunConfig.from_dict({**RunConfig(tau=-1.0).to_dict(), **overrides})
-    assert rc.violations() == \
+    # The overrides were retired: a file carrying them is refused by key name
+    # alone, and without them each stage reports the one bad tau once.
+    data = RunConfig(tau=-1.0).to_dict()
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"unknown config keys: {sorted(overrides)}")):
+        RunConfig.from_dict({**data, **overrides})
+    assert RunConfig.from_dict(data).violations() == \
         [f"{stage} stage: tau must be positive, got -1.0" for stage in expected]
 
 

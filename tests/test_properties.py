@@ -1,7 +1,9 @@
 """Property tests of the paper's invariants and of the configuration rules.
 
 Hypothesis runs derandomized with a fixed example budget and no example
-database, so every run draws the same cases and writes nothing.
+database, so every run draws the same cases. It still writes to
+``.hypothesis/`` (the constants it collects, and a patch file after a failing
+example), which git ignores.
 """
 import math
 import tempfile
