@@ -160,14 +160,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _load_pair(prefix: str):
-    train_p, valid_p, _ = _dataset_paths(prefix)
-    return read_dataset(train_p), read_dataset(valid_p)
-
-
 def cmd_pretrain(args) -> int:
     rc = resolve_config(args)
-    train, _ = _load_pair(args.data)
+    train = read_dataset(_dataset_paths(args.data)[0])
     if train.dim != rc.input_dim:
         rc = rc.replace(input_dim=train.dim).validated()
     result = pretrain_stage(rc, train)
@@ -197,7 +192,7 @@ def cmd_finetune(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     rc = resolve_config(args, base=ckpt.config)
     _check_weights(rc, ckpt)
-    train, valid = _load_pair(args.data)
+    train, valid = map(read_dataset, _dataset_paths(args.data)[:2])
     outcome = finetune_stage(rc, ckpt.params, ckpt.prototypes, train, valid)
     save_checkpoint(args.out, config=rc.to_dict(),
                     epoch=outcome.best_checkpoint_epoch,

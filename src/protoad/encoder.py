@@ -153,7 +153,7 @@ def forward(params: EncoderParams, X) -> ForwardCache:
     np.maximum(h2, 0.0, out=h2)
     feature = h2 @ params.w3.T
     feature += params.b3
-    norms = np.linalg.norm(feature, axis=1)
+    norms = np.sqrt(np.add.reduce(feature * feature, axis=1))
     if not np.all((norms > EPS_NORM) & (norms < np.inf)):     # False for NaN too
         raise NumericError("degenerate vector: a feature norm is zero or not finite")
     emb = feature / norms[:, None]

@@ -189,9 +189,8 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
 
     def energy(embed, take):
         scores, ds_de = obj.energy_score_grad(embed, protos.vectors, cfg.tau)
-        semi = np.tile(train.semi[take], 2 * shifts.count)   # two views, all shifts
-        breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, semi, C,
-                                               strict=strict)
+        breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, train.semi[take],
+                                               C, strict=strict)
         return breakdown, d_scores[:, None] * ds_de
 
     def adam(grads):

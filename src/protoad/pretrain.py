@@ -100,8 +100,9 @@ def _pair_terms(batch: ContrastiveBatch, work: Optional[np.ndarray] = None):
 
 
 def contrastive_loss(batch: ContrastiveBatch, work: Optional[np.ndarray] = None
-                     ) -> Tuple[float, np.ndarray, np.ndarray]:
-    """Loss averaged over both view directions, plus gradients per view.
+                     ) -> Tuple[float, np.ndarray]:
+    """Loss averaged over both view directions, and its gradient ``d_embed``,
+    stacked like the batch: view 1's rows, then view 2's.
 
     One GEMM against ``[E, E / z]`` serves both gradient directions; see the
     module docstring for the symmetry identity; ``work`` as in ``_pair_terms``.
@@ -112,8 +113,7 @@ def contrastive_loss(batch: ContrastiveBatch, work: Optional[np.ndarray] = None
     XE = X @ np.hstack([E, E / z[:, None]])
     d_embed = XE[:, :d] / z[:, None] + XE[:, d:] - 2.0 * E[partner]
     d_embed /= two_m * batch.tau
-    m = two_m // 2
-    return loss, d_embed[:m], d_embed[m:]
+    return loss, d_embed
 
 
 def decompose_loss(batch: ContrastiveBatch) -> Tuple[float, float]:
@@ -160,21 +160,26 @@ class PretrainResult:
 
 
 def two_views(X, weak_cfg, shifts, rng, shift_first=True):
-    """Two independent weak views of a raw batch, each over every shift.
+    """Two independent weak views of a raw batch, stacked, each over every shift.
 
-    Returns ``(view1, view2, shift_ids)``. With ``shift_first`` each view is
+    Returns ``(rows, shift_ids, sample)``: view 1, then view 2, each
+    shift-major; row ``r`` is a view of ``shifts.apply(X, shift_ids[r])[sample[r]]``.
+    No other code knows this layout. With ``shift_first`` each view is
     ``weak(shift(x))``: every shifted copy gets its own noise and mask, as in
     pre-training and its probe. Without it each view is ``shift(weak(x))``:
     all copies of a row share one draw, as in fine-tuning. Masking does not
     commute with the shifts, so unifying the two orders changes results. The
     random draws come in the same order either way: view 1, then view 2.
     """
-    if shift_first:
-        rows, ids = shifts.expand(X)
-        return weak_batch(rows, weak_cfg, rng), weak_batch(rows, weak_cfg, rng), ids
-    view1, ids = shifts.expand(weak_batch(X, weak_cfg, rng))
-    view2, _ = shifts.expand(weak_batch(X, weak_cfg, rng))
-    return view1, view2, ids
+    n = len(X)
+    rows = np.empty((2 * shifts.count * n, X.shape[1]))
+    source = shifts.expand(X)[0] if shift_first else X
+    for view in np.split(rows, 2):
+        weak = weak_batch(source, weak_cfg, rng, out=view[:len(source)])
+        for k in range(1, 1 if shift_first else shifts.count):    # shift(weak(x))
+            shifts.apply(weak, k, out=view[k * n:(k + 1) * n])
+    ids = np.repeat(np.arange(shifts.count), n)
+    return rows, np.tile(ids, 2), np.tile(np.arange(n), 2 * shifts.count)
 
 
 def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
@@ -183,13 +188,13 @@ def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
     """One pass over ``feats`` in a fresh ``rng`` order: both stages' training step.
 
     Batches of fewer than ``min_rows`` rows are skipped. Per batch of row
-    indices ``take``: ``views(X)`` gives ``(view1, view2, shift_ids)``, one
-    forward pass embeds both views, ``loss(embed, take)`` gives ``(record,
-    d_embed)``, the shift cross-entropy joins when there is more than one
-    shift, and ``step(grads)`` follows one backward pass. Returns ``(record,
-    shift_ce)`` per batch, ``shift_ce`` None for one shift. Program functions
-    are read as module attributes at call time, so that wrappers installed
-    from outside (the bench tracer) see every call.
+    indices ``take``: ``views(X)`` gives ``two_views``' ``(rows, shift_ids,
+    sample)``, one forward pass embeds the rows, ``loss(embed, take[sample])``
+    gives ``(record, d_embed)``, the shift cross-entropy joins when there is
+    more than one shift, and ``step(grads)`` follows one backward pass.
+    Returns ``(record, shift_ce)`` per batch, ``shift_ce`` None for one shift.
+    Program functions are read as module attributes at call time, so that
+    wrappers installed from outside (the bench tracer) see every call.
     """
     order = rng.permutation(len(feats))
     out = []
@@ -197,12 +202,12 @@ def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
         take = order[start:start + batch_size]
         if len(take) < min_rows:
             continue
-        view1, view2, ids = views(feats[take])
-        cache = enc.forward(params, np.vstack([view1, view2]))
-        record, d_embed = loss(cache.embed, take)
+        rows, shift_ids, sample = views(feats[take])
+        cache = enc.forward(params, rows)
+        record, d_embed = loss(cache.embed, take[sample])
         ce = d_logits = None
         if shifts.count > 1:
-            ce, d_logits = loss_shift(enc.head_logits(params, cache), np.tile(ids, 2))
+            ce, d_logits = loss_shift(enc.head_logits(params, cache), shift_ids)
         step(enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits))
         out.append((record, ce))
     return out
@@ -228,7 +233,7 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
     probe_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     probe_idx = probe_rng.permutation(len(feats))[:min(_PROBE_SIZE, len(feats))]
     probe_clean = feats[probe_idx]
-    pv1, pv2, _ = two_views(probe_clean, weak_cfg, shifts, probe_rng)
+    pv1, pv2 = np.split(two_views(probe_clean, weak_cfg, shifts, probe_rng)[0], 2)
     n_max = 2 * shifts.count * max(min(cfg.batch_size, len(feats)), len(probe_idx))
     work = np.empty(n_max * n_max)
 
@@ -251,11 +256,10 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
 
     def contrastive(embed, take):
         """Record ``(loss, align)``; the gradient covers both views."""
-        m = len(embed) // 2
-        batch = ContrastiveBatch(embed[:m], embed[m:], cfg.tau)
-        loss, g1, g2 = contrastive_loss(batch, work)
+        batch = ContrastiveBatch(*np.split(embed, 2), cfg.tau)
+        loss, d_embed = contrastive_loss(batch, work)
         align = float(np.mean(-np.sum(batch.view1 * batch.view2, axis=1) / cfg.tau))
-        return (loss, align), np.vstack([g1, g2])
+        return (loss, align), d_embed
 
     def sgd(grads):
         enc.sgd_momentum_step(params, velocity, grads, cfg.lr, MOMENTUM)

@@ -185,6 +185,21 @@ def test_missing_files_exit_with_io_code(tmp_path):
     assert code == 4 and "io error" in err
 
 
+def test_pretrain_reads_only_the_training_file(tmp_path):
+    # Pre-training never reads the validation split, so a prefix with only
+    # its training file pre-trains; fine-tuning on it still needs the rest.
+    prefix = str(tmp_path / "P")
+    write_dataset(f"{prefix}.train.ds", build_splits(preset("smoke")).train)
+    ckpt = str(tmp_path / "pre.ckpt")
+    code, err = _main(["pretrain", "--preset", "smoke", "--pretrain-epochs", "1",
+                       "--data", prefix, "--out", ckpt])
+    assert code == 0, err
+    assert load_checkpoint(ckpt).epoch == 1
+    code, err = _main(["finetune", "--checkpoint", ckpt, "--data", prefix,
+                       "--out", str(tmp_path / "ft.ckpt")])
+    assert code == 4 and "io error" in err
+
+
 def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):
     path = tmp_path / "inf.ds"
     rows = np.zeros((2, 3 + 2), dtype="<f4")

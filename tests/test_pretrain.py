@@ -40,7 +40,7 @@ def _random_batch(m, z, tau, seed, norms=(1.0, 1.0)):
 
 def test_contrastive_orthogonal_fixture():
     # every anchor contributes -ln(e^2 / (e^2 + 2))
-    loss, _, _ = contrastive_loss(_orthogonal_fixture())
+    loss, _ = contrastive_loss(_orthogonal_fixture())
     assert loss == pytest.approx(LN_E2_PLUS_2 - 2.0, abs=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_contrastive_identical_embeddings():
     m = 4
     e = np.ones(3) / np.sqrt(3.0)
     batch = ContrastiveBatch(np.tile(e, (m, 1)), np.tile(e, (m, 1)), tau=0.5)
-    loss, _, _ = contrastive_loss(batch)
+    loss, _ = contrastive_loss(batch)
     assert loss == pytest.approx(math.log(2 * m - 1), abs=1e-12)
 
 
@@ -63,8 +63,8 @@ def _grad_check_contrastive(batch):
     def f(flat):
         views = flat.reshape(2 * m, z)
         b = ContrastiveBatch(views[:m], views[m:], batch.tau)
-        loss, g1, g2 = contrastive_loss(b)
-        return loss, np.vstack([g1, g2]).ravel()
+        loss, d_embed = contrastive_loss(b)
+        return loss, d_embed.ravel()
 
     point = np.vstack([batch.view1, batch.view2]).ravel()
     report = grad_check(f, point, h=1e-5)
@@ -83,7 +83,7 @@ def test_contrastive_grad_sharp_tau_odd_rows():
 def test_decompose_identity_on_random_batches():
     for seed in range(30):
         batch = _random_batch(int(3 + seed % 6), 6, 0.5, seed)
-        loss, _, _ = contrastive_loss(batch)
+        loss, _ = contrastive_loss(batch)
         align, uniform = decompose_loss(batch)
         assert abs(loss - (align + uniform)) < 1e-12
 
@@ -128,6 +128,13 @@ def _assert_rel_close(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want)), (got, want)
 
 
+def _assert_stacked_close(d_embed, o_g1, o_g2):
+    """The stacked gradient against the oracle's halves, each half to its own scale."""
+    assert d_embed.shape == np.vstack([o_g1, o_g2]).shape
+    for got, want in zip(np.split(d_embed, 2), (o_g1, o_g2)):
+        _assert_rel_close(got, want)
+
+
 # Non-unit rows (norms in [0.5, 2]) put the Cauchy-Schwarz shift c above
 # 1/tau and leave short rows far below it; 2m = 74, 4, 258, 122 and 10 rows
 # are not multiples of 8.
@@ -138,11 +145,10 @@ def _assert_rel_close(got, want, rel=1e-12):
 def test_contrastive_matches_out_of_place_oracle(m, z, tau, norms):
     batch = _random_batch(m, z, tau, seed=m, norms=norms)
     views = (batch.view1.copy(), batch.view2.copy())
-    loss, g1, g2 = contrastive_loss(batch)
+    loss, d_embed = contrastive_loss(batch)
     o_loss, o_g1, o_g2, o_pos, o_lse = _out_of_place_oracle(batch)
     _assert_rel_close(loss, o_loss)
-    _assert_rel_close(g1, o_g1)
-    _assert_rel_close(g2, o_g2)
+    _assert_stacked_close(d_embed, o_g1, o_g2)
     align, uniform = decompose_loss(batch)
     _assert_rel_close(align, float(np.mean(-o_pos)))
     _assert_rel_close(uniform, float(np.mean(o_lse)))
@@ -158,11 +164,10 @@ def test_contrastive_long_rows_do_not_overflow():
     v = rng.normal(size=16) + 0.1 * rng.normal(size=(40, 16))
     v *= 3.0 / np.linalg.norm(v, axis=1, keepdims=True)
     batch = ContrastiveBatch(v[:20], v[20:], tau=0.01)
-    loss, g1, g2 = contrastive_loss(batch)
+    loss, d_embed = contrastive_loss(batch)
     o_loss, o_g1, o_g2, _, _ = _out_of_place_oracle(batch)
     _assert_rel_close(loss, o_loss)
-    _assert_rel_close(g1, o_g1)
-    _assert_rel_close(g2, o_g2)
+    _assert_stacked_close(d_embed, o_g1, o_g2)
 
 
 def test_contrastive_underflowing_row_sum_raises():
@@ -272,6 +277,24 @@ def test_pretrain_never_touches_labeled_anomalies(monkeypatch):
     assert seen and not (seen & anomalies)
 
 
+@pytest.mark.parametrize("shift_first", [True, False])
+def test_two_views_layout(shift_first):
+    # With no noise, no mask and unit scale a weak view equals its input
+    # exactly, so every row must be its sample under its shift, bit for bit.
+    X = np.random.default_rng(8).normal(size=(6, 8))
+    shifts = ShiftFamily.random(8, count=4, seed=1)
+    exact = WeakAugConfig(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
+    rows, shift_ids, sample = two_views(X, exact, shifts, np.random.default_rng(0),
+                                        shift_first=shift_first)
+    assert len(rows) == len(shift_ids) == len(sample) == 2 * shifts.count * len(X)
+    for r in range(len(rows)):
+        assert np.array_equal(rows[r], shifts.apply(X, shift_ids[r])[sample[r]]), r
+    view1, view2 = np.split(rows, 2)
+    assert len(view1) == len(view2)
+    assert np.array_equal(np.bincount(sample, minlength=len(X)),
+                          np.full(len(X), 2 * shifts.count))
+
+
 def test_pretrain_deterministic():
     split = _train_split()
     cfg = PretrainConfig(epochs=3, batch_size=32, seed=5)
@@ -315,11 +338,10 @@ def test_contrastive_workspace_changes_no_bit(m):
     # 2m = 1024 fills the workspace; 2m = 800 runs on a shorter view of it.
     batch = _random_batch(m, 16, 0.5, seed=m)
     work = np.full(1024 * 1024, np.nan)
-    loss, g1, g2 = contrastive_loss(batch, work)
-    o_loss, o_g1, o_g2 = contrastive_loss(batch)
+    loss, d_embed = contrastive_loss(batch, work)
+    o_loss, o_d_embed = contrastive_loss(batch)
     assert loss == o_loss
-    assert np.array_equal(g1, o_g1)
-    assert np.array_equal(g2, o_g2)
+    assert np.array_equal(d_embed, o_d_embed)
     _, _, pos, lse, _, _ = _pair_terms(batch, work)
     _, _, o_pos, o_lse, _, _ = _pair_terms(batch)
     assert np.array_equal(pos, o_pos)
