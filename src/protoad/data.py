@@ -235,6 +235,8 @@ class ScenarioConfig:
             require(0.0 <= v <= 1.0, f"{name} must lie in [0, 1], got {v}")
         require(self.scenario != "s1" or self.gamma_p <= 0.0,
                 f"scenario s1 forbids contamination (gamma_p must be 0), got {self.gamma_p}")
+        require(self.scenario != "s2" or self.gamma_p < 1.0,
+                f"scenario s2 needs gamma_p below 1, got {self.gamma_p}")
 
 
 @dataclass
@@ -410,8 +412,9 @@ def read_framed(path, label: str, version_key: str, version: int,
 
     ``layout(header)`` lists the payload's ``(name, shape)`` sections in
     file order. A header that is not a JSON object, holds another version,
-    lacks a key the layout reads or has a malformed entry raises
-    ``ValidationError``, as does a payload that is too short or too long.
+    lacks a key the layout reads or has a malformed entry (a version or
+    section size that is not an exact int: ``true`` is no 1) raises
+    ``ValidationError``, as does a payload of the wrong size.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -422,7 +425,7 @@ def read_framed(path, label: str, version_key: str, version: int,
         raise ValidationError(f"bad {label}: {exc}") from exc
     if not isinstance(header, dict):
         raise ValidationError(f"bad {label}: not a JSON object")
-    if header.get(version_key) != version:
+    if type(header.get(version_key)) is not int or header[version_key] != version:
         raise ValidationError(f"{label} format version {header.get(version_key)} "
                               f"not supported (expected {version})")
     try:
@@ -433,7 +436,7 @@ def read_framed(path, label: str, version_key: str, version: int,
     arrays: Dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in sections:
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
+        if not all(type(n) is int and n >= 0 for n in shape):
             raise ValidationError(f"bad {label}: section {name} has shape {list(shape)}")
         count = math.prod(shape)
         if offset + 4 * count > len(payload):
@@ -453,8 +456,8 @@ def write_dataset(path, ds: Dataset) -> None:
 
 
 def _dataset_layout(header: dict):
-    if header["dim"] < 0:
-        raise ValueError(f"dim {header['dim']} is negative")
+    if type(header["dim"]) is not int or header["dim"] < 0:
+        raise ValueError(f"dim {header['dim']!r} is not a non-negative int")
     return [("rows", (header["count"], header["dim"] + 2))]
 
 

@@ -8,7 +8,6 @@ the fine-tuning loop keeps whichever epoch maximizes it.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import hashlib
 import time
@@ -177,21 +176,23 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     n_steps = 0
     trace: List[MetricsRecord] = []
     t0 = time.time()
+    # The order of ``record``'s loss means; ``total`` includes ``shift_term``.
+    loss_keys = ("total", "anomaly_term", "normal_term", "shift_term")
 
-    def record(epoch: int, loss_dict: Dict[str, float], refreshed: bool):
+    def record(epoch: int, loss_means, refreshed: bool):
         es = earlystop_score(params, protos, validation, weak_cfg, strong_cfg,
                              shifts, _sub_rng(cfg.seed, 2, epoch))
         ta = eval_probe(params, protos) if eval_probe is not None else None
-        trace.append(MetricsRecord(epoch=epoch, loss=loss_dict,
+        trace.append(MetricsRecord(epoch=epoch, loss=dict(zip(loss_keys, loss_means)),
                                    earlystop_auroc=es, test_auroc=ta,
                                    prototype_refresh_flag=refreshed,
                                    wallclock=time.time() - t0))
 
     def energy(embed, take):
         scores, ds_de = obj.energy_score_grad(embed, protos.vectors, cfg.tau)
-        breakdown, d_scores = obj.loss_by_name(cfg.loss_name, scores, train.semi[take],
-                                               C, strict=strict)
-        return breakdown, d_scores[:, None] * ds_de
+        b, d_scores = obj.loss_by_name(cfg.loss_name, scores, train.semi[take],
+                                       C, strict=strict)
+        return (b.total, b.anomaly_term, b.normal_term), d_scores[:, None] * ds_de
 
     def adam(grads):
         nonlocal n_steps
@@ -201,7 +202,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     views = functools.partial(two_views, weak_cfg=weak_cfg, shifts=shifts, rng=rng,
                               shift_first=False)
     nan = float("nan")
-    record(0, dataclasses.asdict(obj.LossBreakdown(nan, nan, nan)), refreshed=False)
+    record(0, (nan, nan, nan, 0.0), refreshed=False)
     best_epoch, best_score = 0, trace[0].earlystop_auroc
     best_params, best_protos = params.copy(), protos
 
@@ -210,18 +211,13 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
         if refreshed:
             emb = prototype_inputs(params, train, shifts)
             protos = proto.refresh(protos, emb, epoch, cfg.refresh_period)
-        epoch_losses = []
-        for breakdown, ce in train_epoch(params, train.features, cfg.batch_size, rng,
-                                         views, energy, adam, shifts, min_rows=1):
-            if ce is not None:
-                breakdown.shift_term = ce
-                breakdown.total += ce
-            epoch_losses.append(breakdown)
-        mean_loss = {
-            key: float(np.mean([getattr(b, key) for b in epoch_losses]))
-            for key in ("total", "anomaly_term", "normal_term", "shift_term")
-        } if epoch_losses else dataclasses.asdict(obj.LossBreakdown(0.0, 0.0, 0.0))
-        record(epoch, mean_loss, refreshed)
+        table = train_epoch(params, train.features, cfg.batch_size, rng,
+                            views, energy, adam, shifts, min_rows=1)
+        means = [0.0] * len(loss_keys)
+        if len(table):
+            total, anomaly, normal, ce = table.T
+            means = [float(np.mean(c)) for c in (total + ce, anomaly, normal, ce)]
+        record(epoch, means, refreshed)
         if trace[-1].earlystop_auroc > best_score:
             best_score, best_epoch = trace[-1].earlystop_auroc, epoch
             best_params, best_protos = params.copy(), protos

@@ -59,7 +59,6 @@ class LossBreakdown:
     total: float
     anomaly_term: float
     normal_term: float
-    shift_term: float = 0.0
 
 
 def _energy(E: np.ndarray, P: np.ndarray, tau: float

@@ -184,33 +184,34 @@ def two_views(X, weak_cfg, shifts, rng, shift_first=True):
 
 def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
                 rng: np.random.Generator, views: Callable, loss: Callable,
-                step: Callable, shifts: ShiftFamily, min_rows: int) -> list:
+                step: Callable, shifts: ShiftFamily, min_rows: int) -> np.ndarray:
     """One pass over ``feats`` in a fresh ``rng`` order: both stages' training step.
 
     Batches of fewer than ``min_rows`` rows are skipped. Per batch of row
     indices ``take``: ``views(X)`` gives ``two_views``' ``(rows, shift_ids,
     sample)``, one forward pass embeds the rows, ``loss(embed, take[sample])``
-    gives ``(record, d_embed)``, the shift cross-entropy joins when there is
+    gives ``(terms, d_embed)``, the shift cross-entropy joins when there is
     more than one shift, and ``step(grads)`` follows one backward pass.
-    Returns ``(record, shift_ce)`` per batch, ``shift_ce`` None for one shift.
+    Returns the per-batch loss table: one float64 row per batch, the loss's
+    ``terms`` and then the shift cross-entropy (0.0 for one shift).
     Program functions are read as module attributes at call time, so that
     wrappers installed from outside (the bench tracer) see every call.
     """
     order = rng.permutation(len(feats))
-    out = []
+    table = []
     for start in range(0, len(order), batch_size):
         take = order[start:start + batch_size]
         if len(take) < min_rows:
             continue
         rows, shift_ids, sample = views(feats[take])
         cache = enc.forward(params, rows)
-        record, d_embed = loss(cache.embed, take[sample])
-        ce = d_logits = None
+        terms, d_embed = loss(cache.embed, take[sample])
+        ce, d_logits = 0.0, None
         if shifts.count > 1:
             ce, d_logits = loss_shift(enc.head_logits(params, cache), shift_ids)
         step(enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits))
-        out.append((record, ce))
-    return out
+        table.append((*terms, ce))
+    return np.array(table, dtype=np.float64)
 
 
 def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAugConfig,
@@ -255,7 +256,7 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
             shift_accuracy=acc, wallclock=time.time() - t0))
 
     def contrastive(embed, take):
-        """Record ``(loss, align)``; the gradient covers both views."""
+        """Terms ``(loss, align)``; the gradient covers both views."""
         batch = ContrastiveBatch(*np.split(embed, 2), cfg.tau)
         loss, d_embed = contrastive_loss(batch, work)
         align = float(np.mean(-np.sum(batch.view1 * batch.view2, axis=1) / cfg.tau))
@@ -268,9 +269,8 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
     t0 = time.time()
     probe_record(0, float("nan"), float("nan"), float("nan"), t0)
     for epoch in range(1, cfg.epochs + 1):
-        batches = train_epoch(params, feats, cfg.batch_size, rng, views,
-                              contrastive, sgd, shifts, min_rows=2)
-        loss, align, ce = np.array([(*rec, ce or 0.0) for rec, ce in batches]).T
+        loss, align, ce = train_epoch(params, feats, cfg.batch_size, rng, views,
+                                      contrastive, sgd, shifts, min_rows=2).T
         probe_record(epoch, float(np.mean(loss + ce)), float(np.mean(align)),
                      float(np.mean(loss - align)), t0)
     return PretrainResult(params=params, metrics=metrics)

@@ -74,6 +74,15 @@ def test_wrong_format_version_raises(tmp_path):
         load_checkpoint(path)
 
 
+def test_format_version_true_is_not_version_1(tmp_path):
+    path = tmp_path / "a.ckpt"
+    manifest, payload = _split(_save(path))
+    manifest["format_version"] = True
+    path.write_bytes(_join(manifest, payload))
+    with pytest.raises(ValidationError, match="format version True not supported"):
+        load_checkpoint(path)
+
+
 def test_missing_encoder_section_raises(tmp_path):
     path = tmp_path / "a.ckpt"
     manifest, payload = _split(_save(path, with_prototypes=False))

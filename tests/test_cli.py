@@ -246,6 +246,8 @@ def _dataset_file(tmp_path, header: bytes):
 @pytest.mark.parametrize("header", [b"[1]", b'{"version": 1}', b'{"version": 1, "dim": 3}',
                                     b'{"version": 1, "dim": "3", "count": 2}',
                                     b'{"version": 1, "dim": -4, "count": 2}',
+                                    b'{"version": 1, "dim": 3, "count": true}',
+                                    b'{"version": 1, "dim": true, "count": 2}',
                                     b"\xff\xfe garbage"])
 def test_malformed_dataset_header_exits_with_validation_code(tmp_path, header):
     path = _dataset_file(tmp_path, header)
@@ -441,6 +443,7 @@ STAGE_REJECTIONS = [
     ("tau=-0.5", "pretrain stage: tau must be positive, got -0.5"),
     ("scenario=s9", "scenario stage: scenario must be one of ('s1', 's2', 's3'), got 's9'"),
     ("gamma_l=1.5", "scenario stage: gamma_l must lie in [0, 1], got 1.5"),
+    ("gamma_p=1.0", "scenario stage: scenario s2 needs gamma_p below 1, got 1.0"),
     ("scenario=s1", "scenario stage: scenario s1 forbids contamination "
                     "(gamma_p must be 0), got 0.05"),
     ("loss_name=x",

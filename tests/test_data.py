@@ -297,6 +297,13 @@ def test_write_dataset_rejects_features_beyond_float32(tmp_path, value):
     assert read_dataset(path).features[1, 2] == largest
 
 
+def test_dataset_version_true_is_not_version_1(tmp_path):
+    path = tmp_path / "t.ds"
+    write_framed(path, {"version": True, "dim": 3, "count": 2}, [np.zeros((2, 5))])
+    with pytest.raises(ValidationError, match="format version True not supported"):
+        read_dataset(path)
+
+
 def test_framed_sections_round_trip(tmp_path):
     path = tmp_path / "f.bin"
     a, b = np.arange(6.0).reshape(2, 3), np.array(2.5)
@@ -314,6 +321,7 @@ def test_framed_sections_round_trip(tmp_path):
     ([2, 1.5], "bad test header: section a has shape"),
     ([-2, -2], "bad test header: section a has shape"),
     (3, "bad test header"),
+    ([True, 2], "bad test header: section a has shape"),
 ])
 def test_framed_payload_must_match_its_layout(tmp_path, shape, match):
     path = tmp_path / "f.bin"

@@ -83,6 +83,24 @@ def test_earlystop_score_matches_oracle(count):
     assert 0.0 < got < 1.0
 
 
+@pytest.mark.parametrize("mode", ["elsa", "elsa_plus"])
+def test_finetune_loss_total_is_the_sum_of_its_terms(mode):
+    outcome, _ = pipeline.finetune_and_eval(pipeline.prepare(preset("smoke").replace(mode=mode)))
+    keys = ["total", "anomaly_term", "normal_term", "shift_term"]
+    first, *rest = [m.loss for m in outcome.trace]
+    assert list(first) == keys and first["shift_term"] == 0.0
+    assert np.isnan([first["total"], first["anomaly_term"], first["normal_term"]]).all()
+    assert rest
+    for loss in rest:
+        assert list(loss) == keys
+        if mode == "elsa":
+            assert loss["shift_term"] == 0.0
+        else:
+            assert loss["shift_term"] > 0.0
+        assert loss["total"] == pytest.approx(
+            loss["anomaly_term"] + loss["normal_term"] + loss["shift_term"], rel=1e-12)
+
+
 def test_finetune_embeds_training_set_only_on_refresh_epochs(monkeypatch):
     # ELSA+ refreshes every 3 epochs; the pinned trace is the one the loop
     # gave when it re-embedded the training set on every epoch.

@@ -295,6 +295,26 @@ def test_two_views_layout(shift_first):
                           np.full(len(X), 2 * shifts.count))
 
 
+@pytest.mark.parametrize("count", [1, 4])
+def test_train_epoch_returns_one_loss_row_per_batch(count):
+    # Each row: the loss's terms, then the shift cross-entropy (0.0 for one
+    # shift). Ten rows in batches of 4 give 4, 4 and a skipped 2.
+    shifts = ShiftFamily.random(8, count=count)
+    rng = np.random.default_rng(0)
+    steps = []
+    table = pretrain.train_epoch(
+        enc.init(0, _dims(shifts=count)), rng.normal(size=(10, 8)), 4, rng,
+        lambda X: two_views(X, WeakAugConfig(), shifts, rng),
+        lambda embed, take: ((1.0, 2.0), np.zeros_like(embed)),
+        steps.append, shifts, min_rows=3)
+    assert table.dtype == np.float64 and table.shape == (len(steps), 3) == (2, 3)
+    assert np.array_equal(table[:, :2], [[1.0, 2.0], [1.0, 2.0]])
+    if count == 1:
+        assert np.array_equal(table[:, 2], [0.0, 0.0])
+    else:
+        assert np.all(table[:, 2] > 0.0)
+
+
 def test_pretrain_deterministic():
     split = _train_split()
     cfg = PretrainConfig(epochs=3, batch_size=32, seed=5)
