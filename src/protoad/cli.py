@@ -28,10 +28,10 @@ from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import ConfigError, PRESETS, RunConfig, preset
 from .data import ValidationError, read_dataset, write_dataset
 from .encoder import EncoderDims
-from .evalharness import auroc, evaluate_scores
+from .evalharness import auroc
 from .mathcore import NumericError
 from .pipeline import (build_splits, finetune_stage, pretrain_stage, run_ablation,
-                       run_grid, run_pollution_sweep, run_single)
+                       run_grid, run_pollution_sweep, run_single, score_stage)
 
 ENV_SEED = "PROTOAD_SEED"
 METRICS_SCHEMA = 1
@@ -219,10 +219,7 @@ def cmd_score(args) -> int:
     ds = read_dataset(args.input)
     if ckpt.prototypes is None:
         raise ConfigError("checkpoint has no prototypes; run finetune first")
-    weak, _ = rc.resolve_augs(ds.features)
-    scores = evaluate_scores(rc.score_name, ckpt.params, ckpt.prototypes, ds, None,
-                             weak, rc.shift_family(), rc.tau,
-                             rc.n_ensemble, rc.score_rng())
+    scores = score_stage(rc, ckpt.params, ckpt.prototypes, ds)
     order = np.argsort(ds.ids, kind="mergesort")
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(_score_lines(ds.ids[order].tolist(), scores[order].tolist()))
@@ -362,10 +359,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     p.add_argument("--out", help="JSON report path")
     p.add_argument("--metrics", help="metrics JSONL path (single run)")
-    p.add_argument("--grid", action="store_true")
+    run_mode = p.add_mutually_exclusive_group()
+    run_mode.add_argument("--grid", action="store_true")
+    run_mode.add_argument("--sweep-gamma-p", dest="sweep_gamma_p",
+                          help="comma-separated contamination levels")
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--sweep-gamma-p", dest="sweep_gamma_p",
-                   help="comma-separated contamination levels")
     p.add_argument("--csv", help="CSV table path (sweep mode)")
     p.set_defaults(func=cmd_scenario)
 

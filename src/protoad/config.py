@@ -125,6 +125,8 @@ class RunConfig:
             out.append(f"score_name must be one of {obj.SCORES}, got {self.score_name!r}")
         if self.n_ensemble < 1:
             out.append(f"n_ensemble must be >= 1, got {self.n_ensemble}")
+        if self.seed < 0:     # every derived seed adds a non-negative offset
+            out.append(f"seed must be >= 0, got {self.seed}")
         for stage, build in (("data", self.synthetic_spec),
                              ("scenario", self.scenario_config),
                              ("encoder", self.encoder_dims),

@@ -6,9 +6,10 @@ for JSON serialization. Ablation rows and prototype sweeps share one
 prepared context (identical splits and pretrained encoder) so comparisons
 are seed-paired.
 
-``pretrain_stage`` and ``finetune_stage`` are the one wiring of the two
-training stages, for these drivers and for the ``pretrain`` and
-``finetune`` commands alike; ``stage_augs`` is the one place that derives
+``pretrain_stage``, ``finetune_stage`` and ``score_stage`` are the one
+wiring of the two training stages and of ensembled scoring, for these
+drivers and for the ``pretrain``, ``finetune`` and ``score`` commands
+alike; ``stage_augs`` is the one place that derives
 the augmentations and the shift family from a RunConfig. ``finetune_stage``
 with ``protos=None`` is the one place that fits the initial prototypes, on
 the embeddings of the clustering pool; a prototype-count override reaches
@@ -81,6 +82,16 @@ def finetune_stage(rc: RunConfig, params: enc.EncoderParams,
                          rc.finetune_config(), eval_probe=eval_probe)
 
 
+def score_stage(rc: RunConfig, params: enc.EncoderParams, protos: PrototypeSet,
+                test: Dataset, train: Optional[Dataset] = None) -> np.ndarray:
+    """The ensembled ``rc.score_name`` scores of ``test``; the weak noise is
+    scaled to ``train``, or to ``test`` itself without one, as ``protoad
+    score`` does until the augmentations are stored with the checkpoint."""
+    weak, _, shifts = stage_augs(rc, test if train is None else train)
+    return evaluate_scores(rc.score_name, params, protos, test, train, weak, shifts,
+                           rc.tau, rc.n_ensemble, rc.score_rng())
+
+
 @dataclass
 class PipelineContext:
     """Everything shared between fine-tuning variants of one run."""
@@ -113,35 +124,25 @@ def pretrain_uniformity_baseline(ctx: PipelineContext) -> float:
     return auroc(scores, test.eval_normal_labels())
 
 
-def finetune_and_eval(
-    ctx: PipelineContext,
-    loss_name: Optional[str] = None,
-    score_name: Optional[str] = None,
-    n_prototypes: Optional[int] = None,
-) -> Tuple[RunResult, Dict]:
+def finetune_and_eval(ctx: PipelineContext, **overrides) -> Tuple[RunResult, Dict]:
     """Fine-tune from the shared context and score the test set.
 
-    Overrides allow seed-paired ablation rows (different loss or score on
-    identical splits and pretraining) and prototype-count sweeps. When the
-    prototype count cannot guarantee positive energy scores the loss runs in
-    permissive mode (``finetune_loop`` derives it), mirroring how an unguarded
-    implementation behaves.
+    ``overrides`` replace RunConfig fields: seed-paired ablation rows (another
+    loss or score on identical splits and pretraining) and prototype-count
+    sweeps. When the prototype count cannot guarantee positive energy scores
+    the loss runs in permissive mode (``finetune_loop`` derives it), mirroring
+    how an unguarded implementation behaves.
     """
-    k = n_prototypes if n_prototypes is not None else ctx.rc.n_prototypes
-    rc = ctx.rc.replace(loss_name=loss_name or ctx.rc.loss_name,
-                        score_name=score_name or ctx.rc.score_name, n_prototypes=k)
+    rc = ctx.rc.replace(**overrides)
     train, test = ctx.split.train, ctx.split.test
     outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
                              eval_probe=test_auroc_probe(test, rc.tau))
-    weak, _, shifts = stage_augs(rc, train)
-    scores = evaluate_scores(rc.score_name, outcome.best_params, outcome.best_prototypes,
-                             test, train, weak, shifts, rc.tau, rc.n_ensemble,
-                             rc.score_rng())
+    scores = score_stage(rc, outcome.best_params, outcome.best_prototypes, test, train)
     final = auroc(scores, test.eval_normal_labels())
     report = {
         "loss_name": rc.loss_name,
         "score_name": rc.score_name,
-        "n_prototypes": k,
+        "n_prototypes": rc.n_prototypes,
         "strict_scores": rc.energy_positive,
         "split_hash": ctx.split_digest,
         "best_checkpoint_epoch": outcome.best_checkpoint_epoch,
@@ -207,28 +208,25 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3,
 
 
 def run_pollution_sweep(rc: RunConfig, gamma_ps: Sequence[float]) -> List[Dict]:
-    """One row per contamination level, scenario s2, all else fixed."""
+    """One row per contamination level, scenario s2, all else fixed; every
+    row's configuration is checked before the first row trains."""
+    kept = ("final_auroc", "pretrain_baseline_auroc", "best_checkpoint_epoch", "split_hash")
     rows = []
-    for gp in gamma_ps:
-        row_rc = rc.replace(scenario="s2", gamma_p=float(gp)).validated()
+    for row_rc in [rc.replace(scenario="s2", gamma_p=float(gp)).validated()
+                   for gp in gamma_ps]:
         report = run_single(row_rc)
-        rows.append({"gamma_p": float(gp),
-                     "final_auroc": report["final_auroc"],
-                     "pretrain_baseline_auroc": report["pretrain_baseline_auroc"],
-                     "best_checkpoint_epoch": report["best_checkpoint_epoch"],
-                     "split_hash": report["split_hash"]})
+        rows.append({"gamma_p": row_rc.gamma_p, **{key: report[key] for key in kept}})
     return rows
 
 
 def run_ablation(rc: RunConfig, pairs: Sequence[Tuple[str, str]]) -> List[Dict]:
-    """One row per (score_name, loss_name), seed-paired on one context."""
-    ctx = prepare(rc)
-    rows = []
+    """One row per (score_name, loss_name), seed-paired on one context; every
+    row's configuration is checked before pre-training."""
     for score_name, loss_name in pairs:
-        _, report = finetune_and_eval(ctx, loss_name=loss_name,
-                                      score_name=score_name)
-        rows.append(report)
-    return rows
+        rc.replace(score_name=score_name, loss_name=loss_name).validated()
+    ctx = prepare(rc)
+    return [finetune_and_eval(ctx, loss_name=loss_name, score_name=score_name)[1]
+            for score_name, loss_name in pairs]
 
 
 def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from protoad import cli
+from protoad import cli, pipeline
 from protoad import encoder as enc
 from protoad import objective as obj
 from protoad.checkpoint import load_checkpoint, save_checkpoint
@@ -63,6 +63,18 @@ def test_resolve_config_non_integer_env_seed_exits_with_validation_code(monkeypa
         cli.resolve_config(_args("--preset", "smoke"))
     code, err = _main(["gen-data", "--preset", "smoke", "--out", str(tmp_path / "data")])
     assert code == 3 and "PROTOAD_SEED" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_seed_exits_with_validation_code(monkeypatch, tmp_path):
+    # numpy refuses a negative seed; the configuration refuses it first, by
+    # flag and by environment alike.
+    out = ["--out", str(tmp_path / "data")]
+    code, err = _main(["gen-data", "--preset", "smoke", "--seed", "-1", *out])
+    assert code == 3 and "seed must be >= 0, got -1" in err, err
+    monkeypatch.setenv(cli.ENV_SEED, "-4")
+    code, err = _main(["gen-data", "--preset", "smoke", *out])
+    assert code == 3 and "seed must be >= 0, got -4" in err, err
     assert not list(tmp_path.iterdir())
 
 
@@ -166,7 +178,8 @@ def _checkpoint(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [[], ["score"], ["score", "--input", "x.ds"],
-                                  ["eval", "--scores", "s.jsonl"]])
+                                  ["eval", "--scores", "s.jsonl"],
+                                  ["scenario", "--grid", "--sweep-gamma-p", "0,0.1"]])
 def test_missing_arguments_exit_with_usage_code(argv):
     with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -508,6 +521,33 @@ def test_pollution_sweep_writes_one_row_per_level(tmp_path):
     single = run_single(preset("smoke").replace(scenario="s2", gamma_p=0.0))
     assert float(lines[0][1]) == rows[0]["final_auroc"] == single["final_auroc"]
     assert rows[0]["split_hash"] == single["split_hash"]
+
+
+def test_pollution_sweep_checks_every_level_before_the_first_row(monkeypatch, tmp_path):
+    entered = []
+    monkeypatch.setattr(pipeline, "run_single", entered.append)
+    code, err = _main(["scenario", "--preset", "smoke", "--sweep-gamma-p", "0.05,1.0",
+                       "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+    assert code == 3 and "scenario s2 needs gamma_p below 1, got 1.0" in err, err
+    assert not entered
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pairs, needle", [
+    ("energy:elsa,bogus:elsa", "got 'bogus'"),
+    ("energy:elsa,energy:bogus", "finetune stage: loss_name must be one of"),
+    # An empty name is a name like any other, not "the preset's".
+    (":elsa", "got ''"),
+])
+def test_ablation_checks_every_pair_before_pretraining(monkeypatch, tmp_path, pairs,
+                                                       needle):
+    entered = []
+    monkeypatch.setattr(pipeline, "prepare", entered.append)
+    code, err = _main(["ablation", "--preset", "smoke", "--pairs", pairs,
+                       "--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv")])
+    assert code == 3 and needle in err, err
+    assert not entered
+    assert not list(tmp_path.iterdir())
 
 
 # ------------------------------------------------------------ score rules

@@ -14,7 +14,11 @@ A second test lists the functions of ``src/protoad`` that call
 ``mathcore.as_f64`` and requires them to be exactly the entry sites that the
 ``mathcore`` docstring names, where outside data becomes a program object.
 
-A third keeps threads and foreign calls where they are owned: ``threading``
+A third requires ``RunConfig.resolve_augs`` to be called only from
+``pipeline.stage_augs`` and ``evalharness.evaluate_scores`` only from
+``pipeline.score_stage``: each stage's recipe has one wiring.
+
+A fourth keeps threads and foreign calls where they are owned: ``threading``
 only in ``objective`` (the ensemble's producer thread) and ``blas`` (its hold
 lock), ``ctypes`` only in ``blas``.
 """
@@ -115,8 +119,8 @@ def test_package_defines_nothing_that_neither_it_nor_the_bench_references():
                                      f"{sorted(set(ALLOWED) - found)}"
 
 
-def as_f64_callers() -> set:
-    """Qualified names of the ``src/protoad`` functions that call ``as_f64``."""
+def callers(callee: str) -> set:
+    """Qualified names of the ``src/protoad`` functions that call ``callee``."""
     out = set()
 
     def visit(node, qualified):
@@ -126,7 +130,7 @@ def as_f64_callers() -> set:
                 name = f"{qualified}.{child.name}"
             elif isinstance(child, ast.Call):
                 f = child.func
-                if getattr(f, "id", None) == "as_f64" or getattr(f, "attr", None) == "as_f64":
+                if callee in (getattr(f, "id", None), getattr(f, "attr", None)):
                     out.add(qualified)
             visit(child, name)
 
@@ -136,11 +140,16 @@ def as_f64_callers() -> set:
 
 
 def test_only_entry_sites_call_as_f64():
-    callers = as_f64_callers()
-    assert not callers - ENTRY_SITES, f"as_f64 outside an entry site: " \
-                                      f"{sorted(callers - ENTRY_SITES)}"
-    assert not ENTRY_SITES - callers, f"entry sites that no longer call as_f64: " \
-                                      f"{sorted(ENTRY_SITES - callers)}"
+    found = callers("as_f64")
+    assert not found - ENTRY_SITES, f"as_f64 outside an entry site: " \
+                                    f"{sorted(found - ENTRY_SITES)}"
+    assert not ENTRY_SITES - found, f"entry sites that no longer call as_f64: " \
+                                    f"{sorted(ENTRY_SITES - found)}"
+
+
+def test_augmentations_and_scoring_each_have_one_caller():
+    assert callers("resolve_augs") == {"pipeline.stage_augs"}
+    assert callers("evaluate_scores") == {"pipeline.score_stage"}
 
 
 def importers(modules) -> dict:
