@@ -262,6 +262,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_scenario(args) -> int:
+    if args.csv and not args.sweep_gamma_p:
+        args.parser.error("argument --csv: only --sweep-gamma-p writes a CSV table")
+    if args.metrics and (args.grid or args.sweep_gamma_p):
+        args.parser.error("argument --metrics: only a single run writes metrics")
     rc = resolve_config(args)
     if args.grid:
         report = run_grid(rc, workers=args.workers)
@@ -365,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated contamination levels")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv", help="CSV table path (sweep mode)")
-    p.set_defaults(func=cmd_scenario)
+    p.set_defaults(func=cmd_scenario, parser=p)
 
     p = sub.add_parser("ablation", help="score x loss ablation table")
     _add_config_flags(p)

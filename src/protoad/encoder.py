@@ -3,7 +3,7 @@
 Forward: x -> ReLU(W1 x + b1) -> ReLU(W2 . + b2) -> W3 . + b3 = feature,
 embedding = feature / ||feature||. The shift head is a linear map on the
 pre-normalization feature. Gradients are hand-derived; ``backward`` takes
-upstream gradients w.r.t. embeddings and/or head logits and
+upstream gradients w.r.t. embeddings and head logits and
 returns parameter gradients, so every loss in this package backpropagates
 through the same code path (including the normalization Jacobian
 (I - u u^T) / ||v||). Every entry point takes a 2-D batch, one sample per
@@ -20,7 +20,6 @@ new ones and ``to_vector`` returns a copy. Write into a field
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -175,30 +174,21 @@ def shift_logits(params: EncoderParams, X) -> np.ndarray:
     return head_logits(params, forward(params, X))
 
 
-def backward(
-    params: EncoderParams,
-    cache: ForwardCache,
-    d_embed: Optional[np.ndarray] = None,
-    d_logits: Optional[np.ndarray] = None,
-) -> EncoderParams:
-    """Parameter gradients from upstream gradients.
-
-    Either or both of d_embed (w.r.t. unit embeddings) and d_logits (w.r.t.
-    shift-head logits) may be given; contributions add. Each gradient is
-    written straight into its view of the returned bundle's buffer.
+def backward(params: EncoderParams, cache: ForwardCache, d_embed: np.ndarray,
+             d_logits: np.ndarray) -> EncoderParams:
+    """Parameter gradients from the upstream gradients w.r.t. the unit
+    embeddings (``d_embed``) and the shift-head logits (``d_logits``); the
+    two contributions add. Each gradient is written straight into its view
+    of the returned bundle's buffer.
     """
     grads = params.zeros_like()
-    if d_embed is not None:
-        # d/dv of v/||v||: (I - u u^T)/||v|| applied to the upstream gradient.
-        proj = np.sum(d_embed * cache.embed, axis=1, keepdims=True)
-        df = d_embed - proj * cache.embed
-        df /= cache.norms[:, None]
-    else:
-        df = np.zeros_like(cache.feature)
-    if d_logits is not None:
-        np.matmul(d_logits.T, cache.feature, out=grads.wh)
-        np.sum(d_logits, axis=0, out=grads.bh)
-        df += d_logits @ params.wh
+    # d/dv of v/||v||: (I - u u^T)/||v|| applied to the upstream gradient.
+    proj = np.sum(d_embed * cache.embed, axis=1, keepdims=True)
+    df = d_embed - proj * cache.embed
+    df /= cache.norms[:, None]
+    np.matmul(d_logits.T, cache.feature, out=grads.wh)
+    np.sum(d_logits, axis=0, out=grads.bh)
+    df += d_logits @ params.wh
 
     np.matmul(df.T, cache.h2, out=grads.w3)
     np.sum(df, axis=0, out=grads.b3)

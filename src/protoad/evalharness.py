@@ -8,7 +8,6 @@ the fine-tuning loop keeps whichever epoch maximizes it.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import time
 from dataclasses import dataclass
@@ -22,7 +21,7 @@ from . import prototypes as proto
 from .augment import ShiftFamily, StrongAugConfig, WeakAugConfig, strong_batch
 from .data import Dataset, ValidationError, clustering_pool, require
 from .mathcore import as_f64
-from .pretrain import train_epoch, two_views
+from .pretrain import train_epoch
 
 
 # --------------------------------------------------------------------------
@@ -199,8 +198,6 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
         n_steps += 1
         enc.adam_step(params, m_state, v_state, grads, n_steps, cfg.lr)
 
-    views = functools.partial(two_views, weak_cfg=weak_cfg, shifts=shifts, rng=rng,
-                              shift_first=False)
     nan = float("nan")
     record(0, (nan, nan, nan, 0.0), refreshed=False)
     best_epoch, best_score = 0, trace[0].earlystop_auroc
@@ -211,8 +208,8 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
         if refreshed:
             emb = prototype_inputs(params, train, shifts)
             protos = proto.refresh(protos, emb, epoch, cfg.refresh_period)
-        table = train_epoch(params, train.features, cfg.batch_size, rng,
-                            views, energy, adam, shifts, min_rows=1)
+        table = train_epoch(params, train.features, cfg.batch_size, rng, weak_cfg,
+                            energy, adam, shifts, min_rows=1, shift_first=False)
         means = [0.0] * len(loss_keys)
         if len(table):
             total, anomaly, normal, ce = table.T

@@ -187,6 +187,10 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3,
     """The grid analogue of the paper-style (normal x anomaly) sweep."""
     rc = rc.validated()
     require(workers >= 1, f"workers must be >= 1, got {workers}")
+    require(n_normal_configs >= 1, f"n_normal_configs must be >= 1, got {n_normal_configs}")
+    require(1 <= n_anomaly_mixes <= rc.anomaly_classes,
+            f"n_anomaly_mixes must be between 1 and anomaly_classes={rc.anomaly_classes}, "
+            f"got {n_anomaly_mixes}")
     cells = [(rc, i, j, n_anomaly_mixes)
              for i in range(n_normal_configs) for j in range(n_anomaly_mixes)]
     workers = min(workers, len(cells))

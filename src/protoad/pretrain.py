@@ -27,16 +27,16 @@ inf or nan.
 
 Every view is expanded over the shifting transforms (ELSA's family is the
 identity alone). With more than one transform, shifted copies act as
-negatives of each other and a cross-entropy term teaches the head to recover
-the shift index.
+negatives of each other. A cross-entropy term teaches the head to recover
+the shift index; over ELSA's one-slot head it is exactly 0, with a zero gradient.
 
 ``train_epoch`` is the one epoch driver of both training stages: this
 module's contrastive pre-training and ``evalharness.finetune_loop``'s energy
-fine-tuning pass it their loss on the embeddings and their optimizer step.
+fine-tuning pass it their weak augmentation, their loss on the embeddings and
+their optimizer step, and it draws every batch's views itself.
 """
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -183,17 +183,20 @@ def two_views(X, weak_cfg, shifts, rng, shift_first=True):
 
 
 def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
-                rng: np.random.Generator, views: Callable, loss: Callable,
-                step: Callable, shifts: ShiftFamily, min_rows: int) -> np.ndarray:
+                rng: np.random.Generator, weak_cfg: WeakAugConfig, loss: Callable,
+                step: Callable, shifts: ShiftFamily, min_rows: int, *,
+                shift_first: bool = True) -> np.ndarray:
     """One pass over ``feats`` in a fresh ``rng`` order: both stages' training step.
 
     Batches of fewer than ``min_rows`` rows are skipped. Per batch of row
-    indices ``take``: ``views(X)`` gives ``two_views``' ``(rows, shift_ids,
-    sample)``, one forward pass embeds the rows, ``loss(embed, take[sample])``
-    gives ``(terms, d_embed)``, the shift cross-entropy joins when there is
-    more than one shift, and ``step(grads)`` follows one backward pass.
+    indices ``take``: ``two_views`` draws ``(rows, shift_ids, sample)`` from
+    ``rng`` in the ``shift_first`` order, one forward pass embeds the rows,
+    ``loss(embed, take[sample])`` gives ``(terms, d_embed)``, the shift
+    cross-entropy joins, and ``step(grads)`` follows one backward pass. For
+    ELSA (one shift, a one-slot head) the softmax is exactly 1, so the
+    cross-entropy is exactly 0 and its gradient all zero.
     Returns the per-batch loss table: one float64 row per batch, the loss's
-    ``terms`` and then the shift cross-entropy (0.0 for one shift).
+    ``terms`` and then the shift cross-entropy.
     Program functions are read as module attributes at call time, so that
     wrappers installed from outside (the bench tracer) see every call.
     """
@@ -203,13 +206,11 @@ def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
         take = order[start:start + batch_size]
         if len(take) < min_rows:
             continue
-        rows, shift_ids, sample = views(feats[take])
+        rows, shift_ids, sample = two_views(feats[take], weak_cfg, shifts, rng, shift_first)
         cache = enc.forward(params, rows)
         terms, d_embed = loss(cache.embed, take[sample])
-        ce, d_logits = 0.0, None
-        if shifts.count > 1:
-            ce, d_logits = loss_shift(enc.head_logits(params, cache), shift_ids)
-        step(enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits))
+        ce, d_logits = loss_shift(enc.head_logits(params, cache), shift_ids)
+        step(enc.backward(params, cache, d_embed, d_logits))
         table.append((*terms, ce))
     return np.array(table, dtype=np.float64)
 
@@ -265,11 +266,10 @@ def pretrain_loop(dataset: Dataset, params: enc.EncoderParams, weak_cfg: WeakAug
     def sgd(grads):
         enc.sgd_momentum_step(params, velocity, grads, cfg.lr, MOMENTUM)
 
-    views = functools.partial(two_views, weak_cfg=weak_cfg, shifts=shifts, rng=rng)
     t0 = time.time()
     probe_record(0, float("nan"), float("nan"), float("nan"), t0)
     for epoch in range(1, cfg.epochs + 1):
-        loss, align, ce = train_epoch(params, feats, cfg.batch_size, rng, views,
+        loss, align, ce = train_epoch(params, feats, cfg.batch_size, rng, weak_cfg,
                                       contrastive, sgd, shifts, min_rows=2).T
         probe_record(epoch, float(np.mean(loss + ce)), float(np.mean(align)),
                      float(np.mean(loss - align)), t0)

@@ -179,7 +179,11 @@ def _checkpoint(tmp_path):
 
 @pytest.mark.parametrize("argv", [[], ["score"], ["score", "--input", "x.ds"],
                                   ["eval", "--scores", "s.jsonl"],
-                                  ["scenario", "--grid", "--sweep-gamma-p", "0,0.1"]])
+                                  ["scenario", "--grid", "--sweep-gamma-p", "0,0.1"],
+                                  # Output flags that the chosen mode would not write.
+                                  ["scenario", "--preset", "smoke", "--csv", "x.csv"],
+                                  ["scenario", "--preset", "smoke", "--grid",
+                                   "--metrics", "m.jsonl"]])
 def test_missing_arguments_exit_with_usage_code(argv):
     with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -740,6 +744,19 @@ def test_grid_with_fewer_than_one_worker_exits_with_validation_code(tmp_path):
         code, err = _main(["scenario", "--preset", "smoke", "--grid", "--workers", workers,
                            "--out", str(tmp_path / "r.json")])
         assert code == 3 and f"workers must be >= 1, got {workers}" in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_with_more_mixes_than_anomaly_classes_exits_before_any_cell(monkeypatch,
+                                                                         tmp_path):
+    # Three mixes of two classes would leave one mix empty.
+    entered = []
+    monkeypatch.setattr(pipeline, "prepare", entered.append)
+    code, err = _main(["scenario", "--preset", "smoke", "--set", "anomaly_classes=2",
+                       "--grid", "--out", str(tmp_path / "r.json")])
+    assert code == 3 and \
+        "n_anomaly_mixes must be between 1 and anomaly_classes=2, got 3" in err, err
+    assert not entered
     assert not list(tmp_path.iterdir())
 
 

@@ -100,7 +100,7 @@ def _loss_through_embed(params0, X, A):
         p = params0.from_vector(theta)
         cache = enc.forward(p, X)
         value = float(np.sum(A * cache.embed))
-        grads = enc.backward(p, cache, d_embed=A)
+        grads = enc.backward(p, cache, d_embed=A, d_logits=np.zeros((len(X), DIMS.shifts)))
         return value, grads.to_vector()
 
     return f
@@ -126,7 +126,7 @@ def test_backward_head_cross_entropy():
         p = params.from_vector(theta)
         cache = enc.forward(p, X)
         loss, d_logits = loss_shift(enc.head_logits(p, cache), ids)
-        grads = enc.backward(p, cache, d_logits=d_logits)
+        grads = enc.backward(p, cache, d_embed=np.zeros_like(cache.embed), d_logits=d_logits)
         return loss, grads.to_vector()
 
     report = grad_check(f, params.to_vector(), h=1e-5)

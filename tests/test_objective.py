@@ -267,6 +267,18 @@ def test_loss_shift_equals_copying_oracle_bitwise(n, k):
     assert np.array_equal(logits, before)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 1024])
+def test_loss_shift_over_one_slot_is_exactly_zero(n):
+    # ELSA's head has one slot: its softmax is exactly 1 for any finite
+    # logit, so the cross-entropy and every gradient entry are exactly 0.
+    rng = np.random.default_rng(n)
+    logits = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-300, 300, size=(n, 1))
+    logits[:4, 0] = [-1e308, 1e308, -0.0, 5e-324][:n]
+    loss, grad = obj.loss_shift(logits, np.zeros(n, dtype=np.int64))
+    assert loss == 0.0
+    assert grad.shape == (n, 1) and np.all(grad == 0.0)
+
+
 def test_loss_shift_rejects_bad_ids():
     with pytest.raises(ValidationError):
         obj.loss_shift(np.zeros((2, 4)), np.array([0, 4]))

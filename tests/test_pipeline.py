@@ -9,6 +9,7 @@ import pytest
 import protoad
 from protoad import data, pipeline
 from protoad.config import preset
+from protoad.data import ValidationError
 from protoad.mathcore import NumericError
 from protoad.pipeline import build_splits, run_grid, run_single
 
@@ -53,6 +54,19 @@ def test_grid_pool_starts_no_more_workers_than_cells(monkeypatch, workers, pool_
     report = run_grid(preset("smoke"), workers=workers)
     assert len(report["cells"]) == 12
     assert sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("shape, needle", [
+    ({"n_normal_configs": 0}, "n_normal_configs must be >= 1, got 0"),
+    ({"n_anomaly_mixes": 0}, "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 0"),
+    ({"n_anomaly_mixes": 4}, "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 4"),
+])
+def test_grid_shape_is_checked_before_any_cell(monkeypatch, shape, needle):
+    entered = []
+    monkeypatch.setattr(pipeline, "_grid_cell", entered.append)
+    with pytest.raises(ValidationError, match=needle):
+        run_grid(preset("smoke"), **shape)
+    assert not entered
 
 
 def test_s3_splits_build_each_pool_once(monkeypatch):

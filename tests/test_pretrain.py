@@ -304,8 +304,7 @@ def test_train_epoch_returns_one_loss_row_per_batch(count):
     steps = []
     table = pretrain.train_epoch(
         enc.init(0, _dims(shifts=count)), rng.normal(size=(10, 8)), 4, rng,
-        lambda X: two_views(X, WeakAugConfig(), shifts, rng),
-        lambda embed, take: ((1.0, 2.0), np.zeros_like(embed)),
+        WeakAugConfig(), lambda embed, take: ((1.0, 2.0), np.zeros_like(embed)),
         steps.append, shifts, min_rows=3)
     assert table.dtype == np.float64 and table.shape == (len(steps), 3) == (2, 3)
     assert np.array_equal(table[:, :2], [[1.0, 2.0], [1.0, 2.0]])

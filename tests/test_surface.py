@@ -16,7 +16,9 @@ A second test lists the functions of ``src/protoad`` that call
 
 A third requires ``RunConfig.resolve_augs`` to be called only from
 ``pipeline.stage_augs`` and ``evalharness.evaluate_scores`` only from
-``pipeline.score_stage``: each stage's recipe has one wiring.
+``pipeline.score_stage``: each stage's recipe has one wiring. Likewise
+``pretrain.train_epoch`` alone calls ``loss_shift`` and ``encoder.backward``,
+and it and the pre-training probe alone call ``two_views``.
 
 A fourth keeps threads and foreign calls where they are owned: ``threading``
 only in ``objective`` (the ensemble's producer thread) and ``blas`` (its hold
@@ -150,6 +152,12 @@ def test_only_entry_sites_call_as_f64():
 def test_augmentations_and_scoring_each_have_one_caller():
     assert callers("resolve_augs") == {"pipeline.stage_augs"}
     assert callers("evaluate_scores") == {"pipeline.score_stage"}
+
+
+def test_training_views_loss_and_backward_run_in_the_one_batch_step():
+    # The batch step draws its own views; the probe draws its fixed pair once.
+    assert callers("two_views") == {"pretrain.train_epoch", "pretrain.pretrain_loop"}
+    assert callers("loss_shift") == callers("backward") == {"pretrain.train_epoch"}
 
 
 def importers(modules) -> dict:
