@@ -268,7 +268,7 @@ def cmd_scenario(args) -> int:
         args.parser.error("argument --metrics: only a single run writes metrics")
     rc = resolve_config(args)
     if args.grid:
-        report = run_grid(rc, workers=args.workers)
+        report = run_grid(rc)
         print(f"grid mean_auroc={report['mean_auroc']:.6f} "
               f"stderr={report['stderr_auroc']:.6f}")
     elif args.sweep_gamma_p:
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_mode.add_argument("--grid", action="store_true")
     run_mode.add_argument("--sweep-gamma-p", dest="sweep_gamma_p",
                           help="comma-separated contamination levels")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--csv", help="CSV table path (sweep mode)")
     p.set_defaults(func=cmd_scenario, parser=p)
 

@@ -183,7 +183,9 @@ def _checkpoint(tmp_path):
                                   # Output flags that the chosen mode would not write.
                                   ["scenario", "--preset", "smoke", "--csv", "x.csv"],
                                   ["scenario", "--preset", "smoke", "--grid",
-                                   "--metrics", "m.jsonl"]])
+                                   "--metrics", "m.jsonl"],
+                                  # The grid runs its cells in one process.
+                                  ["scenario", "--preset", "smoke", "--workers", "2"]])
 def test_missing_arguments_exit_with_usage_code(argv):
     with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
         cli.main(argv)
@@ -739,14 +741,6 @@ def test_metrics_and_reports_are_strict_json_with_null_for_nan(tmp_path):
 
 # -------------------------------------------------------------------- grid
 
-def test_grid_with_fewer_than_one_worker_exits_with_validation_code(tmp_path):
-    for workers in ("0", "-1"):
-        code, err = _main(["scenario", "--preset", "smoke", "--grid", "--workers", workers,
-                           "--out", str(tmp_path / "r.json")])
-        assert code == 3 and f"workers must be >= 1, got {workers}" in err, err
-    assert not list(tmp_path.iterdir())
-
-
 def test_grid_with_more_mixes_than_anomaly_classes_exits_before_any_cell(monkeypatch,
                                                                          tmp_path):
     # Three mixes of two classes would leave one mix empty.
@@ -756,6 +750,19 @@ def test_grid_with_more_mixes_than_anomaly_classes_exits_before_any_cell(monkeyp
                        "--grid", "--out", str(tmp_path / "r.json")])
     assert code == 3 and \
         "n_anomaly_mixes must be between 1 and anomaly_classes=2, got 3" in err, err
+    assert not entered
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_refuses_s3_before_any_cell(monkeypatch, tmp_path):
+    # Every grid cell draws its anomaly mix from one pool; s3 needs two more.
+    entered, cell = [], pipeline._grid_cell
+    monkeypatch.setattr(pipeline, "_grid_cell",
+                        lambda *args: (entered.append(args), cell(*args))[1])
+    code, err = _main(["scenario", "--preset", "smoke", "--scenario", "s3",
+                       "--grid", "--out", str(tmp_path / "r.json")])
+    assert code == 3 and "while scenario s3 takes its anomalies from two other pools" \
+        in err, err
     assert not entered
     assert not list(tmp_path.iterdir())
 

@@ -1,4 +1,3 @@
-import concurrent.futures
 import os
 import subprocess
 import sys
@@ -23,39 +22,6 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_grid_cells_do_not_depend_on_worker_count():
-    serial = run_grid(preset("smoke"), 2, 1, workers=1)
-    pooled = run_grid(preset("smoke"), 2, 1, workers=2)
-    assert pooled["cells"] == serial["cells"]
-    assert pooled["mean_auroc"] == serial["mean_auroc"]
-
-
-@pytest.mark.parametrize("workers, pool_size", [(1, None), (2, 2), (64, 12)])
-def test_grid_pool_starts_no_more_workers_than_cells(monkeypatch, workers, pool_size):
-    # The pool forks all its workers up front, so 64 workers for 12 cells
-    # would start 52 idle processes. The fake pool starts none.
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(item) for item in items]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(pipeline, "_grid_cell", lambda cell: {"final_auroc": 0.5})
-    report = run_grid(preset("smoke"), workers=workers)
-    assert len(report["cells"]) == 12
-    assert sizes == ([] if pool_size is None else [pool_size])
-
-
 @pytest.mark.parametrize("shape, needle", [
     ({"n_normal_configs": 0}, "n_normal_configs must be >= 1, got 0"),
     ({"n_anomaly_mixes": 0}, "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 0"),
@@ -67,6 +33,16 @@ def test_grid_shape_is_checked_before_any_cell(monkeypatch, shape, needle):
     with pytest.raises(ValidationError, match=needle):
         run_grid(preset("smoke"), **shape)
     assert not entered
+
+
+@pytest.mark.parametrize("ks, seeds", [([8, 0], [0]), ([8], [0, -1])])
+def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypatch,
+                                                                         ks, seeds):
+    prepared = []
+    monkeypatch.setattr(pipeline, "prepare", prepared.append)
+    with pytest.raises(ValidationError):
+        pipeline.prototype_count_sweep(preset("smoke"), ks, seeds)
+    assert not prepared
 
 
 def test_s3_splits_build_each_pool_once(monkeypatch):

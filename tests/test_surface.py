@@ -22,7 +22,8 @@ and it and the pre-training probe alone call ``two_views``.
 
 A fourth keeps threads and foreign calls where they are owned: ``threading``
 only in ``objective`` (the ensemble's producer thread) and ``blas`` (its hold
-lock), ``ctypes`` only in ``blas``.
+lock), ``ctypes`` only in ``blas``. No module imports ``concurrent`` or
+``multiprocessing``: the package starts no processes, and grid cells run in turn.
 """
 import ast
 from pathlib import Path
@@ -50,7 +51,8 @@ ENTRY_SITES = {
     "evalharness.auroc",
 }
 
-IMPORT_OWNERS = {"threading": {"objective", "blas"}, "ctypes": {"blas"}}
+IMPORT_OWNERS = {"threading": {"objective", "blas"}, "ctypes": {"blas"},
+                 "concurrent": set(), "multiprocessing": set()}
 
 
 def _bound_locally(fn: ast.AST) -> set:
