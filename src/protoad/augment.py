@@ -28,12 +28,11 @@ class WeakAugConfig:
     scale_jitter: Tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        require(self.noise_sigma >= 0, f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        require(0.0 <= self.mask_fraction < 0.5,
-                f"mask_fraction must lie in [0, 0.5), got {self.mask_fraction}")
-        lo, hi = self.scale_jitter
-        require(0.0 < lo <= hi < 2.0,
-                f"scale_jitter must satisfy 0 < lo <= hi < 2, got {self.scale_jitter}")
+        require((self.noise_sigma >= 0, f"noise_sigma must be >= 0, got {self.noise_sigma}"),
+                (0.0 <= self.mask_fraction < 0.5,
+                 f"mask_fraction must lie in [0, 0.5), got {self.mask_fraction}"),
+                (0.0 < self.scale_jitter[0] <= self.scale_jitter[1] < 2.0,
+                 f"scale_jitter must satisfy 0 < lo <= hi < 2, got {self.scale_jitter}"))
 
 
 # The strong transforms, and the factor ranges of "scale" (shrink or blow up).
@@ -56,9 +55,9 @@ class StrongAugConfig:
     apply_probability: float = 0.8
 
     def __post_init__(self):
-        require(self.n_ops >= 0, f"n_ops must be >= 0, got {self.n_ops}")
-        require(0.0 <= self.apply_probability <= 1.0,
-                f"apply_probability must lie in [0, 1], got {self.apply_probability}")
+        require((self.n_ops >= 0, f"n_ops must be >= 0, got {self.n_ops}"),
+                (0.0 <= self.apply_probability <= 1.0,
+                 f"apply_probability must lie in [0, 1], got {self.apply_probability}"))
 
 
 class ShiftFamily:

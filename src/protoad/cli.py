@@ -75,7 +75,8 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
     The preset is the starting point. A checkpoint snapshot (``base``)
     replaces it whole, and a ``--config`` file replaces either whole. Then
     dedicated flags apply, then ``--set`` pairs, so a ``--set`` beats its
-    flag. ``PROTOAD_SEED`` applies last, and only when ``--seed`` is absent.
+    flag. ``PROTOAD_SEED`` applies last, and only when neither ``--seed`` nor
+    a ``--set`` pair names the seed.
     """
     rc = preset(args.preset)
     if base is not None:
@@ -94,7 +95,7 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
         overrides[key.strip()] = _parse_value(raw.strip())
     if overrides:
         rc = RunConfig.from_dict({**rc.to_dict(), **overrides})
-    if getattr(args, "seed", None) is None and ENV_SEED in os.environ:
+    if "seed" not in overrides and ENV_SEED in os.environ:
         raw = os.environ[ENV_SEED]
         try:
             seed = int(raw)

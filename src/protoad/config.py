@@ -6,8 +6,9 @@ snapshot, a config file and ``--set`` pairs may name its fields and
 nothing else. It owns the derived objects (synthetic spec, scenario config,
 augmentation configs, training configs). Each rule has one home: a stage
 config checks the single fields it receives, and ``violations`` checks the
-types and the rules no one stage can see. It collects *all* violations,
-every stage's included, and a valid configuration builds every stage.
+types and the rules no one stage can see. It collects *all* violations: one
+entry per failing stage names every rule of that stage that fails, and a
+valid configuration builds every stage.
 The augmentations read no field: their magnitudes are constants scaled to
 the data spread.
 """
@@ -109,6 +110,7 @@ class RunConfig:
 
     # ------------------------------------------------------------------
     def violations(self) -> List[str]:
+        """Every problem, in one list: a failing stage's entry names all its failing rules."""
         out = [_type_violation(f.name, getattr(self, f.name), f.type)
                for f in dataclasses.fields(self) if not _fits(getattr(self, f.name), f.type)]
         if out:     # the checks below compare values of the declared types

@@ -33,10 +33,12 @@ class ValidationError(ValueError):
     """Invalid configuration or precondition violation."""
 
 
-def require(ok: bool, message: str) -> None:
-    """One configuration rule: raise ``ValidationError(message)`` unless ``ok``."""
-    if not ok:
-        raise ValidationError(message)
+def require(*rules: Tuple[bool, str]) -> None:
+    """Configuration rules, each an ``(ok, message)`` pair: one ``ValidationError``
+    joins the messages of every failing rule with "; ", in rule order."""
+    failing = [message for ok, message in rules if not ok]
+    if failing:
+        raise ValidationError("; ".join(failing))
 
 
 @dataclass(frozen=True)
@@ -58,16 +60,16 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.input_dim >= 1, f"input_dim must be positive, got {self.input_dim}")
-        require(self.normal_subclusters >= 1,
-                f"normal_subclusters must be >= 1, got {self.normal_subclusters}")
-        require(self.anomaly_classes >= 0,
-                f"anomaly_classes must be >= 0, got {self.anomaly_classes}")
-        require(self.samples_per_class >= 1,
-                f"samples_per_class must be >= 1, got {self.samples_per_class}")
-        require(0.0 <= self.within_spread < self.cluster_spread,
-                f"within_spread must satisfy 0 <= within_spread < cluster_spread, got "
-                f"{self.within_spread} and {self.cluster_spread}")
+        require((self.input_dim >= 1, f"input_dim must be positive, got {self.input_dim}"),
+                (self.normal_subclusters >= 1,
+                 f"normal_subclusters must be >= 1, got {self.normal_subclusters}"),
+                (self.anomaly_classes >= 0,
+                 f"anomaly_classes must be >= 0, got {self.anomaly_classes}"),
+                (self.samples_per_class >= 1,
+                 f"samples_per_class must be >= 1, got {self.samples_per_class}"),
+                (0.0 <= self.within_spread < self.cluster_spread,
+                 f"within_spread must satisfy 0 <= within_spread < cluster_spread, got "
+                 f"{self.within_spread} and {self.cluster_spread}"))
 
 
 @dataclass
@@ -229,14 +231,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.scenario in SCENARIOS,
-                f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        for name, v in (("gamma_l", self.gamma_l), ("gamma_p", self.gamma_p)):
-            require(0.0 <= v <= 1.0, f"{name} must lie in [0, 1], got {v}")
-        require(self.scenario != "s1" or self.gamma_p <= 0.0,
-                f"scenario s1 forbids contamination (gamma_p must be 0), got {self.gamma_p}")
-        require(self.scenario != "s2" or self.gamma_p < 1.0,
-                f"scenario s2 needs gamma_p below 1, got {self.gamma_p}")
+        require((self.scenario in SCENARIOS,
+                 f"scenario must be one of {SCENARIOS}, got {self.scenario!r}"),
+                *((0.0 <= v <= 1.0, f"{name} must lie in [0, 1], got {v}")
+                  for name, v in (("gamma_l", self.gamma_l), ("gamma_p", self.gamma_p))),
+                (self.scenario != "s1" or self.gamma_p <= 0.0,
+                 f"scenario s1 forbids contamination (gamma_p must be 0), got {self.gamma_p}"),
+                (self.scenario != "s2" or self.gamma_p < 1.0,
+                 f"scenario s2 needs gamma_p below 1, got {self.gamma_p}"))
 
 
 @dataclass
@@ -413,8 +415,9 @@ def read_framed(path, label: str, version_key: str, version: int,
     ``layout(header)`` lists the payload's ``(name, shape)`` sections in
     file order. A header that is not a JSON object, holds another version,
     lacks a key the layout reads or has a malformed entry (a version or
-    section size that is not an exact int: ``true`` is no 1) raises
-    ``ValidationError``, as does a payload of the wrong size.
+    section size that is not an exact int: ``true`` is no 1, or a section
+    name that is no string or is named twice) raises ``ValidationError``, as
+    does a payload of the wrong size.
     """
     with open(path, "rb") as fh:
         line = fh.readline()
@@ -436,8 +439,12 @@ def read_framed(path, label: str, version_key: str, version: int,
     arrays: Dict[str, np.ndarray] = {}
     offset = 0
     for name, shape in sections:
+        if type(name) is not str:
+            raise ValidationError(f"bad {label}: section name {name!r} is not a string")
         if not all(type(n) is int and n >= 0 for n in shape):
             raise ValidationError(f"bad {label}: section {name} has shape {list(shape)}")
+        if name in arrays:
+            raise ValidationError(f"bad {label}: section {name} is named twice")
         count = math.prod(shape)
         if offset + 4 * count > len(payload):
             raise ValidationError(f"payload truncated in section {name}")

@@ -35,9 +35,9 @@ class EncoderDims:
     shifts: int = 4
 
     def __post_init__(self):
-        for name in ("input", "hidden", "embed", "shifts"):
-            require(getattr(self, name) >= 1,
-                    f"encoder dim {name} must be positive, got {getattr(self, name)}")
+        require(*((getattr(self, name) >= 1,
+                   f"encoder dim {name} must be positive, got {getattr(self, name)}")
+                  for name in ("input", "hidden", "embed", "shifts")))
 
 
 class EncoderParams:

@@ -101,14 +101,14 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
-        require(self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}")
-        require(self.lr > 0, f"lr must be positive, got {self.lr}")
-        require(self.tau > 0, f"tau must be positive, got {self.tau}")
-        require(self.loss_name in obj.LOSSES,
-                f"loss_name must be one of {obj.LOSSES}, got {self.loss_name!r}")
-        require(self.refresh_period >= 1,
-                f"refresh_period must be >= 1, got {self.refresh_period}")
+        require((self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+                (self.batch_size >= 1, f"batch_size must be >= 1, got {self.batch_size}"),
+                (self.lr > 0, f"lr must be positive, got {self.lr}"),
+                (self.tau > 0, f"tau must be positive, got {self.tau}"),
+                (self.loss_name in obj.LOSSES,
+                 f"loss_name must be one of {obj.LOSSES}, got {self.loss_name!r}"),
+                (self.refresh_period >= 1,
+                 f"refresh_period must be >= 1, got {self.refresh_period}"))
 
 
 @dataclass

@@ -186,12 +186,12 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3)
     turn in this process, as a pool of two-thread OpenBLAS workers was 3-4x slower
     on two vCPUs."""
     rc = rc.validated()
-    require(rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
-            "while scenario s3 takes its anomalies from two other pools")
-    require(n_normal_configs >= 1, f"n_normal_configs must be >= 1, got {n_normal_configs}")
-    require(1 <= n_anomaly_mixes <= rc.anomaly_classes,
-            f"n_anomaly_mixes must be between 1 and anomaly_classes={rc.anomaly_classes}, "
-            f"got {n_anomaly_mixes}")
+    require((rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
+             "while scenario s3 takes its anomalies from two other pools"),
+            (n_normal_configs >= 1, f"n_normal_configs must be >= 1, got {n_normal_configs}"),
+            (1 <= n_anomaly_mixes <= rc.anomaly_classes,
+             f"n_anomaly_mixes must be between 1 and anomaly_classes={rc.anomaly_classes}, "
+             f"got {n_anomaly_mixes}"))
     reports = [_grid_cell(rc, i, j, n_anomaly_mixes)
                for i in range(n_normal_configs) for j in range(n_anomaly_mixes)]
     aurocs = np.array([r["final_auroc"] for r in reports])
@@ -206,7 +206,10 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3)
 
 def run_pollution_sweep(rc: RunConfig, gamma_ps: Sequence[float]) -> List[Dict]:
     """One row per contamination level, scenario s2, all else fixed; every
-    row's configuration is checked before the first row trains."""
+    row's configuration is checked before the first row trains. An s1 run
+    becomes s2, and s3 is refused: its anomalies come from two other pools."""
+    require((rc.scenario != "s3", "the pollution sweep contaminates scenario s2, "
+             "while scenario s3 takes its anomalies from two other pools"))
     kept = ("final_auroc", "pretrain_baseline_auroc", "best_checkpoint_epoch", "split_hash")
     rows = []
     for row_rc in [rc.replace(scenario="s2", gamma_p=float(gp)).validated()
@@ -232,8 +235,7 @@ def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],
     count and seed is checked before pre-training, but a count above the training
     set's size only fails after the split. Counts are not validated: below
     e^(1/tau) they run in permissive mode on purpose."""
-    for k in ks:
-        require(int(k) >= 1, f"n_prototypes must be >= 1, got {k}")
+    require(*((int(k) >= 1, f"n_prototypes must be >= 1, got {k}") for k in ks))
     rows = []
     for seed_rc in [rc.replace(seed=int(s)).validated() for s in seeds]:
         ctx = prepare(seed_rc)

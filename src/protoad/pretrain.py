@@ -135,10 +135,10 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        require(self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}")
-        require(self.batch_size >= 2, f"batch_size must be >= 2, got {self.batch_size}")
-        require(self.lr > 0, f"lr must be positive, got {self.lr}")
-        require(self.tau > 0, f"tau must be positive, got {self.tau}")
+        require((self.epochs >= 0, f"epochs must be >= 0, got {self.epochs}"),
+                (self.batch_size >= 2, f"batch_size must be >= 2, got {self.batch_size}"),
+                (self.lr > 0, f"lr must be positive, got {self.lr}"),
+                (self.tau > 0, f"tau must be positive, got {self.tau}"))
 
 
 @dataclass

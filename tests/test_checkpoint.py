@@ -99,3 +99,13 @@ def test_non_json_manifest_raises(tmp_path):
     path.write_bytes(b"not a manifest\n" + payload)
     with pytest.raises(ValidationError, match="bad checkpoint manifest"):
         load_checkpoint(path)
+
+
+def test_repeated_section_raises(tmp_path):
+    # A second encoder.b1 entry with its own slice must not replace the first.
+    path = tmp_path / "a.ckpt"
+    manifest, payload = _split(_save(path))
+    manifest["sections"].append({"name": "encoder.b1", "shape": [DIMS.hidden]})
+    path.write_bytes(_join(manifest, payload + np.ones(DIMS.hidden, "<f4").tobytes()))
+    with pytest.raises(ValidationError, match="section encoder.b1 is named twice"):
+        load_checkpoint(path)

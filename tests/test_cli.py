@@ -54,6 +54,7 @@ def test_resolve_config_env_seed_only_without_flag(monkeypatch):
     monkeypatch.setenv(cli.ENV_SEED, "21")
     assert cli.resolve_config(_args("--preset", "smoke")).seed == 21
     assert cli.resolve_config(_args("--preset", "smoke", "--seed", "4")).seed == 4
+    assert cli.resolve_config(_args("--preset", "smoke", "--set", "seed=4")).seed == 4
 
 
 def test_resolve_config_non_integer_env_seed_exits_with_validation_code(monkeypatch,
@@ -315,7 +316,7 @@ def test_ambiguous_scores_file_exits_with_validation_code(tmp_path, lines, needl
 
 
 @pytest.mark.parametrize("edit", ["list", "no_sections", "entry_not_object",
-                                  "entry_without_shape", "negative_shape",
+                                  "entry_without_shape", "negative_shape", "name_not_string",
                                   "epoch_not_int", "no_epoch", "no_config",
                                   "config_null", "config_not_object", "not_utf8"])
 def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit):
@@ -332,6 +333,8 @@ def test_malformed_checkpoint_manifest_exits_with_validation_code(tmp_path, edit
         del manifest["sections"][0]["shape"]
     elif edit == "negative_shape":
         manifest["sections"][0]["shape"] = [-1, 2]
+    elif edit == "name_not_string":
+        manifest["sections"][0]["name"] = ["encoder.w1"]
     elif edit == "epoch_not_int":
         manifest["epoch"] = "x"
     elif edit == "no_epoch":
@@ -479,6 +482,14 @@ def test_setting_that_no_stage_accepts_exits_with_validation_code(tmp_path, pair
     code, err = _main(["gen-data", "--preset", "smoke", "--set", pair,
                        "--out", str(tmp_path / "data")])
     assert code == 3 and expected in err, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_two_bad_settings_of_one_stage_are_both_named(tmp_path):
+    code, err = _main(["gen-data", "--preset", "smoke", "--set", "pretrain_epochs=-1",
+                       "--set", "pretrain_lr=0", "--out", str(tmp_path / "data")])
+    assert code == 3 and "pretrain stage: epochs must be >= 0, got -1; " \
+        "lr must be positive, got 0" in err, err
     assert not list(tmp_path.iterdir())
 
 
@@ -761,6 +772,19 @@ def test_grid_refuses_s3_before_any_cell(monkeypatch, tmp_path):
                         lambda *args: (entered.append(args), cell(*args))[1])
     code, err = _main(["scenario", "--preset", "smoke", "--scenario", "s3",
                        "--grid", "--out", str(tmp_path / "r.json")])
+    assert code == 3 and "while scenario s3 takes its anomalies from two other pools" \
+        in err, err
+    assert not entered
+    assert not list(tmp_path.iterdir())
+
+
+def test_pollution_sweep_refuses_s3_before_the_first_row(monkeypatch, tmp_path):
+    # The sweep contaminates s2; s3 would silently run as s2 under an s3 report.
+    entered, single = [], pipeline.run_single
+    monkeypatch.setattr(pipeline, "run_single",
+                        lambda rc: (entered.append(rc), single(rc))[1])
+    code, err = _main(["scenario", "--preset", "smoke", "--scenario", "s3",
+                       "--sweep-gamma-p", "0.1", "--out", str(tmp_path / "r.json")])
     assert code == 3 and "while scenario s3 takes its anomalies from two other pools" \
         in err, err
     assert not entered

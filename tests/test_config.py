@@ -4,7 +4,12 @@ import re
 
 import pytest
 
+from protoad.augment import StrongAugConfig, WeakAugConfig
 from protoad.config import PRESETS, ConfigError, RunConfig, preset
+from protoad.data import ScenarioConfig, SyntheticSpec, ValidationError
+from protoad.encoder import EncoderDims
+from protoad.evalharness import FinetuneConfig
+from protoad.pretrain import PretrainConfig
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -44,6 +49,55 @@ def test_violations_list_every_problem():
         rc.validated()
     for p in problems:
         assert p in str(info.value)
+
+
+STAGE_OBJECTS = [
+    (SyntheticSpec, {"input_dim": 0, "samples_per_class": 0, "within_spread": 2.0},
+     ["input_dim must be positive, got 0", "samples_per_class must be >= 1, got 0",
+      "within_spread must satisfy 0 <= within_spread < cluster_spread, got 2.0 and 1.0"]),
+    (ScenarioConfig, {"scenario": "s1", "gamma_l": 1.5, "gamma_p": 0.5},
+     ["gamma_l must lie in [0, 1], got 1.5",
+      "scenario s1 forbids contamination (gamma_p must be 0), got 0.5"]),
+    (EncoderDims, {"input": 0, "shifts": 0},
+     ["encoder dim input must be positive, got 0",
+      "encoder dim shifts must be positive, got 0"]),
+    (WeakAugConfig, {"noise_sigma": -1.0, "mask_fraction": 0.5, "scale_jitter": (1.1, 0.9)},
+     ["noise_sigma must be >= 0, got -1.0", "mask_fraction must lie in [0, 0.5), got 0.5",
+      "scale_jitter must satisfy 0 < lo <= hi < 2, got (1.1, 0.9)"]),
+    (StrongAugConfig, {"n_ops": -1, "apply_probability": 1.5},
+     ["n_ops must be >= 0, got -1", "apply_probability must lie in [0, 1], got 1.5"]),
+    (PretrainConfig, {"epochs": -1, "batch_size": 1, "lr": 0.0, "tau": 0.0},
+     ["epochs must be >= 0, got -1", "batch_size must be >= 2, got 1",
+      "lr must be positive, got 0.0", "tau must be positive, got 0.0"]),
+    (FinetuneConfig, {"epochs": -1, "batch_size": 0, "lr": 0.0, "tau": 0.0,
+                      "loss_name": "bogus", "refresh_period": 0},
+     ["epochs must be >= 0, got -1", "batch_size must be >= 1, got 0",
+      "lr must be positive, got 0.0", "tau must be positive, got 0.0",
+      "loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'bogus'",
+      "refresh_period must be >= 1, got 0"]),
+]
+
+
+@pytest.mark.parametrize("stage, changes, expected", STAGE_OBJECTS,
+                         ids=[stage.__name__ for stage, _, _ in STAGE_OBJECTS])
+def test_stage_object_names_every_failing_rule_in_order(stage, changes, expected):
+    with pytest.raises(ValidationError) as info:
+        stage(**changes)
+    assert str(info.value) == "; ".join(expected)
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({"pretrain_epochs": -1, "pretrain_lr": 0.0},
+     ["pretrain stage: epochs must be >= 0, got -1; lr must be positive, got 0.0"]),
+    ({"samples_per_class": 0, "input_dim": 0},
+     ["data stage: input_dim must be positive, got 0; samples_per_class must be >= 1, got 0",
+      "encoder stage: encoder dim input must be positive, got 0"]),
+    ({"finetune_batch": 0, "finetune_lr": 0.0, "refresh_period": 0},
+     ["finetune stage: batch_size must be >= 1, got 0; lr must be positive, got 0.0; "
+      "refresh_period must be >= 1, got 0"]),
+])
+def test_each_stage_entry_names_every_failing_rule_of_its_stage(changes, expected):
+    assert RunConfig(**changes).violations() == expected
 
 
 def test_validated_returns_a_valid_config_unchanged():

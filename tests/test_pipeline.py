@@ -26,6 +26,8 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     ({"n_normal_configs": 0}, "n_normal_configs must be >= 1, got 0"),
     ({"n_anomaly_mixes": 0}, "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 0"),
     ({"n_anomaly_mixes": 4}, "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 4"),
+    ({"n_normal_configs": 0, "n_anomaly_mixes": 0}, "n_normal_configs must be >= 1, got 0; "
+     "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 0"),
 ])
 def test_grid_shape_is_checked_before_any_cell(monkeypatch, shape, needle):
     entered = []
@@ -35,14 +37,16 @@ def test_grid_shape_is_checked_before_any_cell(monkeypatch, shape, needle):
     assert not entered
 
 
-@pytest.mark.parametrize("ks, seeds", [([8, 0], [0]), ([8], [0, -1])])
+@pytest.mark.parametrize("ks, seeds", [([8, 0], [0]), ([8], [0, -1]), ([0, -1], [0])])
 def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypatch,
                                                                          ks, seeds):
     prepared = []
     monkeypatch.setattr(pipeline, "prepare", prepared.append)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         pipeline.prototype_count_sweep(preset("smoke"), ks, seeds)
     assert not prepared
+    for k in ks:    # every bad count is named, not only the first
+        assert (f"n_prototypes must be >= 1, got {k}" in str(info.value)) == (k < 1)
 
 
 def test_s3_splits_build_each_pool_once(monkeypatch):

@@ -24,8 +24,13 @@ A fourth keeps threads and foreign calls where they are owned: ``threading``
 only in ``objective`` (the ensemble's producer thread) and ``blas`` (its hold
 lock), ``ctypes`` only in ``blas``. No module imports ``concurrent`` or
 ``multiprocessing``: the package starts no processes, and grid cells run in turn.
+
+A fifth lets no function or method call ``data.require`` more than once. Each
+object passes all of its rules as ``(ok, message)`` pairs to one call, so one
+error names every failing rule; a second call would stop at the first.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,9 +128,10 @@ def test_package_defines_nothing_that_neither_it_nor_the_bench_references():
                                      f"{sorted(set(ALLOWED) - found)}"
 
 
-def callers(callee: str) -> set:
-    """Qualified names of the ``src/protoad`` functions that call ``callee``."""
-    out = set()
+def call_counts(callee: str) -> Counter:
+    """Per ``src/protoad`` function that calls ``callee``: its qualified name, and
+    how many calls of ``callee`` it holds."""
+    out = Counter()
 
     def visit(node, qualified):
         for child in ast.iter_child_nodes(node):
@@ -135,12 +141,17 @@ def callers(callee: str) -> set:
             elif isinstance(child, ast.Call):
                 f = child.func
                 if callee in (getattr(f, "id", None), getattr(f, "attr", None)):
-                    out.add(qualified)
+                    out[qualified] += 1
             visit(child, name)
 
     for path in sorted(PACKAGE.rglob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.stem)
     return out
+
+
+def callers(callee: str) -> set:
+    """Qualified names of the ``src/protoad`` functions that call ``callee``."""
+    return set(call_counts(callee))
 
 
 def test_only_entry_sites_call_as_f64():
@@ -160,6 +171,11 @@ def test_training_views_loss_and_backward_run_in_the_one_batch_step():
     # The batch step draws its own views; the probe draws its fixed pair once.
     assert callers("two_views") == {"pretrain.train_epoch", "pretrain.pretrain_loop"}
     assert callers("loss_shift") == callers("backward") == {"pretrain.train_epoch"}
+
+
+def test_every_rule_set_is_one_require_call():
+    repeated = {name: n for name, n in call_counts("require").items() if n > 1}
+    assert not repeated, f"call require once with every rule: {repeated}"
 
 
 def importers(modules) -> dict:
