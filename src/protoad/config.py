@@ -46,7 +46,7 @@ class ConfigError(ValidationError):
 _KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str}
 
 
-def _fits(value, annotation: str, finite: bool = True) -> bool:
+def fits(value, annotation: str, finite: bool = True) -> bool:
     """Whether ``value`` has the type a RunConfig field is annotated with.
 
     An int fits a float field; a bool fits no field. A float field
@@ -54,7 +54,7 @@ def _fits(value, annotation: str, finite: bool = True) -> bool:
     unless ``finite`` is False.
     """
     if annotation.startswith("Optional["):
-        return value is None or _fits(value, annotation[len("Optional["):-1], finite)
+        return value is None or fits(value, annotation[len("Optional["):-1], finite)
     return (isinstance(value, _KINDS[annotation])
             and not isinstance(value, bool)
             and (not finite or annotation != "float" or abs(value) <= sys.float_info.max))
@@ -65,7 +65,7 @@ def _type_violation(name: str, value, annotation: str) -> str:
 
     When the value fits but for a non-finite number, the message says so.
     """
-    if _fits(value, annotation, finite=False):
+    if fits(value, annotation, finite=False):
         annotation = "a finite float"
     return f"{name} must be {annotation}, got {value!r}"
 
@@ -112,7 +112,7 @@ class RunConfig:
     def violations(self) -> List[str]:
         """Every problem, in one list: a failing stage's entry names all its failing rules."""
         out = [_type_violation(f.name, getattr(self, f.name), f.type)
-               for f in dataclasses.fields(self) if not _fits(getattr(self, f.name), f.type)]
+               for f in dataclasses.fields(self) if not fits(getattr(self, f.name), f.type)]
         if out:     # the checks below compare values of the declared types
             return out
         if self.n_prototypes < 1:

@@ -179,7 +179,10 @@ def backward(params: EncoderParams, cache: ForwardCache, d_embed: np.ndarray,
     """Parameter gradients from the upstream gradients w.r.t. the unit
     embeddings (``d_embed``) and the shift-head logits (``d_logits``); the
     two contributions add. Each gradient is written straight into its view
-    of the returned bundle's buffer.
+    of the returned bundle's buffer. The two hidden layers' gradients are
+    written over ``cache.h2`` and ``cache.h1`` once the pass no longer reads
+    them, so the pass allocates no batch-by-hidden array and a cache serves
+    one backward pass.
     """
     grads = params.zeros_like()
     # d/dv of v/||v||: (I - u u^T)/||v|| applied to the upstream gradient.
@@ -192,12 +195,15 @@ def backward(params: EncoderParams, cache: ForwardCache, d_embed: np.ndarray,
 
     np.matmul(df.T, cache.h2, out=grads.w3)
     np.sum(df, axis=0, out=grads.b3)
-    dh2 = df @ params.w3
-    dh2 *= cache.h2 > 0
+    live = cache.h2 > 0
+    dh2 = np.matmul(df, params.w3, out=cache.h2)
+    del df
+    dh2 *= live
     np.matmul(dh2.T, cache.h1, out=grads.w2)
     np.sum(dh2, axis=0, out=grads.b2)
-    dh1 = dh2 @ params.w2
-    dh1 *= cache.h1 > 0
+    live = cache.h1 > 0
+    dh1 = np.matmul(dh2, params.w2, out=cache.h1)
+    dh1 *= live
     np.matmul(dh1.T, cache.x, out=grads.w1)
     np.sum(dh1, axis=0, out=grads.b1)
     return grads

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import encoder as enc
 from . import objective as obj
-from .config import RunConfig
+from .config import RunConfig, fits
 from .data import Dataset, Pool, ScenarioSplit, build_scenario, generate, require
 from .evalharness import (RunResult, auroc, evaluate_scores, finetune_loop,
                           prototype_inputs, reference_embeddings, split_hash,
@@ -185,11 +185,12 @@ def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3)
     """The grid analogue of the paper-style (normal x anomaly) sweep; the cells run in
     turn in this process, as a pool of two-thread OpenBLAS workers was 3-4x slower
     on two vCPUs."""
-    rc = rc.validated()
-    require((rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
+    require(*((False, problem) for problem in rc.violations()),
+            (rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
              "while scenario s3 takes its anomalies from two other pools"),
             (n_normal_configs >= 1, f"n_normal_configs must be >= 1, got {n_normal_configs}"),
-            (1 <= n_anomaly_mixes <= rc.anomaly_classes,
+            (not fits(rc.anomaly_classes, "int")    # a mistyped field is named above
+             or 1 <= n_anomaly_mixes <= rc.anomaly_classes,
              f"n_anomaly_mixes must be between 1 and anomaly_classes={rc.anomaly_classes}, "
              f"got {n_anomaly_mixes}"))
     reports = [_grid_cell(rc, i, j, n_anomaly_mixes)
@@ -229,15 +230,24 @@ def run_ablation(rc: RunConfig, pairs: Sequence[Tuple[str, str]]) -> List[Dict]:
             for score_name, loss_name in pairs]
 
 
+def _count_rule(k) -> Tuple[bool, str]:
+    if not fits(k, "int"):
+        return False, f"n_prototypes must be int, got {k!r}"
+    return k >= 1, f"n_prototypes must be >= 1, got {k}"
+
+
 def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],
                           seeds: Sequence[int]) -> List[Dict]:
     """AUROC and early-stop traces for each prototype count, over seeds. Every
-    count and seed is checked before pre-training, but a count above the training
-    set's size only fails after the split. Counts are not validated: below
-    e^(1/tau) they run in permissive mode on purpose."""
-    require(*((int(k) >= 1, f"n_prototypes must be >= 1, got {k}") for k in ks))
+    count and seed, each an int, is checked with the configuration in one error
+    before pre-training, but a count above the training set's size only fails
+    after the split. Counts need not give positive energies: below e^(1/tau)
+    they run in permissive mode on purpose."""
+    require(*((False, problem) for problem in dict.fromkeys(
+                problem for s in seeds for problem in rc.replace(seed=s).violations())),
+            *(_count_rule(k) for k in ks))
     rows = []
-    for seed_rc in [rc.replace(seed=int(s)).validated() for s in seeds]:
+    for seed_rc in [rc.replace(seed=int(s)) for s in seeds]:
         ctx = prepare(seed_rc)
         for k in ks:
             _, report = finetune_and_eval(ctx, n_prototypes=int(k))

@@ -197,6 +197,8 @@ def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
     cross-entropy is exactly 0 and its gradient all zero.
     Returns the per-batch loss table: one float64 row per batch, the loss's
     ``terms`` and then the shift cross-entropy.
+    A batch's views, forward cache and upstream gradients are released before
+    the next batch draws its views, so one batch's arrays are alive at a time.
     Program functions are read as module attributes at call time, so that
     wrappers installed from outside (the bench tracer) see every call.
     """
@@ -212,6 +214,7 @@ def train_epoch(params: enc.EncoderParams, feats: np.ndarray, batch_size: int,
         ce, d_logits = loss_shift(enc.head_logits(params, cache), shift_ids)
         step(enc.backward(params, cache, d_embed, d_logits))
         table.append((*terms, ce))
+        del rows, cache, d_embed, d_logits
     return np.array(table, dtype=np.float64)
 
 

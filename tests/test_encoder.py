@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,3 +297,22 @@ def test_in_place_forward_backward_equal_the_allocating_formulas():
     ref.w1 += dh1.T @ X
     ref.b1 += dh1.sum(axis=0)
     assert np.array_equal(grads.flat, ref.flat)
+
+
+def test_backward_allocates_no_batch_by_hidden_array():
+    # The hidden layers' gradients are written over the cache's h2 and h1,
+    # so the pass never allocates an array the size of one hidden activation.
+    dims = enc.EncoderDims(input=6, hidden=64, embed=4, shifts=4)
+    rng = np.random.default_rng(7)
+    params = _params(7, dims)
+    cache = enc.forward(params, rng.normal(size=(512, dims.input)))
+    d_embed = rng.normal(size=(512, dims.embed))
+    d_logits = rng.normal(size=(512, dims.shifts))
+    one_hidden = cache.h1.nbytes
+    tracemalloc.start()
+    try:
+        enc.backward(params, cache, d_embed=d_embed, d_logits=d_logits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_hidden

@@ -28,16 +28,24 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     ({"n_anomaly_mixes": 4}, "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 4"),
     ({"n_normal_configs": 0, "n_anomaly_mixes": 0}, "n_normal_configs must be >= 1, got 0; "
      "n_anomaly_mixes must be between 1 and anomaly_classes=3, got 0"),
+    # Other keys replace configuration fields: one error names both kinds of rule.
+    ({"pretrain_lr": 0.0, "n_normal_configs": 0},
+     "pretrain stage: lr must be positive, got 0.0; n_normal_configs must be >= 1, got 0"),
+    ({"anomaly_classes": "3", "n_anomaly_mixes": 2}, "anomaly_classes must be int, got '3'$"),
 ])
 def test_grid_shape_is_checked_before_any_cell(monkeypatch, shape, needle):
     entered = []
     monkeypatch.setattr(pipeline, "_grid_cell", entered.append)
+    sizes = {key: value for key, value in shape.items() if key.startswith("n_")}
+    rc = preset("smoke").replace(**{key: shape[key] for key in shape.keys() - sizes.keys()})
     with pytest.raises(ValidationError, match=needle):
-        run_grid(preset("smoke"), **shape)
+        run_grid(rc, **sizes)
     assert not entered
 
 
-@pytest.mark.parametrize("ks, seeds", [([8, 0], [0]), ([8], [0, -1]), ([0, -1], [0])])
+@pytest.mark.parametrize("ks, seeds", [([8, 0], [0]), ([8], [0, -1]), ([0, -1], [0]),
+                                       ([2.5, True, "a", 8], [0]), ([8], [2.5, True, "a", 1]),
+                                       ([0], [-1])])
 def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypatch,
                                                                          ks, seeds):
     prepared = []
@@ -45,8 +53,12 @@ def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypa
     with pytest.raises(ValidationError) as info:
         pipeline.prototype_count_sweep(preset("smoke"), ks, seeds)
     assert not prepared
-    for k in ks:    # every bad count is named, not only the first
-        assert (f"n_prototypes must be >= 1, got {k}" in str(info.value)) == (k < 1)
+    message = str(info.value)
+    for values, name, least in ((ks, "n_prototypes", 1), (seeds, "seed", 0)):
+        for v in values:    # every bad count and seed is named, and no good one
+            named = (f"{name} must be >= {least}, got {v}" in message
+                     or f"{name} must be int, got {v!r}" in message)
+            assert named == (type(v) is not int or v < least), (v, message)
 
 
 def test_s3_splits_build_each_pool_once(monkeypatch):

@@ -1,10 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from protoad import encoder as enc
-from protoad import pretrain
+from protoad import evalharness, pipeline, pretrain
 from protoad.augment import ShiftFamily, WeakAugConfig
 from protoad.config import preset
 from protoad.data import (LABELED_ANOMALY, ScenarioConfig, SyntheticSpec,
@@ -312,6 +313,40 @@ def test_train_epoch_returns_one_loss_row_per_batch(count):
         assert np.array_equal(table[:, 2], [0.0, 0.0])
     else:
         assert np.all(table[:, 2] > 0.0)
+
+
+@pytest.mark.parametrize("mode", ["elsa", "elsa_plus"])
+def test_train_epoch_keeps_one_batch_alive(monkeypatch, mode):
+    # When train_epoch draws batch t+1's views, batch t's stacked views and
+    # forward cache (h1, h2, embed) must already be freed, in both stages.
+    # The wrappers are installed only while train_epoch runs, so the probe's
+    # fixed views (alive for the whole loop by design) are never recorded.
+    alive, stale_at_draw, real_epoch = [], [], pretrain.train_epoch
+    real_views, real_forward = pretrain.two_views, enc.forward
+
+    def views(*args, **kwargs):
+        stale_at_draw.append(sum(ref() is not None for ref in alive))
+        out = real_views(*args, **kwargs)
+        alive[:] = [weakref.ref(out[0])]
+        return out
+
+    def forward(*args):
+        cache = real_forward(*args)
+        alive.extend(weakref.ref(a) for a in (cache.h1, cache.h2, cache.embed))
+        return cache
+
+    def epoch(*args, **kwargs):
+        with monkeypatch.context() as m:
+            m.setattr(pretrain, "two_views", views)
+            m.setattr(enc, "forward", forward)
+            return real_epoch(*args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "train_epoch", epoch)
+    monkeypatch.setattr(evalharness, "train_epoch", epoch)
+    rc = preset("smoke").replace(mode=mode, pretrain_epochs=2, finetune_epochs=1)
+    pipeline.run_single(rc)
+    assert len(stale_at_draw) > 3      # more draws than the 3 epochs: several batches
+    assert stale_at_draw == [0] * len(stale_at_draw)
 
 
 def test_pretrain_deterministic():
