@@ -14,6 +14,12 @@ the augmentations and the shift family from a RunConfig. ``finetune_stage``
 with ``protos=None`` is the one place that fits the initial prototypes, on
 the embeddings of the clustering pool; a prototype-count override reaches
 it as ``n_prototypes`` in the RunConfig.
+
+Each driver checks all of its input in one ``_check`` call before anything
+trains: a single error names every distinct violation of its rows'
+configurations (of ``rc`` itself when there are no rows) and every failing
+driver rule. ``build_splits`` is the one split builder, a grid cell's
+anomaly mix included.
 """
 from __future__ import annotations
 
@@ -48,13 +54,16 @@ def _shifted_pool(rc: RunConfig, seed_offset: int, direction: float,
     return aux
 
 
-def build_splits(rc: RunConfig) -> ScenarioSplit:
+def build_splits(rc: RunConfig,
+                 anomaly_classes: Optional[Sequence[int]] = None) -> ScenarioSplit:
+    """The scenario split of ``rc``'s pool, which ``generate`` numbers 0 (normal)
+    and 1..``rc.anomaly_classes``; ``anomaly_classes`` keeps only those, all by default."""
     pool = generate(rc.synthetic_spec())
     aux_pool = outlier_pool = None
     if rc.scenario == "s3":
         aux_pool = _shifted_pool(rc, 1000, +1.0, 100, _AUX_ID_OFFSET)
         outlier_pool = _shifted_pool(rc, 2000, -1.0, 200, _OUT_ID_OFFSET)
-    return build_scenario(pool, rc.scenario_config(),
+    return build_scenario(pool, rc.scenario_config(), anomaly_classes=anomaly_classes,
                           aux_pool=aux_pool, outlier_pool=outlier_pool)
 
 
@@ -171,28 +180,39 @@ def run_single(rc: RunConfig) -> Dict:
 
 def _grid_cell(rc: RunConfig, normal_idx: int, mix_idx: int, n_mixes: int) -> Dict:
     cell_rc = rc.replace(seed=rc.seed + 1000 * normal_idx + mix_idx)
-    pool = generate(cell_rc.synthetic_spec())
-    anomaly = sorted(int(c) for c in pool.classes() if c != 0)
-    mix = [c for i, c in enumerate(anomaly) if i % n_mixes == mix_idx]
-    split = build_scenario(pool, cell_rc.scenario_config(), anomaly_classes=mix)
-    ctx = prepare(cell_rc, split)
-    _, report = finetune_and_eval(ctx)
+    mix = list(range(1 + mix_idx, rc.anomaly_classes + 1, n_mixes))
+    _, report = finetune_and_eval(prepare(cell_rc, build_splits(cell_rc, mix)))
     report.update({"normal_config": normal_idx, "anomaly_mix": mix})
     return report
+
+
+def _check(rcs: Sequence[RunConfig], *rules: Tuple[bool, str]) -> None:
+    """Every distinct violation of ``rcs`` in order, then each failing rule, in one error."""
+    problems = dict.fromkeys(problem for row_rc in rcs for problem in row_rc.violations())
+    require(*((False, problem) for problem in problems), *rules)
+
+
+def _count_rule(name: str, k) -> Tuple[bool, str]:
+    if not fits(k, "int"):
+        return False, f"{name} must be int, got {k!r}"
+    return k >= 1, f"{name} must be >= 1, got {k}"
 
 
 def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3) -> Dict:
     """The grid analogue of the paper-style (normal x anomaly) sweep; the cells run in
     turn in this process, as a pool of two-thread OpenBLAS workers was 3-4x slower
-    on two vCPUs."""
-    require(*((False, problem) for problem in rc.violations()),
-            (rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
-             "while scenario s3 takes its anomalies from two other pools"),
-            (n_normal_configs >= 1, f"n_normal_configs must be >= 1, got {n_normal_configs}"),
-            (not fits(rc.anomaly_classes, "int")    # a mistyped field is named above
-             or 1 <= n_anomaly_mixes <= rc.anomaly_classes,
-             f"n_anomaly_mixes must be between 1 and anomaly_classes={rc.anomaly_classes}, "
-             f"got {n_anomaly_mixes}"))
+    on two vCPUs. Cell (i, j) draws its pool at seed ``rc.seed + 1000 i + j`` and
+    keeps the anomaly classes j + 1, j + 1 + n_anomaly_mixes, ... Both sizes are
+    ints, checked with the configuration in one error before any cell."""
+    mixes_typed = fits(n_anomaly_mixes, "int")
+    _check([rc], (rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
+                  "while scenario s3 takes its anomalies from two other pools"),
+           _count_rule("n_normal_configs", n_normal_configs),
+           (mixes_typed, f"n_anomaly_mixes must be int, got {n_anomaly_mixes!r}"),
+           (not (mixes_typed and fits(rc.anomaly_classes, "int"))  # a mistyped one is named
+            or 1 <= n_anomaly_mixes <= rc.anomaly_classes,
+            f"n_anomaly_mixes must be between 1 and anomaly_classes={rc.anomaly_classes}, "
+            f"got {n_anomaly_mixes}"))
     reports = [_grid_cell(rc, i, j, n_anomaly_mixes)
                for i in range(n_normal_configs) for j in range(n_anomaly_mixes)]
     aurocs = np.array([r["final_auroc"] for r in reports])
@@ -209,12 +229,12 @@ def run_pollution_sweep(rc: RunConfig, gamma_ps: Sequence[float]) -> List[Dict]:
     """One row per contamination level, scenario s2, all else fixed; every
     row's configuration is checked before the first row trains. An s1 run
     becomes s2, and s3 is refused: its anomalies come from two other pools."""
-    require((rc.scenario != "s3", "the pollution sweep contaminates scenario s2, "
-             "while scenario s3 takes its anomalies from two other pools"))
+    row_rcs = [rc.replace(scenario="s2", gamma_p=float(gp)) for gp in gamma_ps]
+    _check(row_rcs or [rc], (rc.scenario != "s3", "the pollution sweep contaminates scenario "
+                             "s2, while scenario s3 takes its anomalies from two other pools"))
     kept = ("final_auroc", "pretrain_baseline_auroc", "best_checkpoint_epoch", "split_hash")
     rows = []
-    for row_rc in [rc.replace(scenario="s2", gamma_p=float(gp)).validated()
-                   for gp in gamma_ps]:
+    for row_rc in row_rcs:
         report = run_single(row_rc)
         rows.append({"gamma_p": row_rc.gamma_p, **{key: report[key] for key in kept}})
     return rows
@@ -223,17 +243,10 @@ def run_pollution_sweep(rc: RunConfig, gamma_ps: Sequence[float]) -> List[Dict]:
 def run_ablation(rc: RunConfig, pairs: Sequence[Tuple[str, str]]) -> List[Dict]:
     """One row per (score_name, loss_name), seed-paired on one context; every
     row's configuration is checked before pre-training."""
-    for score_name, loss_name in pairs:
-        rc.replace(score_name=score_name, loss_name=loss_name).validated()
+    _check([rc.replace(score_name=score, loss_name=loss) for score, loss in pairs] or [rc])
     ctx = prepare(rc)
     return [finetune_and_eval(ctx, loss_name=loss_name, score_name=score_name)[1]
             for score_name, loss_name in pairs]
-
-
-def _count_rule(k) -> Tuple[bool, str]:
-    if not fits(k, "int"):
-        return False, f"n_prototypes must be int, got {k!r}"
-    return k >= 1, f"n_prototypes must be >= 1, got {k}"
 
 
 def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],
@@ -243,9 +256,8 @@ def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],
     before pre-training, but a count above the training set's size only fails
     after the split. Counts need not give positive energies: below e^(1/tau)
     they run in permissive mode on purpose."""
-    require(*((False, problem) for problem in dict.fromkeys(
-                problem for s in seeds for problem in rc.replace(seed=s).violations())),
-            *(_count_rule(k) for k in ks))
+    _check([rc.replace(seed=s) for s in seeds] or [rc],
+           *(_count_rule("n_prototypes", k) for k in ks))
     rows = []
     for seed_rc in [rc.replace(seed=int(s)) for s in seeds]:
         ctx = prepare(seed_rc)

@@ -32,6 +32,10 @@ def test_importing_the_cli_leaves_the_process_pool_unloaded():
     ({"pretrain_lr": 0.0, "n_normal_configs": 0},
      "pretrain stage: lr must be positive, got 0.0; n_normal_configs must be >= 1, got 0"),
     ({"anomaly_classes": "3", "n_anomaly_mixes": 2}, "anomaly_classes must be int, got '3'$"),
+    # A size is an int and never a bool; a mistyped one is named for its type only.
+    ({"n_normal_configs": 2.5, "n_anomaly_mixes": 1}, "^n_normal_configs must be int, got 2.5$"),
+    ({"n_normal_configs": 1, "n_anomaly_mixes": "2"}, "^n_anomaly_mixes must be int, got '2'$"),
+    ({"n_normal_configs": True, "n_anomaly_mixes": 1}, "^n_normal_configs must be int, got True$"),
 ])
 def test_grid_shape_is_checked_before_any_cell(monkeypatch, shape, needle):
     entered = []
@@ -59,6 +63,49 @@ def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypa
             named = (f"{name} must be >= {least}, got {v}" in message
                      or f"{name} must be int, got {v!r}" in message)
             assert named == (type(v) is not int or v < least), (v, message)
+
+
+@pytest.mark.parametrize("driver, args, trainer, needles", [
+    ("run_pollution_sweep", (preset("smoke"), [1.5, 2.0]), "run_single",
+     ["gamma_p below 1, got 1.5", "gamma_p below 1, got 2.0"]),
+    ("run_ablation", (preset("smoke"), [("bad", "elsa"), ("energy", "worse")]), "prepare",
+     ["score_name must be one of", "got 'bad'", "loss_name must be one of", "got 'worse'"]),
+    # With no rows the driver's own configuration is checked.
+    ("prototype_count_sweep", (preset("smoke").replace(pretrain_lr=0.0), [8], []), "prepare",
+     ["pretrain stage: lr must be positive, got 0.0"]),
+    ("run_pollution_sweep", (preset("smoke").replace(pretrain_lr=0.0), []), "run_single",
+     ["pretrain stage: lr must be positive, got 0.0"]),
+])
+def test_drivers_name_every_bad_row_before_training(monkeypatch, driver, args, trainer,
+                                                    needles):
+    entered = []
+    monkeypatch.setattr(pipeline, trainer, lambda *a, **k: entered.append(a))
+    with pytest.raises(ValidationError) as info:
+        getattr(pipeline, driver)(*args)
+    assert not entered
+    for needle in needles:
+        assert needle in str(info.value), str(info.value)
+
+
+def test_grid_mixes_split_the_pool_classes_by_index(monkeypatch):
+    # Reference: every non-zero class of the cell's own pool, dealt out to the
+    # mixes by index modulo the mix count.
+    recorded = []
+    monkeypatch.setattr(pipeline, "build_splits",
+                        lambda rc, anomaly_classes=None: recorded.append((rc, anomaly_classes)))
+    monkeypatch.setattr(pipeline, "prepare", lambda rc, split=None: None)
+    monkeypatch.setattr(pipeline, "finetune_and_eval", lambda ctx: (None, {"final_auroc": 0.5}))
+    for n_classes in range(1, 10):
+        rc = preset("smoke").replace(anomaly_classes=n_classes)
+        for n_mixes in range(1, n_classes + 1):
+            recorded.clear()
+            run_grid(rc, 1, n_mixes)
+            assert len(recorded) == n_mixes
+            for j, (cell_rc, mix) in enumerate(recorded):
+                pool = data.generate(cell_rc.synthetic_spec())
+                anomaly = sorted(int(c) for c in pool.classes() if c != 0)
+                assert mix == [c for i, c in enumerate(anomaly) if i % n_mixes == j], \
+                    (n_classes, n_mixes, j)
 
 
 def test_s3_splits_build_each_pool_once(monkeypatch):

@@ -28,6 +28,12 @@ lock), ``ctypes`` only in ``blas``. No module imports ``concurrent`` or
 A fifth lets no function or method call ``data.require`` more than once. Each
 object passes all of its rules as ``(ok, message)`` pairs to one call, so one
 error names every failing rule; a second call would stop at the first.
+
+A sixth keeps one path per driver job in ``pipeline``. The four experiment
+drivers alone call ``_check``, once each, before anything trains; besides it
+only the CLI's configuration entry points and ``pipeline.prepare`` call
+``RunConfig.validated``; and ``pipeline.build_splits`` alone calls
+``data.build_scenario``, so a grid cell and a command split a pool alike.
 """
 import ast
 from collections import Counter
@@ -176,6 +182,20 @@ def test_training_views_loss_and_backward_run_in_the_one_batch_step():
 def test_every_rule_set_is_one_require_call():
     repeated = {name: n for name, n in call_counts("require").items() if n > 1}
     assert not repeated, f"call require once with every rule: {repeated}"
+
+
+def test_the_four_drivers_alone_call_the_up_front_check():
+    assert callers("_check") == {"pipeline.run_grid", "pipeline.run_pollution_sweep",
+                                 "pipeline.run_ablation", "pipeline.prototype_count_sweep"}
+
+
+def test_configurations_are_validated_only_where_they_enter():
+    assert callers("validated") == {"cli.resolve_config", "cli.cmd_pretrain",
+                                    "pipeline.prepare"}
+
+
+def test_build_splits_is_the_one_split_builder():
+    assert callers("build_scenario") == {"pipeline.build_splits"}
 
 
 def importers(modules) -> dict:
