@@ -10,7 +10,9 @@ types and the rules no one stage can see. It collects *all* violations: one
 entry per failing stage names every rule of that stage that fails, and a
 valid configuration builds every stage.
 The augmentations read no field: their magnitudes are constants scaled to
-the data spread.
+the data spread. Nor does the prototype refresh, which is a fact of the
+mode: ELSA refits every fine-tuning epoch and ELSA+ every third. The
+cluster spread of the synthetic data is ``SyntheticSpec``'s default alone.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -53,8 +55,6 @@ def fits(value, annotation: str, finite: bool = True) -> bool:
     takes only finite values (an int too large for a float is not finite),
     unless ``finite`` is False.
     """
-    if annotation.startswith("Optional["):
-        return value is None or fits(value, annotation[len("Optional["):-1], finite)
     return (isinstance(value, _KINDS[annotation])
             and not isinstance(value, bool)
             and (not finite or annotation != "float" or abs(value) <= sys.float_info.max))
@@ -76,7 +76,6 @@ class RunConfig:
     input_dim: int = 32
     normal_subclusters: int = 4
     anomaly_classes: int = 9
-    cluster_spread: float = 1.0
     within_spread: float = 0.65
     samples_per_class: int = 1000
 
@@ -104,7 +103,6 @@ class RunConfig:
     finetune_epochs: int = 50
     finetune_batch: int = 64
     finetune_lr: float = 1e-4
-    refresh_period: Optional[int] = None  # default: 1 for elsa, 3 for elsa_plus
 
     seed: int = 0
 
@@ -156,18 +154,11 @@ class RunConfig:
         """Whether every energy score is positive: ln k > 1/tau."""
         return obj.energy_positive(self.n_prototypes, self.tau)
 
-    @property
-    def effective_refresh_period(self) -> int:
-        if self.refresh_period is not None:
-            return self.refresh_period
-        return 3 if self.mode == "elsa_plus" else 1
-
     def synthetic_spec(self, seed_offset: int = 0) -> SyntheticSpec:
         return SyntheticSpec(
             input_dim=self.input_dim,
             normal_subclusters=self.normal_subclusters,
             anomaly_classes=self.anomaly_classes,
-            cluster_spread=self.cluster_spread,
             within_spread=self.within_spread,
             samples_per_class=self.samples_per_class,
             seed=self.seed + seed_offset,
@@ -218,7 +209,7 @@ class RunConfig:
                               lr=self.finetune_lr,
                               tau=self.tau,
                               loss_name=self.loss_name,
-                              refresh_period=self.effective_refresh_period,
+                              refresh_period=3 if self.shift_mode else 1,
                               seed=self.seed + 5)
 
     # ------------------------------------------------------------------

@@ -17,9 +17,10 @@ it as ``n_prototypes`` in the RunConfig.
 
 Each driver checks all of its input in one ``_check`` call before anything
 trains: a single error names every distinct violation of its rows'
-configurations (of ``rc`` itself when there are no rows) and every failing
-driver rule. ``build_splits`` is the one split builder, a grid cell's
-anomaly mix included.
+configurations (of ``rc`` itself when there are no rows, and always for the
+ablation, which pre-trains under ``rc``) and every failing driver rule.
+``build_splits`` is the one split builder, a grid cell's anomaly mix
+included.
 """
 from __future__ import annotations
 
@@ -46,8 +47,9 @@ _OUT_ID_OFFSET = 20_000_000
 def _shifted_pool(rc: RunConfig, seed_offset: int, direction: float,
                   class_offset: int, id_offset: int) -> Pool:
     """A second synthetic distribution: same geometry, displaced means; one build."""
-    aux = generate(rc.synthetic_spec(seed_offset=seed_offset))
-    aux.features += direction * rc.cluster_spread
+    spec = rc.synthetic_spec(seed_offset=seed_offset)
+    aux = generate(spec)
+    aux.features += direction * spec.cluster_spread
     aux.true_class += class_offset
     aux.ids += id_offset
     aux.means = None
@@ -241,9 +243,12 @@ def run_pollution_sweep(rc: RunConfig, gamma_ps: Sequence[float]) -> List[Dict]:
 
 
 def run_ablation(rc: RunConfig, pairs: Sequence[Tuple[str, str]]) -> List[Dict]:
-    """One row per (score_name, loss_name), seed-paired on one context; every
-    row's configuration is checked before pre-training."""
-    _check([rc.replace(score_name=score, loss_name=loss) for score, loss in pairs] or [rc])
+    """One row per (score_name, loss_name), seed-paired on one context. ``rc``,
+    which pre-trains, and every row's configuration are checked before
+    pre-training; with no pairs nothing trains."""
+    _check([rc, *(rc.replace(score_name=score, loss_name=loss) for score, loss in pairs)])
+    if not pairs:
+        return []
     ctx = prepare(rc)
     return [finetune_and_eval(ctx, loss_name=loss_name, score_name=score_name)[1]
             for score_name, loss_name in pairs]

@@ -434,7 +434,6 @@ def test_fractional_label_column_exits_with_validation_code(tmp_path, scored_inp
     ("samples_per_class=abc", "samples_per_class must be int, got 'abc'"),
     ("pretrain_epochs=2.5", "pretrain_epochs must be int, got 2.5"),
     ("seed=true", "seed must be int, got True"),
-    ("refresh_period=[3]", "refresh_period must be Optional[int], got [3]"),
     ("tau=NaN", "tau must be a finite float, got nan"),
     ("pretrain_lr=NaN", "pretrain_lr must be a finite float, got nan"),
     ("finetune_lr=Infinity", "finetune_lr must be a finite float, got inf"),
@@ -459,7 +458,6 @@ STAGE_REJECTIONS = [
     ("finetune_lr=0", "finetune stage: lr must be positive, got 0"),
     ("finetune_epochs=-1", "finetune stage: epochs must be >= 0, got -1"),
     ("hidden_dim=0", "encoder stage: encoder dim hidden must be positive, got 0"),
-    ("refresh_period=0", "finetune stage: refresh_period must be >= 1, got 0"),
     ("tau=0", "pretrain stage: tau must be positive, got 0"),
     ("tau=0", "finetune stage: tau must be positive, got 0"),
     ("tau=-0.5", "pretrain stage: tau must be positive, got -0.5"),
@@ -638,7 +636,7 @@ RETIRED = ["ensemble_mode", "c_mode", "pretrain_tau", "score_tau",
            "test_fraction", "val_fraction", "weak_noise_scale", "weak_mask_fraction",
            "weak_jitter", "strong_noise_multiple", "strong_n_ops",
            "strong_apply_probability", "shift_count", "pretrain_momentum",
-           "strict_scores"]
+           "strict_scores", "refresh_period", "cluster_spread"]
 
 
 def test_retired_keys_are_retired_on_both_sides():
@@ -652,12 +650,10 @@ def test_retired_keys_are_retired_on_both_sides():
 
 
 # Fields that hold one value in every preset and have no dedicated flag, each
-# kept for the open ROADMAP item that sets it.
+# kept for the reason given: an open ROADMAP item or a reader outside src.
 KEPT_WITHOUT_CALLER = {
-    "refresh_period": "item 3 measures ELSA+ with no refresh",
-    "pretrain_lr": "item 4's collapse detector is tested with pretrain_lr=1e30",
-    "cluster_spread": "item 1 adds a harder geometry (cluster_spread=0.7)",
-    "within_spread": "item 1's harder geometry (within_spread=0.55); perfbench reads it",
+    "pretrain_lr": "item 5's collapse test runs smoke ELSA at pretrain_lr=1e30",
+    "within_spread": "perfbench/workloads.py reads it",
 }
 
 

@@ -14,7 +14,7 @@ from protoad.pretrain import PretrainConfig
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_dict_round_trip(name):
-    rc = preset(name).replace(tau=0.3, refresh_period=2)
+    rc = preset(name).replace(tau=0.3)
     assert RunConfig.from_dict(rc.to_dict()) == rc
 
 
@@ -92,9 +92,8 @@ def test_stage_object_names_every_failing_rule_in_order(stage, changes, expected
     ({"samples_per_class": 0, "input_dim": 0},
      ["data stage: input_dim must be positive, got 0; samples_per_class must be >= 1, got 0",
       "encoder stage: encoder dim input must be positive, got 0"]),
-    ({"finetune_batch": 0, "finetune_lr": 0.0, "refresh_period": 0},
-     ["finetune stage: batch_size must be >= 1, got 0; lr must be positive, got 0.0; "
-      "refresh_period must be >= 1, got 0"]),
+    ({"finetune_batch": 0, "finetune_lr": 0.0},
+     ["finetune stage: batch_size must be >= 1, got 0; lr must be positive, got 0.0"]),
 ])
 def test_each_stage_entry_names_every_failing_rule_of_its_stage(changes, expected):
     assert RunConfig(**changes).violations() == expected
@@ -141,7 +140,7 @@ def test_every_training_config_field_is_reachable():
     # Every mapped RunConfig value differs from the matching training default.
     rc = RunConfig(pretrain_epochs=3, pretrain_batch=16, pretrain_lr=0.01, tau=0.3,
                    finetune_epochs=4, finetune_batch=8, finetune_lr=0.01,
-                   loss_name="deepsad", refresh_period=5, seed=1)
+                   loss_name="deepsad", seed=1)
     for built in (rc.pretrain_config(), rc.finetune_config()):
         default = type(built)()
         kept = [f.name for f in dataclasses.fields(built)
@@ -163,9 +162,9 @@ def test_non_finite_float_fields_are_type_violations(changes, needle):
 
 def test_wrong_types_are_listed_before_value_checks():
     # Without the type check, "tau <= 0" would raise TypeError on a string.
-    rc = RunConfig(cluster_spread="1.0", tau="0.5", n_prototypes=8.0)
+    rc = RunConfig(within_spread="0.65", tau="0.5", n_prototypes=8.0)
     assert rc.violations() == [
-        "cluster_spread must be float, got '1.0'",
+        "within_spread must be float, got '0.65'",
         "n_prototypes must be int, got 8.0",
         "tau must be float, got '0.5'",
     ]

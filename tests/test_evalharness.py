@@ -105,7 +105,7 @@ def test_finetune_embeds_training_set_only_on_refresh_epochs(monkeypatch):
     # ELSA+ refreshes every 3 epochs; the pinned trace is the one the loop
     # gave when it re-embedded the training set on every epoch.
     rc = preset("smoke").replace(mode="elsa_plus", finetune_epochs=7)
-    assert rc.effective_refresh_period == 3
+    assert rc.finetune_config().refresh_period == 3
     ctx = pipeline.prepare(rc)
     calls = []
     embed = evalharness.prototype_inputs

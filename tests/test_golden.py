@@ -139,9 +139,9 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
     assert sha("data.train.ds") == \
         "973682280c319651b0ce39347bb10e807a9c0f2d67be9695b08313b015f8b82d"
     assert sha("pre.ckpt") == \
-        "5192b2ffae70198dfbc06768019cd0d2f9fc8c8a5017d13e70edf94a78f8bd76"
+        "caebcd177248be27b8e6b02a56438c20cc9713b82f3487db6397af9760347efc"
     assert sha("ft.ckpt") == \
-        "4f39fc9a80921d35086a5aee0ce1b6e54acfe1104b2c58484104dc88607b9210"
+        "63f3f0838035c9551a59ac1b62f7a146c1b2e2fea4447621f947da8598f06b91"
     assert sha("scores.jsonl") == \
         "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a"
     result = json.loads((tmp_path / "eval.json").read_text())
@@ -151,14 +151,14 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("mode, expected", [
     ("elsa", {
-        "pre.ckpt": "e232a7940d5e5c77e70e7d75dd2a33bfb62bf7aa812ed89ad53eaf74dc1f2678",
-        "ft.ckpt": "4691598947115206e4d28787069b9c043eb5e090f4de74d5b5fbe7531569a496",
+        "pre.ckpt": "b842f5a348e846625ba9a8e81d76138e7d30fea479637c5d20f08a7644373399",
+        "ft.ckpt": "268c8e3df22ffb9ccb1fe29fdceaed183de8eb745ab1c35121abfc2416e182ab",
         "scores.jsonl": "ce6b551f1fb2568e08d65c289cd1a0fdc38a88e1dad909eb93019987d1f9455b",
         "auroc": 0.4596354166666667,
     }),
     ("elsa_plus", {
-        "pre.ckpt": "5192b2ffae70198dfbc06768019cd0d2f9fc8c8a5017d13e70edf94a78f8bd76",
-        "ft.ckpt": "4f39fc9a80921d35086a5aee0ce1b6e54acfe1104b2c58484104dc88607b9210",
+        "pre.ckpt": "caebcd177248be27b8e6b02a56438c20cc9713b82f3487db6397af9760347efc",
+        "ft.ckpt": "63f3f0838035c9551a59ac1b62f7a146c1b2e2fea4447621f947da8598f06b91",
         "scores.jsonl": "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a",
         "auroc": 0.8619791666666666,
     }),

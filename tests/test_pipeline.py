@@ -75,6 +75,10 @@ def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypa
      ["pretrain stage: lr must be positive, got 0.0"]),
     ("run_pollution_sweep", (preset("smoke").replace(pretrain_lr=0.0), []), "run_single",
      ["pretrain stage: lr must be positive, got 0.0"]),
+    # A field that every row overrides is still checked where it trains:
+    # the ablation pre-trains under its own configuration.
+    ("run_ablation", (preset("smoke").replace(score_name="bad"), [("energy", "elsa")]),
+     "prepare", ["score_name must be one of", "got 'bad'"]),
 ])
 def test_drivers_name_every_bad_row_before_training(monkeypatch, driver, args, trainer,
                                                     needles):
@@ -85,6 +89,13 @@ def test_drivers_name_every_bad_row_before_training(monkeypatch, driver, args, t
     assert not entered
     for needle in needles:
         assert needle in str(info.value), str(info.value)
+
+
+def test_ablation_with_no_pairs_pretrains_nothing(monkeypatch):
+    prepared = []
+    monkeypatch.setattr(pipeline, "prepare", prepared.append)
+    assert pipeline.run_ablation(preset("smoke"), []) == []
+    assert not prepared
 
 
 def test_grid_mixes_split_the_pool_classes_by_index(monkeypatch):

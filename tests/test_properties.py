@@ -240,7 +240,6 @@ RULE_FIELDS = {
     "pretrain_batch": st.integers(0, 4),
     "pretrain_lr": _real(-0.1, 0.1),
     "finetune_lr": _real(-0.1, 0.1),
-    "refresh_period": st.none() | st.integers(-1, 3),
 }
 
 
