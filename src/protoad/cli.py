@@ -18,7 +18,6 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import sys
 from typing import List, Optional
 
@@ -33,7 +32,6 @@ from .mathcore import NumericError
 from .pipeline import (build_splits, finetune_stage, pretrain_stage, run_ablation,
                        run_grid, run_pollution_sweep, run_single, score_stage)
 
-ENV_SEED = "PROTOAD_SEED"
 METRICS_SCHEMA = 1
 
 
@@ -75,8 +73,7 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
     The preset is the starting point. A checkpoint snapshot (``base``)
     replaces it whole, and a ``--config`` file replaces either whole. Then
     dedicated flags apply, then ``--set`` pairs, so a ``--set`` beats its
-    flag. ``PROTOAD_SEED`` applies last, and only when neither ``--seed`` nor
-    a ``--set`` pair names the seed.
+    flag. Nothing else, the environment included, sets a key.
     """
     rc = preset(args.preset)
     if base is not None:
@@ -95,13 +92,6 @@ def resolve_config(args, base: Optional[dict] = None) -> RunConfig:
         overrides[key.strip()] = _parse_value(raw.strip())
     if overrides:
         rc = RunConfig.from_dict({**rc.to_dict(), **overrides})
-    if "seed" not in overrides and ENV_SEED in os.environ:
-        raw = os.environ[ENV_SEED]
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
-        rc = rc.replace(seed=seed)
     return rc.validated()
 
 
@@ -164,8 +154,6 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     rc = resolve_config(args)
     train = read_dataset(_dataset_paths(args.data)[0])
-    if train.dim != rc.input_dim:
-        rc = rc.replace(input_dim=train.dim).validated()
     result = pretrain_stage(rc, train)
     save_checkpoint(args.out, config=rc.to_dict(), epoch=rc.pretrain_epochs,
                     params=result.params, rng_state={"seed": rc.seed})

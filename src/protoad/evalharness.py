@@ -162,14 +162,13 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     where ``prototypes.refresh_due(epoch, refresh_period)``, epochs counted
     from 1 in every run, resumed or not; the training set is embedded only
     on the epochs that refit. The early-stop score is recorded each
-    epoch and the best-scoring snapshot is returned. The loss runs strict
-    exactly when ``obj.energy_positive(k, tau)``. ``eval_probe(params,
+    epoch and the best-scoring snapshot is returned. The loss refuses only
+    scores at its poles, whatever k and tau are. ``eval_probe(params,
     protos)``, when given, only logs a per-epoch test metric; it never
     influences training or model selection.
     """
     params = params.copy()
     C = obj.c_constant(protos.k, cfg.tau)
-    strict = obj.energy_positive(protos.k, cfg.tau)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()
     n_steps = 0
@@ -189,8 +188,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
 
     def energy(embed, take):
         scores, ds_de = obj.energy_score_grad(embed, protos.vectors, cfg.tau)
-        b, d_scores = obj.loss_by_name(cfg.loss_name, scores, train.semi[take],
-                                       C, strict=strict)
+        b, d_scores = obj.loss_by_name(cfg.loss_name, scores, train.semi[take], C)
         return (b.total, b.anomaly_term, b.normal_term), d_scores[:, None] * ds_de
 
     def adam(grads):

@@ -5,15 +5,16 @@ over unit embeddings e and unit prototypes p, bounded in
 [ln k - 1/tau, ln k + 1/tau]. The fine-tuning loss drives 1/S down for
 (mostly) normal samples and 1/(C - S) down for labeled anomalies, with the
 cap C = ln k + 1/tau attained only when a sample matches every prototype
-perfectly. Ablation scores (nearest-prototype cosine, reference-set
-uniformity) and losses (naive, inverse-anomaly-only) live here too.
+perfectly. The losses refuse only their poles: a labeled anomaly at or above
+C, and for the ELSA loss another row at exactly 0. Ablation scores
+(nearest-prototype cosine, reference-set uniformity) and losses (naive,
+inverse-anomaly-only) live here too.
 
 ``_energy`` is the one energy form: ``energy_score``, ``energy_score_grad``,
 ``score_ensemble`` and early stopping's ``summed_shift_energy`` reach it, so
 the test probe does too. ``_two_terms`` is the one loss body: every loss is a
-term over labeled anomalies plus a term over the rest, and ``loss_elsa``,
-``loss_naive`` and ``loss_deepsad`` keep only their per-group values and
-their own domain checks.
+term over labeled anomalies plus a term over the rest. Each loss keeps its
+per-group values, and ``_anomaly_gap`` is the one check of the pole at C.
 
 Every score takes a 2-D batch, one sample per row, and returns one float64
 score per row; a single sample is a batch of one.
@@ -39,7 +40,7 @@ from . import blas
 from . import encoder as enc
 from .augment import ShiftFamily, WeakAugConfig, weak_batch
 from .data import LABELED_ANOMALY, ValidationError
-from .mathcore import NumericError, logsumexp_rows_inplace, row_max, softmax_rows
+from .mathcore import NumericError, logsumexp_rows_inplace, softmax_rows
 
 
 def c_constant(n_prototypes: int, tau: float) -> float:
@@ -49,8 +50,8 @@ def c_constant(n_prototypes: int, tau: float) -> float:
 
 
 def energy_positive(n_prototypes: int, tau: float) -> bool:
-    """Whether every energy score of k prototypes at tau > 0 is positive, its
-    lower bound ln k - 1/tau included; the inverse loss then runs strict."""
+    """Whether every energy score of k prototypes at tau > 0 is provably positive:
+    its lower bound ln k - 1/tau is, so 1/S has no pole in the score range."""
     return math.log(n_prototypes) > 1.0 / tau
 
 
@@ -61,22 +62,17 @@ class LossBreakdown:
     normal_term: float
 
 
-def _energy(E: np.ndarray, P: np.ndarray, tau: float
-            ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(scores, w, z)``: ``w`` the max-shifted exp of ``E @ P.T / tau``, ``z`` its
-    row sums (one column), scores = shift + log(z); a non-finite score raises."""
+def _energy(E: np.ndarray, P: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
+    """``(scores, w)``: the logsumexp scores of ``E @ P.T / tau`` and ``w``, that
+    matrix overwritten with its max-shifted exp; a non-finite score raises."""
     if len(P) == 0:
         raise ValidationError("prototype set is empty")
     w = E @ P.T
     w /= tau
-    shift = row_max(w)[:, None]
-    w -= shift
-    np.exp(w, out=w)
-    z = np.sum(w, axis=1, keepdims=True)
-    scores = (shift + np.log(z))[:, 0]
+    scores = logsumexp_rows_inplace(w)
     if not np.isfinite(scores).all():
         raise NumericError(f"non-finite energy score at tau={tau}")
-    return scores, w, z
+    return scores, w
 
 
 def energy_score(E: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarray:
@@ -86,9 +82,9 @@ def energy_score(E: np.ndarray, prototypes: np.ndarray, tau: float) -> np.ndarra
 
 def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
                       ) -> Tuple[np.ndarray, np.ndarray]:
-    """Batch scores plus dS/dE rows: softmax(logits) @ P / tau, softmax = w / z."""
-    scores, w, z = _energy(E, prototypes, tau)
-    w /= z
+    """Batch scores plus dS/dE rows: softmax(logits) @ P / tau, softmax = w / its row sums."""
+    scores, w = _energy(E, prototypes, tau)
+    w /= np.sum(w, axis=1, keepdims=True)
     grad = w @ prototypes
     grad /= tau
     return scores, grad
@@ -165,21 +161,21 @@ def _two_terms(s, is_anom, anomaly, normal) -> Tuple[LossBreakdown, np.ndarray]:
     return breakdown, grad
 
 
-def loss_elsa(scores, semi, C: float, strict: bool = True
-              ) -> Tuple[LossBreakdown, np.ndarray]:
-    """Mean of 1/(C - S) over labeled anomalies and 1/S over everything else.
+def _anomaly_gap(s, is_anom, C: float) -> np.ndarray:
+    """``C - S`` of the labeled anomalies; one at or above C, the pole of 1/(C - S), raises."""
+    gap = C - s[is_anom]
+    if np.any(gap <= 0.0):
+        raise NumericError("labeled anomaly scores at or above C, the pole of 1/(C - S)")
+    return gap
 
-    strict mode rejects scores outside (0, C) — that always signals a
-    misconfigured tau / prototype count. Permissive mode mirrors the raw
-    arithmetic (used by the prototype-count sweep, where k = 1 makes the
-    domain guarantee impossible) and only rejects non-finite results.
-    """
+
+def loss_elsa(scores, semi, C: float) -> Tuple[LossBreakdown, np.ndarray]:
+    """Mean of 1/(C - S) over labeled anomalies and 1/S over everything else. A
+    score at a pole raises; a negative one, which ln k < 1/tau allows, does not."""
     s, is_anom = _groups(scores, semi)
-    if strict and (np.any(s <= 0.0) or np.any(s >= C)):
-        raise NumericError("score out of (0, C)")
-    if not strict and (np.any(s == 0.0) or np.any(s == C)):
-        raise NumericError("score exactly at a pole of the loss")
-    gap, rest = C - s[is_anom], s[~is_anom]
+    gap, rest = _anomaly_gap(s, is_anom, C), s[~is_anom]
+    if np.any(rest == 0.0):
+        raise NumericError("unlabeled or normal row scores exactly 0, the pole of 1/S")
     return _two_terms(s, is_anom, (1.0 / gap, 1.0 / gap ** 2),
                       (1.0 / rest, -1.0 / rest ** 2))
 
@@ -193,9 +189,7 @@ def loss_naive(scores, semi) -> Tuple[LossBreakdown, np.ndarray]:
 def loss_deepsad(scores, semi, C: float) -> Tuple[LossBreakdown, np.ndarray]:
     """Mean of 1/(C - S) over labeled anomalies and -S over everything else."""
     s, is_anom = _groups(scores, semi)
-    if np.any(s[is_anom] >= C):
-        raise NumericError("score out of (0, C)")
-    gap = C - s[is_anom]
+    gap = _anomaly_gap(s, is_anom, C)
     return _two_terms(s, is_anom, (1.0 / gap, 1.0 / gap ** 2), (-s[~is_anom], -1.0))
 
 
@@ -219,10 +213,9 @@ LOSSES = ("elsa", "naive", "deepsad")
 SCORES = ("energy", "cosine", "uniformity")
 
 
-def loss_by_name(name: str, scores, semi, C: float, strict: bool = True
-                 ) -> Tuple[LossBreakdown, np.ndarray]:
+def loss_by_name(name: str, scores, semi, C: float) -> Tuple[LossBreakdown, np.ndarray]:
     if name == "elsa":
-        return loss_elsa(scores, semi, C, strict=strict)
+        return loss_elsa(scores, semi, C)
     if name == "naive":
         return loss_naive(scores, semi)
     if name == "deepsad":

@@ -140,9 +140,9 @@ def finetune_and_eval(ctx: PipelineContext, **overrides) -> Tuple[RunResult, Dic
 
     ``overrides`` replace RunConfig fields: seed-paired ablation rows (another
     loss or score on identical splits and pretraining) and prototype-count
-    sweeps. When the prototype count cannot guarantee positive energy scores
-    the loss runs in permissive mode (``finetune_loop`` derives it), mirroring
-    how an unguarded implementation behaves.
+    sweeps. The report's ``strict_scores`` says whether every energy score is
+    provably positive (``RunConfig.energy_positive``); the loss is the same
+    either way.
     """
     rc = ctx.rc.replace(**overrides)
     train, test = ctx.split.train, ctx.split.test
@@ -260,7 +260,7 @@ def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],
     count and seed, each an int, is checked with the configuration in one error
     before pre-training, but a count above the training set's size only fails
     after the split. Counts need not give positive energies: below e^(1/tau)
-    they run in permissive mode on purpose."""
+    a score may be negative, and the loss refuses only a score at its poles."""
     _check([rc.replace(seed=s) for s in seeds] or [rc],
            *(_count_rule("n_prototypes", k) for k in ks))
     rows = []

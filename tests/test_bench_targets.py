@@ -90,7 +90,6 @@ def test_score_cli_direct_calls_run_on_a_cli_checkpoint(monkeypatch, tmp_path):
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "perfbench_workloads", workloads)
     spec.loader.exec_module(workloads)
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     prefix, pre_ckpt, ckpt = (str(tmp_path / name)
                               for name in ("data", "pretrain.ckpt", "finetune.ckpt"))
     with contextlib.redirect_stdout(io.StringIO()):

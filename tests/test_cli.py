@@ -22,11 +22,6 @@ from protoad.prototypes import PrototypeSet
 from oracles import score_lines_by_json
 
 
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
-
-
 def _args(*flags):
     return cli.build_parser().parse_args(["gen-data", "--out", "unused", *flags])
 
@@ -50,32 +45,11 @@ def test_resolve_config_set_beats_its_flag():
     assert rc.seed == 9
 
 
-def test_resolve_config_env_seed_only_without_flag(monkeypatch):
-    monkeypatch.setenv(cli.ENV_SEED, "21")
-    assert cli.resolve_config(_args("--preset", "smoke")).seed == 21
-    assert cli.resolve_config(_args("--preset", "smoke", "--seed", "4")).seed == 4
-    assert cli.resolve_config(_args("--preset", "smoke", "--set", "seed=4")).seed == 4
-
-
-def test_resolve_config_non_integer_env_seed_exits_with_validation_code(monkeypatch,
-                                                                       tmp_path):
-    monkeypatch.setenv(cli.ENV_SEED, "abc")
-    with pytest.raises(ConfigError, match="PROTOAD_SEED must be an integer, got 'abc'"):
-        cli.resolve_config(_args("--preset", "smoke"))
-    code, err = _main(["gen-data", "--preset", "smoke", "--out", str(tmp_path / "data")])
-    assert code == 3 and "PROTOAD_SEED" in err, err
-    assert not list(tmp_path.iterdir())
-
-
-def test_negative_seed_exits_with_validation_code(monkeypatch, tmp_path):
-    # numpy refuses a negative seed; the configuration refuses it first, by
-    # flag and by environment alike.
-    out = ["--out", str(tmp_path / "data")]
-    code, err = _main(["gen-data", "--preset", "smoke", "--seed", "-1", *out])
+def test_negative_seed_exits_with_validation_code(tmp_path):
+    # numpy refuses a negative seed; the configuration refuses it first.
+    code, err = _main(["gen-data", "--preset", "smoke", "--seed", "-1",
+                       "--out", str(tmp_path / "data")])
     assert code == 3 and "seed must be >= 0, got -1" in err, err
-    monkeypatch.setenv(cli.ENV_SEED, "-4")
-    code, err = _main(["gen-data", "--preset", "smoke", *out])
-    assert code == 3 and "seed must be >= 0, got -4" in err, err
     assert not list(tmp_path.iterdir())
 
 
@@ -218,6 +192,17 @@ def test_pretrain_reads_only_the_training_file(tmp_path):
     code, err = _main(["finetune", "--checkpoint", ckpt, "--data", prefix,
                        "--out", str(tmp_path / "ft.ckpt")])
     assert code == 4 and "io error" in err
+
+
+def test_pretrain_on_data_of_another_width_exits_with_validation_code(tmp_path):
+    # --input-dim is the one spelling of the width: pretrain does not adopt
+    # the data file's, as finetune and score do not.
+    prefix, ckpt = str(tmp_path / "data"), tmp_path / "pre.ckpt"
+    assert _main(["gen-data", "--preset", "smoke", "--out", prefix])[0] == 0
+    code, err = _main(["pretrain", "--preset", "smoke", "--set", "input_dim=32",
+                       "--data", prefix, "--out", str(ckpt)])
+    assert code == 3 and "batch width 16 != shift dim 32" in err, err
+    assert not ckpt.exists()
 
 
 def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):

@@ -98,7 +98,7 @@ def test_golden_run_ablation():
 
 
 def test_golden_prototype_count_sweep():
-    # k=1 cannot guarantee positive scores (ln 1 < 1/tau): permissive loss.
+    # k=1 cannot guarantee positive scores (ln 1 < 1/tau), and the loss runs anyway.
     rows = pipeline.prototype_count_sweep(preset("smoke"), ks=[1, 8], seeds=[0])
     assert len(rows) == 2
     _check(rows[0], {"n_prototypes": 1, "strict_scores": False, "seed": 0,
@@ -113,9 +113,8 @@ def test_golden_prototype_count_sweep():
                      "test_auroc_trace": TEST_ELSA_PLUS})
 
 
-def test_golden_cli_chain(tmp_path, monkeypatch):
+def test_golden_cli_chain(tmp_path):
     # The metrics JSONL files record wallclock and are not pinned.
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     p = lambda name: str(tmp_path / name)
     common = ["--preset", "smoke", "--seed", "3"]
     steps = [
@@ -163,9 +162,8 @@ def test_golden_cli_chain(tmp_path, monkeypatch):
         "auroc": 0.8619791666666666,
     }),
 ])
-def test_golden_cli_chain_by_mode(mode, expected, tmp_path, monkeypatch):
+def test_golden_cli_chain_by_mode(mode, expected, tmp_path):
     # Both modes through the CLI.
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     p = lambda name: str(tmp_path / name)
     common = ["--preset", "smoke", "--seed", "3", "--mode", mode]
     steps = [

@@ -197,17 +197,25 @@ def test_loss_elsa_normal_term_limit():
 
 
 def test_loss_elsa_domain_errors():
-    with pytest.raises(NumericError, match="score out of"):
-        obj.loss_elsa(np.array([-0.1, 3.0]), [0, 0], C100)
-    with pytest.raises(NumericError, match="score out of"):
-        obj.loss_elsa(np.array([3.0, C100 + 0.1]), [0, -1], C100)
+    # The one pole of 1/S: an unlabeled or labeled-normal row at exactly 0.
+    for semi in ([0, -1], [1, -1]):
+        with pytest.raises(NumericError, match="pole of 1/S"):
+            obj.loss_elsa(np.array([0.0, 3.0]), semi, C100)
 
 
-def test_loss_elsa_permissive_mode():
-    breakdown, grad = obj.loss_elsa(np.array([-0.5, 3.0]), [0, -1], C100, strict=False)
-    assert np.isfinite(breakdown.total)
-    with pytest.raises(NumericError):
-        obj.loss_elsa(np.array([0.0, 3.0]), [0, -1], C100, strict=False)
+@pytest.mark.parametrize("loss", [obj.loss_elsa, obj.loss_deepsad])
+@pytest.mark.parametrize("excess", [0.0, 0.1])
+def test_labeled_anomaly_at_or_above_c_is_refused(loss, excess):
+    with pytest.raises(NumericError, match=r"pole of 1/\(C - S\)"):
+        loss(np.array([3.0, C100 + excess]), [0, -1], C100)
+
+
+@pytest.mark.parametrize("loss", [obj.loss_elsa, obj.loss_deepsad])
+def test_scores_off_the_poles_are_accepted(loss):
+    # A normal row at C, and scores below 0 as the sweep's k = 1 gives them.
+    for scores in ([C100, 3.0], [-0.5, 3.0], [-0.5, -1.0]):
+        breakdown, grad = loss(np.array(scores), [0, -1], C100)
+        assert np.isfinite(breakdown.total) and np.isfinite(grad).all()
 
 
 def test_loss_elsa_grad():

@@ -24,6 +24,8 @@ A fourth keeps threads and foreign calls where they are owned: ``threading``
 only in ``objective`` (the ensemble's producer thread) and ``blas`` (its hold
 lock), ``ctypes`` only in ``blas``. No module imports ``concurrent`` or
 ``multiprocessing``: the package starts no processes, and grid cells run in turn.
+No module imports ``os`` either, so none reads the environment: a command's
+configuration comes only from its preset, file, snapshot and flags.
 
 A fifth lets no function or method call ``data.require`` more than once. Each
 object passes all of its rules as ``(ok, message)`` pairs to one call, so one
@@ -31,8 +33,9 @@ error names every failing rule; a second call would stop at the first.
 
 A sixth keeps one path per driver job in ``pipeline``. The four experiment
 drivers alone call ``_check``, once each, before anything trains; besides it
-only the CLI's configuration entry points and ``pipeline.prepare`` call
-``RunConfig.validated``; and ``pipeline.build_splits`` alone calls
+only ``cli.resolve_config``, the CLI's one configuration entry point, and
+``pipeline.prepare`` call ``RunConfig.validated``, so no command rewrites a
+validated configuration; and ``pipeline.build_splits`` alone calls
 ``data.build_scenario``, so a grid cell and a command split a pool alike.
 """
 import ast
@@ -63,7 +66,7 @@ ENTRY_SITES = {
 }
 
 IMPORT_OWNERS = {"threading": {"objective", "blas"}, "ctypes": {"blas"},
-                 "concurrent": set(), "multiprocessing": set()}
+                 "concurrent": set(), "multiprocessing": set(), "os": set()}
 
 
 def _bound_locally(fn: ast.AST) -> set:
@@ -190,8 +193,7 @@ def test_the_four_drivers_alone_call_the_up_front_check():
 
 
 def test_configurations_are_validated_only_where_they_enter():
-    assert callers("validated") == {"cli.resolve_config", "cli.cmd_pretrain",
-                                    "pipeline.prepare"}
+    assert callers("validated") == {"cli.resolve_config", "pipeline.prepare"}
 
 
 def test_build_splits_is_the_one_split_builder():
