@@ -10,15 +10,15 @@ types and the rules no one stage can see. It collects *all* violations: one
 entry per failing stage names every rule of that stage that fails, and a
 valid configuration builds every stage.
 The augmentations read no field: their magnitudes are constants scaled to
-the data spread. Nor does the prototype refresh, which is a fact of the
-mode: ELSA refits every fine-tuning epoch and ELSA+ every third. The
-cluster spread of the synthetic data is ``SyntheticSpec``'s default alone.
+the data spread. Nor do the shift slots, a fact of the mode (ELSA: one;
+ELSA+: one per shifting transform), which own ``n_prototypes`` / slots
+prototypes each, or the refresh that follows from them. The cluster spread
+of the synthetic data is ``SyntheticSpec``'s default alone.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
 import sys
 from dataclasses import dataclass
@@ -115,10 +115,9 @@ class RunConfig:
             return out
         if self.n_prototypes < 1:
             out.append(f"n_prototypes must be >= 1, got {self.n_prototypes}")
-        elif self.tau > 0 and not self.energy_positive:
-            # (a non-positive tau has no domain; each stage reports it)
-            out.append(f"ln(n_prototypes)={math.log(self.n_prototypes):.4f} must exceed "
-                       f"1/tau={1.0 / self.tau:.4f} for positive scores")
+        elif self.n_prototypes % self.shift_count:
+            out.append(f"n_prototypes must be a multiple of the {self.shift_count} shift "
+                       f"slots, got {self.n_prototypes}")
         if self.mode not in MODES:
             out.append(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.score_name not in obj.SCORES:
@@ -150,9 +149,9 @@ class RunConfig:
         return self.mode == "elsa_plus"
 
     @property
-    def energy_positive(self) -> bool:
-        """Whether every energy score is positive: ln k > 1/tau."""
-        return obj.energy_positive(self.n_prototypes, self.tau)
+    def shift_count(self) -> int:
+        """The shift slots: one per shifting transform for ELSA+, the identity for ELSA."""
+        return SHIFT_COUNT if self.shift_mode else 1
 
     def synthetic_spec(self, seed_offset: int = 0) -> SyntheticSpec:
         return SyntheticSpec(
@@ -171,15 +170,19 @@ class RunConfig:
     def encoder_dims(self) -> EncoderDims:
         return EncoderDims(input=self.input_dim, hidden=self.hidden_dim,
                            embed=self.embed_dim,
-                           shifts=SHIFT_COUNT if self.shift_mode else 1)
+                           shifts=self.shift_count)
 
     def initial_params(self) -> enc.EncoderParams:
         """Encoder weights before pre-training."""
         return enc.init(self.seed + 2, self.encoder_dims())
 
     def fit_prototypes(self, embeddings) -> proto.PrototypeSet:
-        """The initial ``n_prototypes`` spherical k-means prototypes."""
-        return proto.fit(embeddings, self.n_prototypes, seed=self.seed + 4)
+        """The initial k-means prototypes: ``n_prototypes`` / slots per shift slot, each
+        fit on that slot's block of ``embeddings``, stacked slot-major."""
+        slots = self.shift_count
+        return proto.PrototypeSet(np.vstack([
+            proto.fit(block, self.n_prototypes // slots, seed=self.seed + 4).vectors
+            for block in np.split(embeddings, slots)]))
 
     def score_rng(self) -> np.random.Generator:
         """The random stream of ensembled test-time scoring."""
@@ -209,7 +212,6 @@ class RunConfig:
                               lr=self.finetune_lr,
                               tau=self.tau,
                               loss_name=self.loss_name,
-                              refresh_period=3 if self.shift_mode else 1,
                               seed=self.seed + 5)
 
     # ------------------------------------------------------------------

@@ -97,7 +97,6 @@ class FinetuneConfig:
     lr: float = 1e-4
     tau: float = 0.5
     loss_name: str = "elsa"
-    refresh_period: int = 1
     seed: int = 0
 
     def __post_init__(self):
@@ -106,9 +105,7 @@ class FinetuneConfig:
                 (self.lr > 0, f"lr must be positive, got {self.lr}"),
                 (self.tau > 0, f"tau must be positive, got {self.tau}"),
                 (self.loss_name in obj.LOSSES,
-                 f"loss_name must be one of {obj.LOSSES}, got {self.loss_name!r}"),
-                (self.refresh_period >= 1,
-                 f"refresh_period must be >= 1, got {self.refresh_period}"))
+                 f"loss_name must be one of {obj.LOSSES}, got {self.loss_name!r}"))
 
 
 @dataclass
@@ -135,11 +132,11 @@ class RunResult:
 
 def prototype_inputs(params: enc.EncoderParams, dataset: Dataset,
                      shifts: ShiftFamily) -> np.ndarray:
-    """Embeddings the prototypes are fit on.
+    """Embeddings the prototypes are fit on, one shift-major block per slot.
 
     The training set is enlarged by every shifting transform, so the
-    clustering pool covers the shifted copies too (they are meant to claim
-    prototypes of their own).
+    clustering pool covers the shifted copies too (each claims prototypes of
+    its own slot).
     """
     feats = dataset.features[clustering_pool(dataset)]
     return enc.embed(params, shifts.expand(feats)[0])
@@ -157,18 +154,19 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
 
     Batches run through ``pretrain.train_epoch`` with Adam. Every batch sample
     is expanded into two weak views, ``shift(weak(x))`` over all shifting
-    transforms; semi-labels repeat across the expansion. Prototypes
-    are refit from the current (non-anomalous) embeddings at the epochs
-    where ``prototypes.refresh_due(epoch, refresh_period)``, epochs counted
-    from 1 in every run, resumed or not; the training set is embedded only
-    on the epochs that refit. The early-stop score is recorded each
-    epoch and the best-scoring snapshot is returned. The loss refuses only
-    scores at its poles, whatever k and tau are. ``eval_probe(params,
-    protos)``, when given, only logs a per-epoch test metric; it never
-    influences training or model selection.
+    transforms; semi-labels repeat across the expansion. Each copy is scored
+    against its shift slot's m = k / slots prototypes, with C = ln m + 1/tau.
+    With one slot (ELSA) the prototypes are refit from the current
+    (non-anomalous) embeddings at every epoch; several slots (ELSA+) keep
+    their initial fit and never re-embed the training set. The early-stop
+    score is recorded each epoch and the best-scoring snapshot is returned.
+    The loss refuses only scores at its poles, whatever k and tau are.
+    ``eval_probe(params, protos)``, when given, only logs a per-epoch test
+    metric; it never influences training or model selection.
     """
     params = params.copy()
-    C = obj.c_constant(protos.k, cfg.tau)
+    refits = shifts.count == 1
+    C = obj.c_constant(protos.k // shifts.count, cfg.tau)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()
     n_steps = 0
@@ -187,9 +185,13 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
                                    wallclock=time.time() - t0))
 
     def energy(embed, take):
-        scores, ds_de = obj.energy_score_grad(embed, protos.vectors, cfg.tau)
-        b, d_scores = obj.loss_by_name(cfg.loss_name, scores, train.semi[take], C)
-        return (b.total, b.anomaly_term, b.normal_term), d_scores[:, None] * ds_de
+        # Two views, each shift-major (``two_views``): one block per (view, slot).
+        copies = embed.reshape(2, shifts.count, -1, embed.shape[1])
+        scores, ds_de = obj.energy_score_grad(
+            copies, obj.slot_blocks(protos.vectors, shifts.count), cfg.tau)
+        b, d_scores = obj.loss_by_name(cfg.loss_name, scores.ravel(), train.semi[take], C)
+        return ((b.total, b.anomaly_term, b.normal_term),
+                d_scores[:, None] * ds_de.reshape(embed.shape))
 
     def adam(grads):
         nonlocal n_steps
@@ -202,17 +204,15 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     best_params, best_protos = params.copy(), protos
 
     for epoch in range(1, cfg.epochs + 1):
-        refreshed = proto.refresh_due(epoch, cfg.refresh_period)
-        if refreshed:
-            emb = prototype_inputs(params, train, shifts)
-            protos = proto.refresh(protos, emb, epoch, cfg.refresh_period)
+        if refits:
+            protos = proto.refresh(protos, prototype_inputs(params, train, shifts), epoch, 1)
         table = train_epoch(params, train.features, cfg.batch_size, rng, weak_cfg,
                             energy, adam, shifts, min_rows=1, shift_first=False)
         means = [0.0] * len(loss_keys)
         if len(table):
             total, anomaly, normal, ce = table.T
             means = [float(np.mean(c)) for c in (total + ce, anomaly, normal, ce)]
-        record(epoch, means, refreshed)
+        record(epoch, means, refits)
         if trace[-1].earlystop_auroc > best_score:
             best_score, best_epoch = trace[-1].earlystop_auroc, epoch
             best_params, best_protos = params.copy(), protos
@@ -261,14 +261,14 @@ def evaluate_scores(
     raise ValidationError(f"unknown score {score_name!r}; expected one of {obj.SCORES}")
 
 
-def test_auroc_probe(test: Dataset, tau: float
+def test_auroc_probe(test: Dataset, tau: float, slots: int
                      ) -> Callable[[enc.EncoderParams, proto.PrototypeSet], float]:
-    """Per-epoch test metric: clean-embedding energy AUROC. Logging only."""
+    """Per-epoch test metric: clean-embedding energy AUROC, in the identity's slot 0."""
     labels = test.eval_normal_labels()
 
     def probe(params: enc.EncoderParams, protos: proto.PrototypeSet) -> float:
         emb = enc.embed(params, test.features)
-        return auroc(obj.energy_score(emb, protos.vectors, tau), labels)
+        return auroc(obj.energy_score(emb, protos.vectors[:protos.k // slots], tau), labels)
 
     return probe
 

@@ -1,12 +1,14 @@
 """Normality scores and training losses, each with its analytic gradient.
 
 The central score is the prototype energy: S(x) = logsumexp_p(sim(e, p)/tau)
-over unit embeddings e and unit prototypes p, bounded in
-[ln k - 1/tau, ln k + 1/tau]. The fine-tuning loss drives 1/S down for
+over unit embeddings e and unit prototypes p. The set is slot-major: each
+shift slot (ELSA has one, ELSA+ one per shifting transform) owns m = k / slots
+consecutive prototypes, and a row of slot s meets slot s's block alone, so
+S(x) lies in [ln m - 1/tau, ln m + 1/tau]. The fine-tuning loss drives 1/S down for
 (mostly) normal samples and 1/(C - S) down for labeled anomalies, with the
-cap C = ln k + 1/tau attained only when a sample matches every prototype
-perfectly. The losses refuse only their poles: a labeled anomaly at or above
-C, and for the ELSA loss another row at exactly 0. Ablation scores
+cap C = ln m + 1/tau attained only when a sample matches every prototype
+of its slot perfectly. The losses refuse only their poles: a labeled anomaly
+at or above C, and for the ELSA loss another row at exactly 0. Ablation scores
 (nearest-prototype cosine, reference-set uniformity) and losses (naive,
 inverse-anomaly-only) live here too.
 
@@ -44,15 +46,9 @@ from .mathcore import NumericError, logsumexp_rows_inplace, softmax_rows
 
 
 def c_constant(n_prototypes: int, tau: float) -> float:
-    """The score cap C = ln(k) + 1/tau of k >= 1 prototypes at tau > 0, used by the
-    inverse losses: the score when sim = 1 against all prototypes."""
+    """The score cap C = ln(m) + 1/tau of m >= 1 prototypes per slot at tau > 0, used
+    by the inverse losses: the score when sim = 1 against all of a slot's prototypes."""
     return math.log(n_prototypes) + 1.0 / tau
-
-
-def energy_positive(n_prototypes: int, tau: float) -> bool:
-    """Whether every energy score of k prototypes at tau > 0 is provably positive:
-    its lower bound ln k - 1/tau is, so 1/S has no pole in the score range."""
-    return math.log(n_prototypes) > 1.0 / tau
 
 
 @dataclass
@@ -62,14 +58,22 @@ class LossBreakdown:
     normal_term: float
 
 
+def slot_blocks(P: np.ndarray, slots: int) -> np.ndarray:
+    """The slot-major prototypes ``P`` as a (slots, k / slots, d) stack of blocks."""
+    if len(P) % slots:
+        raise ValidationError(f"{len(P)} prototypes do not fill {slots} shift slots")
+    return P.reshape(slots, -1, P.shape[-1])
+
+
 def _energy(E: np.ndarray, P: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
-    """``(scores, w)``: the logsumexp scores of ``E @ P.T / tau`` and ``w``, that
-    matrix overwritten with its max-shifted exp; a non-finite score raises."""
-    if len(P) == 0:
+    """``(scores, w)``: the logsumexp scores of ``E @ P.T / tau`` over its last axis
+    and ``w``, those logits overwritten with their max-shifted exp; a non-finite score
+    raises. Rows stacked (..., slots, n, d) meet only their slot's ``slot_blocks``."""
+    if P.shape[-2] == 0:
         raise ValidationError("prototype set is empty")
-    w = E @ P.T
+    w = E @ np.swapaxes(P, -1, -2)
     w /= tau
-    scores = logsumexp_rows_inplace(w)
+    scores = logsumexp_rows_inplace(w.reshape(-1, w.shape[-1])).reshape(w.shape[:-1])
     if not np.isfinite(scores).all():
         raise NumericError(f"non-finite energy score at tau={tau}")
     return scores, w
@@ -84,7 +88,7 @@ def energy_score_grad(E: np.ndarray, prototypes: np.ndarray, tau: float
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Batch scores plus dS/dE rows: softmax(logits) @ P / tau, softmax = w / its row sums."""
     scores, w = _energy(E, prototypes, tau)
-    w /= np.sum(w, axis=1, keepdims=True)
+    w /= np.sum(w, axis=-1, keepdims=True)
     grad = w @ prototypes
     grad /= tau
     return scores, grad
@@ -94,10 +98,10 @@ def summed_shift_energy(X, params: enc.EncoderParams, prototypes: np.ndarray,
                         weak_cfg: WeakAugConfig, shifts: ShiftFamily,
                         rng: np.random.Generator) -> np.ndarray:
     """Early stopping's score: one weak draw of each row, expanded over every
-    shift, and the raw-similarity energy (tau 1) of each copy summed over shifts."""
+    shift, and the raw-similarity energy (tau 1) of each copy in its slot, summed."""
     rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
-    energies = energy_score(enc.embed(params, rows), prototypes, 1.0)
-    return energies.reshape(shifts.count, len(X)).sum(axis=0)
+    copies = enc.embed(params, rows).reshape(shifts.count, len(X), -1)
+    return energy_score(copies, slot_blocks(prototypes, shifts.count), 1.0).sum(axis=0)
 
 
 def score_cosine(E: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
@@ -171,7 +175,7 @@ def _anomaly_gap(s, is_anom, C: float) -> np.ndarray:
 
 def loss_elsa(scores, semi, C: float) -> Tuple[LossBreakdown, np.ndarray]:
     """Mean of 1/(C - S) over labeled anomalies and 1/S over everything else. A
-    score at a pole raises; a negative one, which ln k < 1/tau allows, does not."""
+    score at a pole raises; a negative one, which ln m < 1/tau allows, does not."""
     s, is_anom = _groups(scores, semi)
     gap, rest = _anomaly_gap(s, is_anom, C), s[~is_anom]
     if np.any(rest == 0.0):
@@ -238,7 +242,7 @@ def score_ensemble(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Ensembled normality score: the mean of the energy score over n_samples
-    weak views of every shifted copy, S_en(x) = E[S(weak(shift(x)))].
+    weak views of every shifted copy in its slot, S_en(x) = E[S(weak(shift(x)))].
 
     The views are drawn shift by shift, all n_samples draws of shift 0 first,
     from ``rng`` alone; the scores and ``rng``'s final state are the serial
@@ -251,6 +255,7 @@ def score_ensemble(
     """
     if n_samples < 1:
         raise ValidationError("n_samples must be >= 1")
+    blocks = slot_blocks(prototypes, shifts.count)
     free = queue.SimpleQueue()     # empty view buffers; None stops the producer
     ready = queue.SimpleQueue()    # drawn views, or the producer's exception
     for _ in range(_RING_DEPTH):
@@ -276,11 +281,11 @@ def score_ensemble(
     with blas.one_thread():
         producer.start()
         try:
-            for _ in range(total):
+            for i in range(total):
                 view = ready.get()
                 if isinstance(view, BaseException):
                     raise view
-                acc += energy_score(enc.embed(params, view), prototypes, tau)
+                acc += energy_score(enc.embed(params, view), blocks[i // n_samples], tau)
                 free.put(view)
         finally:
             free.put(None)

@@ -140,21 +140,18 @@ def finetune_and_eval(ctx: PipelineContext, **overrides) -> Tuple[RunResult, Dic
 
     ``overrides`` replace RunConfig fields: seed-paired ablation rows (another
     loss or score on identical splits and pretraining) and prototype-count
-    sweeps. The report's ``strict_scores`` says whether every energy score is
-    provably positive (``RunConfig.energy_positive``); the loss is the same
-    either way.
+    sweeps.
     """
     rc = ctx.rc.replace(**overrides)
     train, test = ctx.split.train, ctx.split.test
     outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
-                             eval_probe=test_auroc_probe(test, rc.tau))
+                             eval_probe=test_auroc_probe(test, rc.tau, rc.shift_count))
     scores = score_stage(rc, outcome.best_params, outcome.best_prototypes, test, train)
     final = auroc(scores, test.eval_normal_labels())
     report = {
         "loss_name": rc.loss_name,
         "score_name": rc.score_name,
         "n_prototypes": rc.n_prototypes,
-        "strict_scores": rc.energy_positive,
         "split_hash": ctx.split_digest,
         "best_checkpoint_epoch": outcome.best_checkpoint_epoch,
         "final_auroc": final,
@@ -194,22 +191,18 @@ def _check(rcs: Sequence[RunConfig], *rules: Tuple[bool, str]) -> None:
     require(*((False, problem) for problem in problems), *rules)
 
 
-def _count_rule(name: str, k) -> Tuple[bool, str]:
-    if not fits(k, "int"):
-        return False, f"{name} must be int, got {k!r}"
-    return k >= 1, f"{name} must be >= 1, got {k}"
-
-
 def run_grid(rc: RunConfig, n_normal_configs: int = 4, n_anomaly_mixes: int = 3) -> Dict:
     """The grid analogue of the paper-style (normal x anomaly) sweep; the cells run in
     turn in this process, as a pool of two-thread OpenBLAS workers was 3-4x slower
     on two vCPUs. Cell (i, j) draws its pool at seed ``rc.seed + 1000 i + j`` and
     keeps the anomaly classes j + 1, j + 1 + n_anomaly_mixes, ... Both sizes are
     ints, checked with the configuration in one error before any cell."""
-    mixes_typed = fits(n_anomaly_mixes, "int")
+    normals_typed, mixes_typed = fits(n_normal_configs, "int"), fits(n_anomaly_mixes, "int")
     _check([rc], (rc.scenario != "s3", "the grid draws every anomaly mix from one pool, "
                   "while scenario s3 takes its anomalies from two other pools"),
-           _count_rule("n_normal_configs", n_normal_configs),
+           (normals_typed, f"n_normal_configs must be int, got {n_normal_configs!r}"),
+           (not normals_typed or n_normal_configs >= 1,
+            f"n_normal_configs must be >= 1, got {n_normal_configs}"),
            (mixes_typed, f"n_anomaly_mixes must be int, got {n_anomaly_mixes!r}"),
            (not (mixes_typed and fits(rc.anomaly_classes, "int"))  # a mistyped one is named
             or 1 <= n_anomaly_mixes <= rc.anomaly_classes,
@@ -257,12 +250,10 @@ def run_ablation(rc: RunConfig, pairs: Sequence[Tuple[str, str]]) -> List[Dict]:
 def prototype_count_sweep(rc: RunConfig, ks: Sequence[int],
                           seeds: Sequence[int]) -> List[Dict]:
     """AUROC and early-stop traces for each prototype count, over seeds. Every
-    count and seed, each an int, is checked with the configuration in one error
-    before pre-training, but a count above the training set's size only fails
-    after the split. Counts need not give positive energies: below e^(1/tau)
-    a score may be negative, and the loss refuses only a score at its poles."""
-    _check([rc.replace(seed=s) for s in seeds] or [rc],
-           *(_count_rule("n_prototypes", k) for k in ks))
+    (seed, count) row's configuration is checked in one error before
+    pre-training, but a count above the training set's size only fails after
+    the split."""
+    _check([rc.replace(seed=s, n_prototypes=k) for s in seeds for k in ks] or [rc])
     rows = []
     for seed_rc in [rc.replace(seed=int(s)) for s in seeds]:
         ctx = prepare(seed_rc)

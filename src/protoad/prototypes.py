@@ -2,8 +2,10 @@
 
 Prototypes are the centroids of a cosine-similarity k-means run over the
 embeddings of the (mostly normal) training pool; they act as the subclasses
-the energy score is computed against, and are refit during fine-tuning as
-the embedding moves, at the epochs that ``refresh_due`` names.
+the energy score is computed against. ``RunConfig.fit_prototypes`` is the one
+initial fit: k/S prototypes per shift slot, each on that slot's embeddings,
+stacked slot-major. ``refresh`` is the one refit, as the embedding moves
+during fine-tuning; only ELSA's single slot is refit, at every epoch.
 """
 from __future__ import annotations
 

@@ -17,8 +17,9 @@ newly fails is a regression, and a gate that now passes leaves the set in
 the same change, with its old and new values recorded in CHANGES.md.
 
 The geometry is ``acceptance`` with 300 samples per class: cheap enough for
-every test run, and it shows the ELSA+ collapse and the ELSA s3
-early-stopping miss, neither of which ``smoke`` shows.
+every test run, and it shows the ELSA s3 early-stopping miss, which
+``smoke`` does not show. It also showed the ELSA+ fine-tuning collapse while
+every shifted copy was scored against every slot's prototypes.
 """
 import numpy as np
 import pytest
@@ -32,11 +33,7 @@ MODES = ("elsa_plus", "elsa")
 CELLS = {"s2 gp 0.1": {"scenario": "s2", "gamma_p": 0.1}, "s3": {"scenario": "s3"}}
 SEEDS = (0, 1, 2)
 
-EXPECTED_FAILURES = {
-    ("G1", "elsa_plus", "s2 gp 0.1"), ("G2", "elsa_plus", "s2 gp 0.1"),
-    ("G1", "elsa_plus", "s3"), ("G2", "elsa_plus", "s3"),
-    ("G1", "elsa", "s3"), ("G2", "elsa", "s3"), ("G3", "elsa", "s3"),
-}
+EXPECTED_FAILURES = {("G1", "elsa", "s3"), ("G2", "elsa", "s3"), ("G3", "elsa", "s3")}
 
 
 def _measure(rc):

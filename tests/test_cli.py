@@ -205,6 +205,30 @@ def test_pretrain_on_data_of_another_width_exits_with_validation_code(tmp_path):
     assert not ckpt.exists()
 
 
+def test_prototype_count_that_fills_the_shift_slots_runs(tmp_path):
+    # ELSA has one slot, so 6 prototypes run, though ln 6 < 1/tau lets a
+    # score fall below 0; the fine-tuned checkpoint holds all six.
+    data, pre, ft = (str(tmp_path / n) for n in ("data", "pre.ckpt", "ft.ckpt"))
+    for argv in (["gen-data", "--preset", "smoke", "--mode", "elsa", "--prototypes", "6",
+                  "--out", data],
+                 ["pretrain", "--config", f"{data}.config.json", "--data", data,
+                  "--out", pre],
+                 ["finetune", "--checkpoint", pre, "--data", data, "--out", ft]):
+        code, err = _main(argv)
+        assert code == 0, (argv[0], err)
+    assert load_checkpoint(ft).prototypes.k == 6
+
+
+def test_prototype_count_that_leaves_a_shift_slot_short_exits_with_validation_code(
+        tmp_path):
+    # ELSA+ has four shift slots, and 6 prototypes do not split evenly over them.
+    code, err = _main(["gen-data", "--preset", "smoke", "--prototypes", "6",
+                       "--out", str(tmp_path / "data")])
+    assert code == 3 and "n_prototypes must be a multiple of the 4 shift slots, got 6" \
+        in err, err
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_finite_dataset_payload_exits_with_numeric_code(tmp_path):
     path = tmp_path / "inf.ds"
     rows = np.zeros((2, 3 + 2), dtype="<f4")

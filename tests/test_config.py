@@ -70,11 +70,10 @@ STAGE_OBJECTS = [
      ["epochs must be >= 0, got -1", "batch_size must be >= 2, got 1",
       "lr must be positive, got 0.0", "tau must be positive, got 0.0"]),
     (FinetuneConfig, {"epochs": -1, "batch_size": 0, "lr": 0.0, "tau": 0.0,
-                      "loss_name": "bogus", "refresh_period": 0},
+                      "loss_name": "bogus"},
      ["epochs must be >= 0, got -1", "batch_size must be >= 1, got 0",
       "lr must be positive, got 0.0", "tau must be positive, got 0.0",
-      "loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'bogus'",
-      "refresh_period must be >= 1, got 0"]),
+      "loss_name must be one of ('elsa', 'naive', 'deepsad'), got 'bogus'"]),
 ]
 
 
@@ -99,6 +98,16 @@ def test_each_stage_entry_names_every_failing_rule_of_its_stage(changes, expecte
     assert RunConfig(**changes).violations() == expected
 
 
+@pytest.mark.parametrize("mode, k, expected", [
+    ("elsa", 1, []), ("elsa", 6, []), ("elsa_plus", 4, []), ("elsa_plus", 8, []),
+    ("elsa_plus", 6, ["n_prototypes must be a multiple of the 4 shift slots, got 6"]),
+    ("elsa_plus", 2, ["n_prototypes must be a multiple of the 4 shift slots, got 2"]),
+])
+def test_prototype_count_must_fill_every_shift_slot(mode, k, expected):
+    # Any count that fills the slots is valid, whether or not ln(k/S) > 1/tau.
+    assert RunConfig(mode=mode, n_prototypes=k).violations() == expected
+
+
 def test_validated_returns_a_valid_config_unchanged():
     rc = RunConfig()
     assert rc.validated() is rc
@@ -111,10 +120,10 @@ def test_unknown_preset_raises():
 
 
 @pytest.mark.parametrize("changes", [{"tau": 0.0}, {"tau": -1.0},
-                                     {"tau": 0.0, "n_prototypes": 1}])
+                                     {"tau": 0.0, "n_prototypes": 4}])
 def test_non_positive_score_tau_is_listed_not_raised(changes):
     # Pre-training and scoring share the one temperature: each stage reports a
-    # bad value once, and the positive-energy rule (ln k > 1/tau) stays silent.
+    # bad value once, and no rule ties the prototype count to it.
     assert RunConfig(**changes).violations() == \
         [f"{stage} stage: tau must be positive, got {changes['tau']}"
          for stage in ("pretrain", "finetune")]

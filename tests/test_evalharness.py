@@ -58,9 +58,10 @@ def _earlystop_oracle(params, protos, validation, weak_cfg, strong_cfg, shifts, 
     view_b = weak_batch(strong_batch(X, strong_cfg, rng), weak_cfg, rng)
 
     def per_view(rows):
-        emb = enc.embed(params, shifts.expand(rows)[0])
-        per_shift = logsumexp_rows_by_copy(emb @ protos.vectors.T)
-        return per_shift.reshape(shifts.count, len(rows)).sum(axis=0)
+        copies = np.split(enc.embed(params, shifts.expand(rows)[0]), shifts.count)
+        blocks = np.split(protos.vectors, shifts.count)     # one per shift slot
+        return np.sum([logsumexp_rows_by_copy(z @ b.T) for z, b in zip(copies, blocks)],
+                      axis=0)
 
     scores = np.concatenate([per_view(view_a), per_view(view_b)])
     labels = np.repeat([1, 0], len(X))
@@ -102,32 +103,27 @@ def test_finetune_loss_total_is_the_sum_of_its_terms(mode):
 
 
 def test_finetune_embeds_training_set_only_on_refresh_epochs(monkeypatch):
-    # ELSA+ refreshes every 3 epochs; the pinned trace is the one the loop
-    # gave when it re-embedded the training set on every epoch.
-    rc = preset("smoke").replace(mode="elsa_plus", finetune_epochs=7)
-    assert rc.finetune_config().refresh_period == 3
-    ctx = pipeline.prepare(rc)
+    # The refresh follows from the shift slots. ELSA's one slot is refit, and
+    # the training set re-embedded, at every epoch; ELSA+ embeds the training
+    # set once, for the initial per-slot fit, and never refits.
     calls = []
-    embed = evalharness.prototype_inputs
+    embed, refresh = evalharness.prototype_inputs, proto.refresh
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return embed(*args, **kwargs)
+    def counting(name, fn):
+        def recorded(*args):
+            calls.append(name)
+            return fn(*args)
+        return recorded
 
-    monkeypatch.setattr(evalharness, "prototype_inputs", counting)
-    outcome, report = pipeline.finetune_and_eval(ctx)
-    flags = [m.prototype_refresh_flag for m in outcome.trace]
-    assert flags == [False, False, False, True, False, False, True, False]
-    assert len(calls) == sum(flags)
-    assert outcome.best_checkpoint_epoch == 4
-    assert report["final_auroc"] == pytest.approx(0.8763020833333334, abs=1e-9)
-    assert report["earlystop_trace"] == pytest.approx(
-        [5 / 9, 5 / 9, 4 / 9, 3 / 9, 7 / 9, 3 / 9, 5 / 9, 4 / 9], abs=1e-9)
-    assert report["test_auroc_trace"] == pytest.approx(
-        [0.8216145833333334, 0.8177083333333334, 0.8177083333333334,
-         0.80859375, 0.8059895833333334, 0.8072916666666666, 0.79296875,
-         0.79296875], abs=1e-9)
-    assert [m.loss["total"] for m in outcome.trace[1:]] == pytest.approx(
-        [1.19956858502301, 1.034646474814548, 0.929219154734214,
-         1.1863361688099796, 1.0095746186844359, 0.9851666499971138,
-         0.9552057663584911], abs=1e-9)
+    for owner in (evalharness, pipeline):
+        monkeypatch.setattr(owner, "prototype_inputs", counting("embed", embed))
+    monkeypatch.setattr(proto, "refresh", counting("refresh", refresh))
+    for mode, refits in (("elsa", True), ("elsa_plus", False)):
+        ctx = pipeline.prepare(preset("smoke").replace(mode=mode, finetune_epochs=4))
+        calls.clear()
+        outcome, _ = pipeline.finetune_and_eval(ctx)
+        assert [m.prototype_refresh_flag for m in outcome.trace] == [False] + [refits] * 4
+        assert calls == ["embed"] + ["embed", "refresh"] * 4 * refits
+    initial = ctx.rc.fit_prototypes(embed(ctx.pretrained.params, ctx.split.train,
+                                          ctx.rc.shift_family()))
+    assert np.array_equal(outcome.best_prototypes.vectors, initial.vectors)

@@ -18,10 +18,8 @@ from protoad.config import preset
 
 TOL = 1e-9
 SMOKE_SPLIT = "a8adbd574cd5d73c9614e1f3e84b2816b468cdf3e81e1b3bac4d831521207861"
-ES_ELSA_PLUS = [0.5555555555555556, 0.5555555555555556, 0.4444444444444444,
-                0.3333333333333333]
-TEST_ELSA_PLUS = [0.8216145833333334, 0.8177083333333334, 0.8177083333333334,
-                  0.80859375]
+ES_ELSA_PLUS = [1.0, 1.0, 1.0, 0.3333333333333333]
+TEST_ELSA_PLUS = [0.9557291666666666] * 4
 
 
 def _close(actual, expected):
@@ -41,7 +39,7 @@ def _check(report, expected):
     ("elsa_plus", {
         "split_hash": SMOKE_SPLIT,
         "best_checkpoint_epoch": 0,
-        "final_auroc": 0.875,
+        "final_auroc": 0.9973958333333334,
         "pretrain_baseline_auroc": 0.9401041666666666,
         "earlystop_trace": ES_ELSA_PLUS,
         "test_auroc_trace": TEST_ELSA_PLUS,
@@ -67,48 +65,46 @@ def test_golden_run_grid():
     assert len(cells) == 2
     _check(cells[0], {"normal_config": 0, "anomaly_mix": [1, 2, 3],
                       "split_hash": SMOKE_SPLIT, "best_checkpoint_epoch": 0,
-                      "final_auroc": 0.875, "earlystop_trace": ES_ELSA_PLUS})
+                      "final_auroc": 0.9973958333333334, "earlystop_trace": ES_ELSA_PLUS})
     _check(cells[1], {
         "normal_config": 1, "anomaly_mix": [1, 2, 3],
         "split_hash": "b211b41f0e6ee740c4b0905c06102fcecc60e6a65ae63435f1be798f6a165d5f",
-        "best_checkpoint_epoch": 0, "final_auroc": 0.828125,
-        "earlystop_trace": [0.8888888888888888, 0.7777777777777778,
-                            0.8888888888888888, 0.4444444444444444]})
-    _close(report["mean_auroc"], 0.8515625)
-    _close(report["stderr_auroc"], 0.023437499999999997)
+        "best_checkpoint_epoch": 0, "final_auroc": 0.9140625,
+        "earlystop_trace": [1.0, 0.7777777777777778, 1.0, 0.8888888888888888]})
+    _close(report["mean_auroc"], 0.9557291666666667)
+    _close(report["stderr_auroc"], 0.041666666666666685)
 
 
 def test_golden_run_ablation():
     rows = pipeline.run_ablation(preset("smoke"), [("uniformity", "naive"),
                                                    ("cosine", "deepsad"),
                                                    ("energy", "elsa")])
+    other_losses = [0.9557291666666666] * 3 + [0.9544270833333334]
     expected = [
-        ("uniformity", "naive", 0.9401041666666666,
-         [0.8216145833333334, 0.8203125, 0.8203125, 0.80859375]),
-        ("cosine", "deepsad", 0.8177083333333334,
-         [0.8216145833333334, 0.8203125, 0.8203125, 0.80859375]),
-        ("energy", "elsa", 0.875, TEST_ELSA_PLUS),
+        ("uniformity", "naive", 0.9401041666666666, other_losses),
+        ("cosine", "deepsad", 0.890625, other_losses),
+        ("energy", "elsa", 0.9973958333333334, TEST_ELSA_PLUS),
     ]
     assert len(rows) == len(expected)
     for row, (score, loss, final, test_trace) in zip(rows, expected):
-        _check(row, {"score_name": score, "loss_name": loss, "strict_scores": True,
+        _check(row, {"score_name": score, "loss_name": loss,
                      "split_hash": SMOKE_SPLIT, "best_checkpoint_epoch": 0,
                      "final_auroc": final, "earlystop_trace": ES_ELSA_PLUS,
                      "test_auroc_trace": test_trace})
 
 
 def test_golden_prototype_count_sweep():
-    # k=1 cannot guarantee positive scores (ln 1 < 1/tau), and the loss runs anyway.
-    rows = pipeline.prototype_count_sweep(preset("smoke"), ks=[1, 8], seeds=[0])
+    # k=4 is one prototype per shift slot, so ln(k/S) = 0 < 1/tau cannot
+    # guarantee positive scores, and the loss runs anyway.
+    rows = pipeline.prototype_count_sweep(preset("smoke"), ks=[4, 8], seeds=[0])
     assert len(rows) == 2
-    _check(rows[0], {"n_prototypes": 1, "strict_scores": False, "seed": 0,
-                     "best_checkpoint_epoch": 0, "final_auroc": 0.22526041666666666,
-                     "earlystop_trace": [0.3333333333333333, 0.3333333333333333,
-                                         0.2222222222222222, 0.3333333333333333],
-                     "test_auroc_trace": [0.37890625, 0.3802083333333333,
-                                          0.37890625, 0.3684895833333333]})
-    _check(rows[1], {"n_prototypes": 8, "strict_scores": True, "seed": 0,
-                     "best_checkpoint_epoch": 0, "final_auroc": 0.875,
+    _check(rows[0], {"n_prototypes": 4, "seed": 0,
+                     "best_checkpoint_epoch": 0, "final_auroc": 0.9973958333333334,
+                     "earlystop_trace": [1.0, 1.0, 1.0, 0.6666666666666666],
+                     "test_auroc_trace": [0.9361979166666666, 0.9375,
+                                          0.9388020833333334, 0.9388020833333334]})
+    _check(rows[1], {"n_prototypes": 8, "seed": 0,
+                     "best_checkpoint_epoch": 0, "final_auroc": 0.9973958333333334,
                      "earlystop_trace": ES_ELSA_PLUS,
                      "test_auroc_trace": TEST_ELSA_PLUS})
 
@@ -130,7 +126,7 @@ def test_golden_cli_chain(tmp_path):
     with contextlib.redirect_stdout(io.StringIO()) as out:
         codes = [cli.main(argv) for argv in steps]
     assert codes == [0, 0, 0, 0, 0]
-    assert "best epoch 1 " in out.getvalue()
+    assert "best epoch 0 " in out.getvalue()
 
     def sha(name):
         return hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -140,12 +136,12 @@ def test_golden_cli_chain(tmp_path):
     assert sha("pre.ckpt") == \
         "caebcd177248be27b8e6b02a56438c20cc9713b82f3487db6397af9760347efc"
     assert sha("ft.ckpt") == \
-        "63f3f0838035c9551a59ac1b62f7a146c1b2e2fea4447621f947da8598f06b91"
+        "51822a92379ad4f7fbc9c9af27bf8fda62d586711f1fb24f33ed18f3284f38ac"
     assert sha("scores.jsonl") == \
-        "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a"
+        "43c902a7c78db10d5f913779b883149afcfcbdff7d3f17dc65693ce6664df45a"
     result = json.loads((tmp_path / "eval.json").read_text())
     assert result["count"] == 64
-    _close(result["auroc"], 0.8619791666666666)
+    _close(result["auroc"], 1.0)
 
 
 @pytest.mark.parametrize("mode, expected", [
@@ -157,9 +153,9 @@ def test_golden_cli_chain(tmp_path):
     }),
     ("elsa_plus", {
         "pre.ckpt": "caebcd177248be27b8e6b02a56438c20cc9713b82f3487db6397af9760347efc",
-        "ft.ckpt": "63f3f0838035c9551a59ac1b62f7a146c1b2e2fea4447621f947da8598f06b91",
-        "scores.jsonl": "9e9a2b266f8a1c68b9bee10b1500d44eb1bbd7c54eb94f6ad9231871d640ba4a",
-        "auroc": 0.8619791666666666,
+        "ft.ckpt": "51822a92379ad4f7fbc9c9af27bf8fda62d586711f1fb24f33ed18f3284f38ac",
+        "scores.jsonl": "43c902a7c78db10d5f913779b883149afcfcbdff7d3f17dc65693ce6664df45a",
+        "auroc": 1.0,
     }),
 ])
 def test_golden_cli_chain_by_mode(mode, expected, tmp_path):

@@ -127,6 +127,41 @@ def test_energy_grad():
     assert report.max_rel_error < 1e-6
 
 
+def test_slot_grad():
+    # Two views of three shift slots, two rows each, against two prototypes per slot.
+    rng = np.random.default_rng(2)
+    blocks = obj.slot_blocks(_unit_rows(6, 5, seed=3), 3)
+
+    def f(flat):
+        scores, dE = obj.energy_score_grad(flat.reshape(2, 3, 2, 5), blocks, 0.5)
+        return float(scores.sum()), dE.ravel()
+
+    report = grad_check(f, rng.normal(size=60), h=1e-5)
+    assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("slots", [1, 2, 4])
+def test_slotted_energy_scores_each_row_against_its_slot_block_alone(slots):
+    # Two views, each ``slots`` blocks of three rows; slot s's rows meet only
+    # the s-th block of the slot-major prototypes.
+    E = _unit_rows(6 * slots, 8, seed=5).reshape(2, slots, 3, 8)
+    P = _unit_rows(3 * slots, 8, seed=6)
+    scores, dE = obj.energy_score_grad(E, obj.slot_blocks(P, slots), 0.5)
+    assert scores.shape == (2, slots, 3) and dE.shape == E.shape
+    assert np.array_equal(scores, obj.energy_score(E, obj.slot_blocks(P, slots), 0.5))
+    for s, block in enumerate(np.split(P, slots)):
+        for view in range(2):
+            logits = E[view, s] @ block.T / 0.5
+            assert np.array_equal(scores[view, s], logsumexp_rows_by_copy(logits))
+            assert np.allclose(dE[view, s], softmax_rows(logits) @ block / 0.5,
+                               rtol=0, atol=1e-15)
+
+
+def test_prototypes_that_do_not_fill_the_slots_are_refused():
+    with pytest.raises(ValidationError, match="6 prototypes do not fill 4 shift slots"):
+        obj.slot_blocks(_unit_rows(6, 3, seed=2), 4)
+
+
 def test_energy_score_grad_matches_two_pass_oracle_bit_for_bit():
     # Oracle: logsumexp_rows for the scores, softmax_rows for dS/dE, each
     # with its own max, exp and sum over the same logits.
@@ -512,7 +547,7 @@ def test_ensemble_equals_copying_oracle_bitwise(recipe, count, rows, dim, n_samp
     params = _tiny_encoder(dim)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(rows, dim))
-    P = rng.normal(size=(4, 5))
+    P = rng.normal(size=(4 * count, 5))     # four prototypes per shift slot
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     weak, shifts = WeakAugConfig(), ShiftFamily.random(dim, count=count, seed=3)
     got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
@@ -532,7 +567,7 @@ def _ensemble_inputs():
     params = _tiny_encoder()
     rng = np.random.default_rng(13)
     X = rng.normal(size=(30, 6))
-    P = rng.normal(size=(4, 5))
+    P = rng.normal(size=(6, 5))     # two prototypes per shift slot
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     kw = dict(tau=0.5, weak_cfg=WeakAugConfig(), shifts=ShiftFamily.random(6, count=3, seed=4),
               n_samples=4)

@@ -65,6 +65,17 @@ def test_prototype_sweep_checks_every_count_and_seed_before_pretraining(monkeypa
             assert named == (type(v) is not int or v < least), (v, message)
 
 
+def test_prototype_sweep_checks_each_count_against_the_shift_slots(monkeypatch):
+    # Every (seed, count) row is a configuration: under ELSA+, 6 prototypes do
+    # not fill 4 shift slots, so the sweep stops before any pre-training.
+    prepared = []
+    monkeypatch.setattr(pipeline, "prepare", prepared.append)
+    with pytest.raises(ValidationError,
+                       match="n_prototypes must be a multiple of the 4 shift slots, got 6"):
+        pipeline.prototype_count_sweep(preset("smoke"), [8, 6], [0, 1])
+    assert not prepared
+
+
 @pytest.mark.parametrize("driver, args, trainer, needles", [
     ("run_pollution_sweep", (preset("smoke"), [1.5, 2.0]), "run_single",
      ["gamma_p below 1, got 1.5", "gamma_p below 1, got 2.0"]),

@@ -60,25 +60,29 @@ def _unit(rows):
 
 @st.composite
 def unit_rows_and_prototypes(draw):
-    n, k, d = draw(st.integers(1, 8)), draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    """``slots`` blocks of n unit rows, ``slots`` slot-major blocks of ``per_slot``
+    unit prototypes, and tau."""
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    slots, per_slot = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    P = _unit(rng.standard_normal((k, d)))
+    P = _unit(rng.standard_normal((slots * per_slot, d)))
     if draw(st.booleans()):     # rows on prototypes: the top of the range
-        E = P[rng.integers(0, k, size=n)]
+        E = P[rng.integers(0, len(P), size=slots * n)]
     else:
-        E = _unit(rng.standard_normal((n, d)))
-    return E, P, draw(st.floats(0.05, 5.0))
+        E = _unit(rng.standard_normal((slots * n, d)))
+    return E.reshape(slots, n, d), obj.slot_blocks(P, slots), draw(st.floats(0.05, 5.0))
 
 
 @PROPERTY
 @given(unit_rows_and_prototypes())
 def test_energy_of_unit_rows_lies_in_its_bound(case):
-    E, P, tau = case
-    k = len(P)
-    S = obj.energy_score(E, P, tau)
-    lo, hi = math.log(k) - 1.0 / tau, math.log(k) + 1.0 / tau
+    # Each row meets the k/S prototypes of its slot: S in [ln(k/S) - 1/tau, ln(k/S) + 1/tau].
+    E, blocks, tau = case
+    per_slot = blocks.shape[1]
+    S = obj.energy_score(E, blocks, tau)
+    lo, hi = math.log(per_slot) - 1.0 / tau, math.log(per_slot) + 1.0 / tau
     slack = 1e-12 * (1.0 + abs(hi))
-    assert S.shape == (len(E),)
+    assert S.shape == E.shape[:-1]
     assert np.all(S >= lo - slack) and np.all(S <= hi + slack), (S, lo, hi)
 
 
@@ -277,6 +281,6 @@ def test_violations_are_empty_exactly_when_every_stage_builds(changes):
         assert builds != any(p.startswith(f"{stage} stage: ") for p in problems), stage
     if not problems:
         cfg = rc.finetune_config()
-        obj.c_constant(rc.n_prototypes, cfg.tau)
-        rc.shift_family()
-        assert rc.energy_positive
+        obj.c_constant(rc.n_prototypes // rc.shift_count, cfg.tau)
+        assert rc.shift_family().count == rc.shift_count
+        assert rc.n_prototypes % rc.shift_count == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from protoad import prototypes as proto
+from protoad.config import preset
 from protoad.data import ValidationError
 
 
@@ -212,3 +213,17 @@ def test_prototype_vectors_are_read_only():
     own = np.eye(2)
     proto.PrototypeSet(own)
     own[0, 0] = 1.0    # the caller's array stays writable
+
+
+@pytest.mark.parametrize("mode", ["elsa", "elsa_plus"])
+def test_fit_prototypes_fits_each_slot_on_its_own_rows_alone(mode):
+    # Slot-major: k/S prototypes per slot, each block equal to a fit of that
+    # slot's rows alone; with one slot, the plain fit of every row.
+    rc = preset("smoke").replace(mode=mode)
+    slots = rc.shift_count
+    rows = _unit_rows(30 * slots, 8, np.random.default_rng(3))
+    got = rc.fit_prototypes(rows)
+    assert got.k == rc.n_prototypes
+    for block, own in zip(np.split(got.vectors, slots), np.split(rows, slots)):
+        assert np.array_equal(block, proto.fit(own, rc.n_prototypes // slots,
+                                               seed=rc.seed + 4).vectors)

@@ -37,6 +37,12 @@ only ``cli.resolve_config``, the CLI's one configuration entry point, and
 ``pipeline.prepare`` call ``RunConfig.validated``, so no command rewrites a
 validated configuration; and ``pipeline.build_splits`` alone calls
 ``data.build_scenario``, so a grid cell and a command split a pool alike.
+
+A seventh keeps one fit site and one refit site for the prototypes:
+``prototypes.fit`` is called only by ``RunConfig.fit_prototypes``, which
+splits the set into shift slots, and by ``prototypes.refresh``; and
+``prototypes.refresh`` only by ``evalharness.finetune_loop``, where the
+refresh follows from the slot count.
 """
 import ast
 from collections import Counter
@@ -198,6 +204,11 @@ def test_configurations_are_validated_only_where_they_enter():
 
 def test_build_splits_is_the_one_split_builder():
     assert callers("build_scenario") == {"pipeline.build_splits"}
+
+
+def test_prototypes_have_one_fit_site_and_one_refit_site():
+    assert callers("fit") == {"config.RunConfig.fit_prototypes", "prototypes.refresh"}
+    assert callers("refresh") == {"evalharness.finetune_loop"}
 
 
 def importers(modules) -> dict:
