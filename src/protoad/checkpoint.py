@@ -4,9 +4,10 @@ The header line is the manifest: the format version, the full run
 configuration (a JSON object) and the epoch (an integer), both required, an
 optional RNG state, and one section entry (name + shape) per weight array;
 the float32 payload concatenates the sections in manifest order: the encoder
-fields, then any prototype vectors, which must be as wide as the embedding.
-Other manifest keys are ignored. Arrays are widened back to float64 on load,
-so save -> load -> save reproduces the file byte for byte.
+fields, then any prototype vectors: a (slots, m, d) stack as wide as the
+embedding. A flat (k, d) set, saved before sets carried their shift slots, is
+refused. Other manifest keys are ignored. Arrays are widened back to float64
+on load, so save -> load -> save reproduces the file byte for byte.
 """
 from __future__ import annotations
 
@@ -61,8 +62,8 @@ def load_checkpoint(path) -> Checkpoint:
     protos = None
     if "prototypes.vectors" in arrays:
         protos = PrototypeSet(arrays["prototypes.vectors"], norm_tol=1e-5)
-        if protos.vectors.shape[1] != params.w3.shape[0]:
-            raise ValidationError(f"checkpoint prototypes are {protos.vectors.shape[1]} "
+        if protos.vectors.shape[2] != params.w3.shape[0]:
+            raise ValidationError(f"checkpoint prototypes are {protos.vectors.shape[2]} "
                                   f"wide, embeddings {params.w3.shape[0]}")
     return Checkpoint(config=config, epoch=epoch, rng_state=manifest.get("rng_state"),
                       params=params, prototypes=protos)

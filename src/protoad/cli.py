@@ -169,12 +169,13 @@ def cmd_pretrain(args) -> int:
 
 def _check_weights(rc: RunConfig, ckpt: Checkpoint) -> None:
     """Reject a configuration that does not describe the checkpoint's weights."""
-    p, wanted = ckpt.params, (rc.encoder_dims(), rc.n_prototypes)
+    p, slots = ckpt.params, rc.shift_count
+    wanted = (rc.encoder_dims(), slots, rc.n_prototypes // slots)
     held = (EncoderDims(p.w1.shape[1], p.w1.shape[0], p.w3.shape[0], p.wh.shape[0]),
-            wanted[1] if ckpt.prototypes is None else ckpt.prototypes.k)
+            *(wanted[1:] if ckpt.prototypes is None else ckpt.prototypes.vectors.shape[:2]))
     if held != wanted:
-        raise ConfigError("checkpoint holds {} and {} prototypes, but the configuration "
-                          "requests {} and {} prototypes".format(*held, *wanted))
+        raise ConfigError("checkpoint holds {} and {} x {} prototypes, but the configuration "
+                          "requests {} and {} x {} prototypes".format(*held, *wanted))
 
 
 def cmd_finetune(args) -> int:

@@ -177,10 +177,10 @@ class RunConfig:
         return enc.init(self.seed + 2, self.encoder_dims())
 
     def fit_prototypes(self, embeddings) -> proto.PrototypeSet:
-        """The initial k-means prototypes: ``n_prototypes`` / slots per shift slot, each
-        fit on that slot's block of ``embeddings``, stacked slot-major."""
+        """The initial k-means prototypes, a (slots, ``n_prototypes`` / slots, d) stack:
+        one fit per shift slot on that slot's block of ``embeddings``, concatenated."""
         slots = self.shift_count
-        return proto.PrototypeSet(np.vstack([
+        return proto.PrototypeSet(np.concatenate([
             proto.fit(block, self.n_prototypes // slots, seed=self.seed + 4).vectors
             for block in np.split(embeddings, slots)]))
 

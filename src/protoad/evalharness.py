@@ -155,7 +155,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     Batches run through ``pretrain.train_epoch`` with Adam. Every batch sample
     is expanded into two weak views, ``shift(weak(x))`` over all shifting
     transforms; semi-labels repeat across the expansion. Each copy is scored
-    against its shift slot's m = k / slots prototypes, with C = ln m + 1/tau.
+    against its slot's block of m prototypes, with C = ln m + 1/tau.
     With one slot (ELSA) the prototypes are refit from the current
     (non-anomalous) embeddings at every epoch; several slots (ELSA+) keep
     their initial fit and never re-embed the training set. The early-stop
@@ -166,7 +166,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     """
     params = params.copy()
     refits = shifts.count == 1
-    C = obj.c_constant(protos.k // shifts.count, cfg.tau)
+    C = obj.c_constant(protos.vectors.shape[1], cfg.tau)
     rng = _sub_rng(cfg.seed, 1)
     m_state, v_state = params.zeros_like(), params.zeros_like()
     n_steps = 0
@@ -187,8 +187,7 @@ def finetune_loop(params: enc.EncoderParams, protos: proto.PrototypeSet, train: 
     def energy(embed, take):
         # Two views, each shift-major (``two_views``): one block per (view, slot).
         copies = embed.reshape(2, shifts.count, -1, embed.shape[1])
-        scores, ds_de = obj.energy_score_grad(
-            copies, obj.slot_blocks(protos.vectors, shifts.count), cfg.tau)
+        scores, ds_de = obj.energy_score_grad(copies, protos.vectors, cfg.tau)
         b, d_scores = obj.loss_by_name(cfg.loss_name, scores.ravel(), train.semi[take], C)
         return ((b.total, b.anomaly_term, b.normal_term),
                 d_scores[:, None] * ds_de.reshape(embed.shape))
@@ -245,13 +244,14 @@ def evaluate_scores(
 ) -> np.ndarray:
     """Per-sample normality scores on a test set under one scoring rule.
 
-    Only the uniformity rule reads ``train``, for its reference embeddings.
+    The cosine rule scores the clean rows in the identity's slot 0 alone. Only
+    the uniformity rule reads ``train``, for its reference embeddings.
     """
     if score_name == "energy":
         return obj.score_ensemble(test.features, params, protos.vectors, tau,
                                   weak_cfg, shifts, n_ensemble, rng)
     if score_name == "cosine":
-        return obj.score_cosine(enc.embed(params, test.features), protos.vectors)
+        return obj.score_cosine(enc.embed(params, test.features), protos.vectors[0])
     if score_name == "uniformity":
         if train is None:
             raise ValidationError("uniformity scoring needs a training set as its "
@@ -261,14 +261,14 @@ def evaluate_scores(
     raise ValidationError(f"unknown score {score_name!r}; expected one of {obj.SCORES}")
 
 
-def test_auroc_probe(test: Dataset, tau: float, slots: int
+def test_auroc_probe(test: Dataset, tau: float
                      ) -> Callable[[enc.EncoderParams, proto.PrototypeSet], float]:
-    """Per-epoch test metric: clean-embedding energy AUROC, in the identity's slot 0."""
+    """Per-epoch test metric: clean-embedding energy AUROC in the identity's ``vectors[0]``."""
     labels = test.eval_normal_labels()
 
     def probe(params: enc.EncoderParams, protos: proto.PrototypeSet) -> float:
         emb = enc.embed(params, test.features)
-        return auroc(obj.energy_score(emb, protos.vectors[:protos.k // slots], tau), labels)
+        return auroc(obj.energy_score(emb, protos.vectors[0], tau), labels)
 
     return probe
 

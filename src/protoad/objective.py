@@ -1,9 +1,9 @@
 """Normality scores and training losses, each with its analytic gradient.
 
 The central score is the prototype energy: S(x) = logsumexp_p(sim(e, p)/tau)
-over unit embeddings e and unit prototypes p. The set is slot-major: each
-shift slot (ELSA has one, ELSA+ one per shifting transform) owns m = k / slots
-consecutive prototypes, and a row of slot s meets slot s's block alone, so
+over unit embeddings e and unit prototypes p. The set is a (slots, m, d)
+stack: each shift slot (ELSA has one, ELSA+ one per shifting transform) owns
+one block of m prototypes, and a row of slot s meets block s alone, so
 S(x) lies in [ln m - 1/tau, ln m + 1/tau]. The fine-tuning loss drives 1/S down for
 (mostly) normal samples and 1/(C - S) down for labeled anomalies, with the
 cap C = ln m + 1/tau attained only when a sample matches every prototype
@@ -59,18 +59,19 @@ class LossBreakdown:
 
 
 def slot_blocks(P: np.ndarray, slots: int) -> np.ndarray:
-    """The slot-major prototypes ``P`` as a (slots, k / slots, d) stack of blocks."""
-    if len(P) % slots:
-        raise ValidationError(f"{len(P)} prototypes do not fill {slots} shift slots")
+    """``P`` as a (slots, m, d) stack: a stack as it is, a flat (k, d) set cut slot-major."""
+    if len(P) % slots or P.ndim == 3 and len(P) != slots:
+        raise ValidationError(f"prototypes of shape {P.shape} do not fill {slots} shift slots")
     return P.reshape(slots, -1, P.shape[-1])
 
 
 def _energy(E: np.ndarray, P: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
     """``(scores, w)``: the logsumexp scores of ``E @ P.T / tau`` over its last axis
     and ``w``, those logits overwritten with their max-shifted exp; a non-finite score
-    raises. Rows stacked (..., slots, n, d) meet only their slot's ``slot_blocks``."""
-    if P.shape[-2] == 0:
-        raise ValidationError("prototype set is empty")
+    raises. Rows stacked (..., slots, n, d) meet only their slot's block of ``P``."""
+    if P.shape[-2] == 0 or P.ndim == 3 and E.shape[-3:-2] != P.shape[:1]:
+        raise ValidationError(f"rows of shape {E.shape} meet no block of prototypes "
+                              f"of shape {P.shape}")
     w = E @ np.swapaxes(P, -1, -2)
     w /= tau
     scores = logsumexp_rows_inplace(w.reshape(-1, w.shape[-1])).reshape(w.shape[:-1])
@@ -101,7 +102,7 @@ def summed_shift_energy(X, params: enc.EncoderParams, prototypes: np.ndarray,
     shift, and the raw-similarity energy (tau 1) of each copy in its slot, summed."""
     rows = shifts.expand(weak_batch(X, weak_cfg, rng))[0]
     copies = enc.embed(params, rows).reshape(shifts.count, len(X), -1)
-    return energy_score(copies, slot_blocks(prototypes, shifts.count), 1.0).sum(axis=0)
+    return energy_score(copies, prototypes, 1.0).sum(axis=0)
 
 
 def score_cosine(E: np.ndarray, prototypes: np.ndarray) -> np.ndarray:

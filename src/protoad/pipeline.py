@@ -145,7 +145,7 @@ def finetune_and_eval(ctx: PipelineContext, **overrides) -> Tuple[RunResult, Dic
     rc = ctx.rc.replace(**overrides)
     train, test = ctx.split.train, ctx.split.test
     outcome = finetune_stage(rc, ctx.pretrained.params, None, train, ctx.split.validation,
-                             eval_probe=test_auroc_probe(test, rc.tau, rc.shift_count))
+                             eval_probe=test_auroc_probe(test, rc.tau))
     scores = score_stage(rc, outcome.best_params, outcome.best_prototypes, test, train)
     final = auroc(scores, test.eval_normal_labels())
     report = {

@@ -2,10 +2,10 @@
 
 Prototypes are the centroids of a cosine-similarity k-means run over the
 embeddings of the (mostly normal) training pool; they act as the subclasses
-the energy score is computed against. ``RunConfig.fit_prototypes`` is the one
-initial fit: k/S prototypes per shift slot, each on that slot's embeddings,
-stacked slot-major. ``refresh`` is the one refit, as the embedding moves
-during fine-tuning; only ELSA's single slot is refit, at every epoch.
+the energy score is computed against. A set is a (slots, m, d) stack, one
+block per shift slot. ``fit`` returns one slot; ``RunConfig.fit_prototypes``,
+the one initial fit, concatenates one fit per slot on that slot's embeddings.
+``refresh``, the one refit, refits ELSA's single slot at every epoch.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ _N_INIT = 4        # k-means++ restarts of a cold fit
 
 @dataclass
 class PrototypeSet:
-    """k unit-norm prototype vectors and the objective trace of their fit.
+    """A (slots, m, d) stack of unit-norm prototypes and the objective trace of their fit.
 
     ``vectors`` is a read-only copy of the input: ``fit`` and ``refresh``
     build new sets, so one set can be shared (for instance as a best-epoch
@@ -39,16 +39,13 @@ class PrototypeSet:
 
     def __post_init__(self):
         self.vectors = as_f64(self.vectors, "prototypes").copy()
-        if self.vectors.ndim != 2 or len(self.vectors) < 1:
-            raise ValidationError("prototype set must be a nonempty 2-D array")
-        norms = np.linalg.norm(self.vectors, axis=1)
+        if self.vectors.ndim != 3 or 0 in self.vectors.shape[:2]:
+            raise ValidationError(f"prototype set must be a nonempty (slots, m, d) stack, "
+                                  f"got shape {self.vectors.shape}")
+        norms = np.linalg.norm(self.vectors, axis=-1)
         if np.any(np.abs(norms - 1.0) > self.norm_tol):
             raise ValidationError(f"prototypes must be unit-norm within {self.norm_tol}")
         self.vectors.setflags(write=False)
-
-    @property
-    def k(self) -> int:
-        return len(self.vectors)
 
 
 def refresh_due(epoch: int, period: int) -> bool:
@@ -129,7 +126,7 @@ def fit(
 
     With ``init_vectors`` the run warm-starts from those centroids (one
     restart); otherwise ``_N_INIT`` k-means++ restarts are run and the best
-    final objective wins.
+    final objective wins. The set is one slot, (1, k, d).
     """
     if embeddings.ndim != 2:
         raise ValidationError("embeddings must be 2-D")
@@ -151,16 +148,16 @@ def fit(
         if best is None or trace[-1] > best[2][-1]:
             best = (c, assign, trace)
     centroids, _, trace = best
-    return PrototypeSet(vectors=centroids, objective_trace=trace)
+    return PrototypeSet(vectors=centroids[None], objective_trace=trace)
 
 
 def refresh(state: PrototypeSet, embeddings: np.ndarray, epoch: int, period: int,
             seed: int = 0) -> PrototypeSet:
     """``state`` refit on ``embeddings`` when ``refresh_due(epoch, period)``, else ``state``.
 
-    The refit warm-starts from the current prototypes and so draws nothing:
-    ``seed`` is unused.
+    The refit warm-starts from the one slot of ``state``, ``vectors[0]``, and so
+    draws nothing: ``seed`` is unused.
     """
     if not refresh_due(epoch, period):
         return state
-    return fit(embeddings, state.k, init_vectors=state.vectors)
+    return fit(embeddings, state.vectors.shape[1], init_vectors=state.vectors[0])

@@ -125,24 +125,23 @@ def score_ensemble_by_copy(X, params, P, tau, weak_cfg, shifts, n_samples, rng,
     mode "embeddings" is the recipe that averages the embeddings of the weak
     views before scoring and sums raw-similarity energies over shifts (``tau``
     unused); with one draw it is ``objective.summed_shift_energy``. Each shifted
-    copy is scored against its own slot's block of the slot-major ``P``.
+    copy is scored against its own slot's block of the (slots, m, d) stack ``P``.
     """
     n, k_s = len(X), shifts.count
-    blocks = np.split(P, k_s)
     if mode == "scores":
         acc = np.zeros(n)
         for k in range(k_s):
             shifted = shifts.apply(X, k)
             for _ in range(n_samples):
                 emb = enc.embed(params, weak_batch_by_copy(shifted, weak_cfg, rng))
-                acc += energy_score_by_copy(emb, blocks[k], tau)
+                acc += energy_score_by_copy(emb, P[k], tau)
         return acc / (k_s * n_samples)
-    zbar = np.zeros((k_s * n, P.shape[1]))
+    zbar = np.zeros((k_s * n, P.shape[-1]))
     for _ in range(n_samples):
         zbar += enc.embed(params, shifts.expand(weak_batch_by_copy(X, weak_cfg, rng))[0])
     zbar /= n_samples
     return np.sum([logsumexp_rows_by_copy(z @ block.T)
-                   for z, block in zip(np.split(zbar, k_s), blocks)], axis=0)
+                   for z, block in zip(np.split(zbar, k_s), P)], axis=0)
 
 
 def score_lines_by_json(ids, scores) -> list:

@@ -7,6 +7,7 @@ training loops' ``*.self_s``, the probe time and
 import contextlib
 import importlib.util
 import io
+import subprocess
 import sys
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -150,3 +151,14 @@ def test_every_microbench_body_runs_once():
                 sys.modules.pop(name, None)
             else:
                 sys.modules[name] = module
+
+
+def test_microbench_passes_under_pytest():
+    # The microbench as its docstring runs it, with pytest-benchmark's timing off:
+    # each case runs once, through the real fixture and parametrization.
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/microbench/bench_kernels.py",
+         "-p", "no:cacheprovider", "--benchmark-disable", "-q"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "skipped" not in proc.stdout, proc.stdout

@@ -13,8 +13,8 @@ DIMS = enc.EncoderDims(input=6, hidden=8, embed=4, shifts=2)
 
 
 def _save(path, with_prototypes=True):
-    vectors = np.random.default_rng(1).normal(size=(5, DIMS.embed))
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors = np.random.default_rng(1).normal(size=(1, 5, DIMS.embed))
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
     save_checkpoint(path, config=preset("smoke").to_dict(), epoch=3,
                     params=enc.init(0, DIMS),
                     prototypes=PrototypeSet(vectors) if with_prototypes else None,
@@ -47,7 +47,7 @@ def test_load_restores_every_field(tmp_path):
     assert ck.config == preset("smoke").to_dict()
     assert ck.epoch == 3
     assert ck.rng_state == np.random.default_rng(9).bit_generator.state
-    assert ck.prototypes.k == 5
+    assert ck.prototypes.vectors.shape == (1, 5, DIMS.embed)
     np.testing.assert_allclose(ck.params.flat, enc.init(0, DIMS).flat, rtol=1e-7)
 
 
@@ -55,6 +55,19 @@ def test_truncated_blob_raises(tmp_path):
     path = tmp_path / "a.ckpt"
     path.write_bytes(_save(path)[:-4])
     with pytest.raises(ValidationError, match="truncated in section prototypes.vectors"):
+        load_checkpoint(path)
+
+
+def test_prototype_section_without_shift_slots_is_refused(tmp_path):
+    # A flat (k, d) set predates the (slots, m, d) stack; read as slots it would
+    # score differently, so it does not load.
+    path = tmp_path / "a.ckpt"
+    manifest, payload = _split(_save(path))
+    assert manifest["sections"][-1] == {"name": "prototypes.vectors",
+                                        "shape": [1, 5, DIMS.embed]}
+    manifest["sections"][-1]["shape"] = [5, DIMS.embed]
+    path.write_bytes(_join(manifest, payload))
+    with pytest.raises(ValidationError, match=r"\(slots, m, d\) stack, got shape \(5, 4\)"):
         load_checkpoint(path)
 
 

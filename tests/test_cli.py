@@ -216,7 +216,7 @@ def test_prototype_count_that_fills_the_shift_slots_runs(tmp_path):
                  ["finetune", "--checkpoint", pre, "--data", data, "--out", ft]):
         code, err = _main(argv)
         assert code == 0, (argv[0], err)
-    assert load_checkpoint(ft).prototypes.k == 6
+    assert load_checkpoint(ft).prototypes.vectors.shape[:2] == (1, 6)
 
 
 def test_prototype_count_that_leaves_a_shift_slot_short_exits_with_validation_code(
@@ -374,8 +374,8 @@ def test_checkpoint_whose_shapes_disagree_exits_with_validation_code(
     ck = load_checkpoint(ckpt)
     arrays = {f"encoder.{f}": getattr(ck.params, f) for f in enc.EncoderParams.FIELDS}
     arrays["prototypes.vectors"] = ck.prototypes.vectors
-    narrow = arrays[section][:, :width]
-    arrays[section] = narrow / np.linalg.norm(narrow, axis=1, keepdims=True)   # unit rows
+    narrow = arrays[section][..., :width]
+    arrays[section] = narrow / np.linalg.norm(narrow, axis=-1, keepdims=True)   # unit rows
     manifest = json.loads((tmp_path / "ft.ckpt").read_bytes().partition(b"\n")[0])
     for entry in manifest["sections"]:
         entry["shape"] = list(arrays[entry["name"]].shape)
@@ -395,13 +395,39 @@ def test_checkpoint_whose_shapes_disagree_exits_with_validation_code(
 
 
 @pytest.mark.parametrize("command", ["score", "finetune"])
+def test_checkpoint_with_a_flat_prototype_section_exits_with_validation_code(
+        tmp_path, scored_inputs, command):
+    # A flat (k, d) section predates the (slots, m, d) stack. Read as four slot
+    # blocks it would score silently otherwise.
+    ckpt, data = scored_inputs
+    manifest_line, _, payload = (tmp_path / "ft.ckpt").read_bytes().partition(b"\n")
+    manifest = json.loads(manifest_line)
+    assert manifest["sections"][-1] == {"name": "prototypes.vectors", "shape": [4, 2, 8]}
+    manifest["sections"][-1]["shape"] = [8, 8]
+    flat = tmp_path / "flat.ckpt"
+    flat.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n" + payload)
+    split = build_splits(preset("smoke"))
+    write_dataset(tmp_path / "d.train.ds", split.train)
+    write_dataset(tmp_path / "d.valid.ds", split.validation)
+    out = tmp_path / "out"
+    argv = (["score", "--checkpoint", str(flat), "--input", data, "--out", str(out)]
+            if command == "score" else
+            ["finetune", "--checkpoint", str(flat), "--data", str(tmp_path / "d"),
+             "--out", str(out)])
+    code, err = _main(argv)
+    assert code == 3 and "a nonempty (slots, m, d) stack, got shape (8, 8)" in err, err
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["score", "finetune"])
 @pytest.mark.parametrize("flags, needle", [
     (["--mode", "elsa"], "shifts=1"), (["--set", "hidden_dim=48"], "hidden=48"),
-    (["--prototypes", "12"], "and 12 prototypes"),
+    (["--prototypes", "12"], "and 4 x 3 prototypes"),
 ], ids=["mode_elsa", "hidden_dim_48", "prototypes_12"])
 def test_config_that_does_not_describe_the_checkpoint_exits_with_validation_code(
         tmp_path, scored_inputs, command, flags, needle):
-    # scored_inputs holds a smoke ELSA+ checkpoint: 4 shifts, hidden 32, 8 prototypes.
+    # scored_inputs holds a smoke ELSA+ checkpoint: 4 shifts, hidden 32, 4 slots of 2
+    # prototypes.
     ckpt, data = scored_inputs
     split = build_splits(preset("smoke"))
     write_dataset(tmp_path / "d.train.ds", split.train)
@@ -580,11 +606,12 @@ def test_ablation_checks_every_pair_before_pretraining(monkeypatch, tmp_path, pa
 def scored_inputs(tmp_path):
     """A smoke checkpoint with prototypes, and the smoke test split on disk."""
     rc = preset("smoke")
-    vectors = np.random.default_rng(4).normal(size=(rc.n_prototypes, rc.embed_dim))
+    vectors = np.random.default_rng(4).normal(
+        size=(rc.shift_count, rc.n_prototypes // rc.shift_count, rc.embed_dim))
     ckpt = tmp_path / "ft.ckpt"
     save_checkpoint(ckpt, config=rc.to_dict(), epoch=0, params=rc.initial_params(),
                     prototypes=PrototypeSet(
-                        vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
+                        vectors / np.linalg.norm(vectors, axis=-1, keepdims=True)))
     test = build_splits(rc).test
     write_dataset(tmp_path / "test.ds", test)
     return str(ckpt), str(tmp_path / "test.ds")
@@ -604,7 +631,8 @@ def test_score_flag_picks_the_scoring_rule(tmp_path, scored_inputs):
     assert code == 0 and cosine != energy
     ck, ds = load_checkpoint(ckpt), read_dataset(data)
     order = np.argsort(ds.ids, kind="mergesort")
-    expected = obj.score_cosine(enc.embed(ck.params, ds.features), ck.prototypes.vectors)
+    expected = obj.score_cosine(enc.embed(ck.params, ds.features),
+                                ck.prototypes.vectors[0])
     assert cosine == [line.rstrip("\n") for line in
                       score_lines_by_json(ds.ids[order].tolist(),
                                           expected[order].tolist())]

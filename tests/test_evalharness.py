@@ -59,9 +59,9 @@ def _earlystop_oracle(params, protos, validation, weak_cfg, strong_cfg, shifts, 
 
     def per_view(rows):
         copies = np.split(enc.embed(params, shifts.expand(rows)[0]), shifts.count)
-        blocks = np.split(protos.vectors, shifts.count)     # one per shift slot
-        return np.sum([logsumexp_rows_by_copy(z @ b.T) for z, b in zip(copies, blocks)],
-                      axis=0)
+        # One (m, d) block of the stack per shift slot.
+        return np.sum([logsumexp_rows_by_copy(z @ b.T)
+                       for z, b in zip(copies, protos.vectors)], axis=0)
 
     scores = np.concatenate([per_view(view_a), per_view(view_b)])
     labels = np.repeat([1, 0], len(X))
@@ -76,7 +76,8 @@ def test_earlystop_score_matches_oracle(count):
                          np.zeros(40, dtype=np.int64))
     shifts = ShiftFamily.random(6, count=count, seed=3)
     params = enc.init(1, enc.EncoderDims(input=6, hidden=16, embed=5, shifts=count))
-    protos = proto.fit(enc.embed(params, shifts.expand(X)[0]), 4, seed=2)
+    fitted = proto.fit(enc.embed(params, shifts.expand(X)[0]), 4, seed=2)
+    protos = proto.PrototypeSet(fitted.vectors.reshape(count, -1, 5))
     weak, strong = WeakAugConfig(noise_sigma=0.1), StrongAugConfig(noise_sigma=0.6)
     args = (params, protos, validation, weak, strong, shifts)
     got = earlystop_score(*args, np.random.default_rng(8))
@@ -127,3 +128,21 @@ def test_finetune_embeds_training_set_only_on_refresh_epochs(monkeypatch):
     initial = ctx.rc.fit_prototypes(embed(ctx.pretrained.params, ctx.split.train,
                                           ctx.rc.shift_family()))
     assert np.array_equal(outcome.best_prototypes.vectors, initial.vectors)
+
+
+def test_cosine_score_meets_the_identity_slot_alone():
+    # Under ELSA+ a rotated slot may hold a prototype equal to a clean row's
+    # embedding; the clean rows are scored in the identity's slot 0 alone.
+    rc = preset("smoke")
+    test = pipeline.build_splits(rc).test
+    params = rc.initial_params()
+    emb = enc.embed(params, test.features)
+    rng = np.random.default_rng(5)
+    vectors = rng.normal(size=(rc.shift_count, 2, rc.embed_dim))
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    vectors[1, 0] = emb[0]
+    protos = proto.PrototypeSet(vectors)
+    scores = evalharness.evaluate_scores("cosine", params, protos, test, None,
+                                         WeakAugConfig(), rc.shift_family(), rc.tau, 1, rng)
+    assert np.array_equal(scores, np.max(emb @ vectors[0].T, axis=1))
+    assert scores[0] < 1.0 - 1e-6

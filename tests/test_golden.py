@@ -82,7 +82,7 @@ def test_golden_run_ablation():
     other_losses = [0.9557291666666666] * 3 + [0.9544270833333334]
     expected = [
         ("uniformity", "naive", 0.9401041666666666, other_losses),
-        ("cosine", "deepsad", 0.890625, other_losses),
+        ("cosine", "deepsad", 0.9609375, other_losses),
         ("energy", "elsa", 0.9973958333333334, TEST_ELSA_PLUS),
     ]
     assert len(rows) == len(expected)
@@ -136,7 +136,7 @@ def test_golden_cli_chain(tmp_path):
     assert sha("pre.ckpt") == \
         "caebcd177248be27b8e6b02a56438c20cc9713b82f3487db6397af9760347efc"
     assert sha("ft.ckpt") == \
-        "51822a92379ad4f7fbc9c9af27bf8fda62d586711f1fb24f33ed18f3284f38ac"
+        "16c2bb427cad4484083fc6ad1a0a4ccbc3d9bc8599a17f7b5d351c40e8a97b81"
     assert sha("scores.jsonl") == \
         "43c902a7c78db10d5f913779b883149afcfcbdff7d3f17dc65693ce6664df45a"
     result = json.loads((tmp_path / "eval.json").read_text())
@@ -147,13 +147,13 @@ def test_golden_cli_chain(tmp_path):
 @pytest.mark.parametrize("mode, expected", [
     ("elsa", {
         "pre.ckpt": "b842f5a348e846625ba9a8e81d76138e7d30fea479637c5d20f08a7644373399",
-        "ft.ckpt": "268c8e3df22ffb9ccb1fe29fdceaed183de8eb745ab1c35121abfc2416e182ab",
+        "ft.ckpt": "3e93e41afd04b51386890f2e4968d82c0a01021556964520b01b1ac7741a9662",
         "scores.jsonl": "ce6b551f1fb2568e08d65c289cd1a0fdc38a88e1dad909eb93019987d1f9455b",
         "auroc": 0.4596354166666667,
     }),
     ("elsa_plus", {
         "pre.ckpt": "caebcd177248be27b8e6b02a56438c20cc9713b82f3487db6397af9760347efc",
-        "ft.ckpt": "51822a92379ad4f7fbc9c9af27bf8fda62d586711f1fb24f33ed18f3284f38ac",
+        "ft.ckpt": "16c2bb427cad4484083fc6ad1a0a4ccbc3d9bc8599a17f7b5d351c40e8a97b81",
         "scores.jsonl": "43c902a7c78db10d5f913779b883149afcfcbdff7d3f17dc65693ce6664df45a",
         "auroc": 1.0,
     }),

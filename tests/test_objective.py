@@ -130,7 +130,7 @@ def test_energy_grad():
 def test_slot_grad():
     # Two views of three shift slots, two rows each, against two prototypes per slot.
     rng = np.random.default_rng(2)
-    blocks = obj.slot_blocks(_unit_rows(6, 5, seed=3), 3)
+    blocks = _unit_rows(6, 5, seed=3).reshape(3, 2, 5)
 
     def f(flat):
         scores, dE = obj.energy_score_grad(flat.reshape(2, 3, 2, 5), blocks, 0.5)
@@ -143,13 +143,13 @@ def test_slot_grad():
 @pytest.mark.parametrize("slots", [1, 2, 4])
 def test_slotted_energy_scores_each_row_against_its_slot_block_alone(slots):
     # Two views, each ``slots`` blocks of three rows; slot s's rows meet only
-    # the s-th block of the slot-major prototypes.
+    # the s-th block of the (slots, 3, d) prototype stack.
     E = _unit_rows(6 * slots, 8, seed=5).reshape(2, slots, 3, 8)
-    P = _unit_rows(3 * slots, 8, seed=6)
-    scores, dE = obj.energy_score_grad(E, obj.slot_blocks(P, slots), 0.5)
+    P = _unit_rows(3 * slots, 8, seed=6).reshape(slots, 3, 8)
+    scores, dE = obj.energy_score_grad(E, P, 0.5)
     assert scores.shape == (2, slots, 3) and dE.shape == E.shape
-    assert np.array_equal(scores, obj.energy_score(E, obj.slot_blocks(P, slots), 0.5))
-    for s, block in enumerate(np.split(P, slots)):
+    assert np.array_equal(scores, obj.energy_score(E, P, 0.5))
+    for s, block in enumerate(P):
         for view in range(2):
             logits = E[view, s] @ block.T / 0.5
             assert np.array_equal(scores[view, s], logsumexp_rows_by_copy(logits))
@@ -158,8 +158,19 @@ def test_slotted_energy_scores_each_row_against_its_slot_block_alone(slots):
 
 
 def test_prototypes_that_do_not_fill_the_slots_are_refused():
-    with pytest.raises(ValidationError, match="6 prototypes do not fill 4 shift slots"):
+    with pytest.raises(ValidationError, match=r"shape \(6, 3\) do not fill 4 shift slots"):
         obj.slot_blocks(_unit_rows(6, 3, seed=2), 4)
+    # A stack is taken as it is: its slot count must be the shift family's.
+    with pytest.raises(ValidationError, match=r"shape \(4, 1, 3\) do not fill 2 shift slots"):
+        obj.slot_blocks(_unit_rows(4, 3, seed=2).reshape(4, 1, 3), 2)
+
+
+def test_rows_meet_no_empty_set_and_no_stack_of_another_slot_count():
+    E = _unit_rows(4, 3, seed=3)
+    stack = _unit_rows(4, 3, seed=2).reshape(1, 4, 3)
+    for rows, P in ((E, np.empty((0, 3))), (E, stack), (E.reshape(2, 2, 3), stack)):
+        with pytest.raises(ValidationError, match="meet no block of prototypes of shape"):
+            obj.energy_score(rows, P, 0.5)
 
 
 def test_energy_score_grad_matches_two_pass_oracle_bit_for_bit():
@@ -524,8 +535,8 @@ def test_ensemble_modes_rank_correlated():
     params = _tiny_encoder()
     rng = np.random.default_rng(7)
     X = np.vstack([rng.normal(size=(30, 6)), 3.0 + rng.normal(size=(30, 6))])
-    P = rng.normal(size=(6, 5))
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    P = rng.normal(size=(2, 3, 5))
+    P /= np.linalg.norm(P, axis=-1, keepdims=True)
     weak, fam = WeakAugConfig(noise_sigma=0.05), ShiftFamily.random(6, count=2, seed=2)
     a = obj.score_ensemble(X, params, P, 0.5, weak, fam, 8, np.random.default_rng(11))
     b = obj.summed_shift_energy(X, params, P, weak, fam, np.random.default_rng(11))
@@ -547,8 +558,8 @@ def test_ensemble_equals_copying_oracle_bitwise(recipe, count, rows, dim, n_samp
     params = _tiny_encoder(dim)
     rng = np.random.default_rng(8)
     X = rng.normal(size=(rows, dim))
-    P = rng.normal(size=(4 * count, 5))     # four prototypes per shift slot
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    P = rng.normal(size=(count, 4, 5))     # four prototypes per shift slot
+    P /= np.linalg.norm(P, axis=-1, keepdims=True)
     weak, shifts = WeakAugConfig(), ShiftFamily.random(dim, count=count, seed=3)
     got_rng, want_rng = np.random.default_rng(12), np.random.default_rng(12)
     if recipe == "scores":
@@ -567,8 +578,8 @@ def _ensemble_inputs():
     params = _tiny_encoder()
     rng = np.random.default_rng(13)
     X = rng.normal(size=(30, 6))
-    P = rng.normal(size=(6, 5))     # two prototypes per shift slot
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    P = rng.normal(size=(3, 2, 5))     # two prototypes per shift slot
+    P /= np.linalg.norm(P, axis=-1, keepdims=True)
     kw = dict(tau=0.5, weak_cfg=WeakAugConfig(), shifts=ShiftFamily.random(6, count=3, seed=4),
               n_samples=4)
     return X, params, P, kw

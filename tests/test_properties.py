@@ -60,8 +60,8 @@ def _unit(rows):
 
 @st.composite
 def unit_rows_and_prototypes(draw):
-    """``slots`` blocks of n unit rows, ``slots`` slot-major blocks of ``per_slot``
-    unit prototypes, and tau."""
+    """``slots`` blocks of n unit rows, a (slots, per_slot, d) stack of unit
+    prototypes, and tau."""
     n, d = draw(st.integers(1, 8)), draw(st.integers(1, 6))
     slots, per_slot = draw(st.integers(1, 4)), draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -70,7 +70,7 @@ def unit_rows_and_prototypes(draw):
         E = P[rng.integers(0, len(P), size=slots * n)]
     else:
         E = _unit(rng.standard_normal((slots * n, d)))
-    return E.reshape(slots, n, d), obj.slot_blocks(P, slots), draw(st.floats(0.05, 5.0))
+    return E.reshape(slots, n, d), P.reshape(slots, per_slot, d), draw(st.floats(0.05, 5.0))
 
 
 @PROPERTY
@@ -152,8 +152,8 @@ def unit_rows_and_starts(draw):
 def test_prototype_fit_is_unit_norm_and_never_lowers_its_objective(case):
     X, k, seed, warm = case
     for fitted in (proto.fit(X, k, seed=seed), proto.fit(X, k, init_vectors=warm)):
-        assert fitted.k == k
-        assert np.all(np.abs(np.linalg.norm(fitted.vectors, axis=1) - 1.0) <= 1e-9)
+        assert fitted.vectors.shape == (1, k, X.shape[1])
+        assert np.all(np.abs(np.linalg.norm(fitted.vectors, axis=-1) - 1.0) <= 1e-9)
         assert np.all(np.diff(fitted.objective_trace) >= -1e-12), fitted.objective_trace
 
 
@@ -165,7 +165,8 @@ _F32_MAX = float(np.finfo(np.float32).max)
 @st.composite
 def checkpoint_contents(draw):
     """Encoder weights of drawn dims at a drawn magnitude, some beyond the
-    float32 range, and optional unit prototypes as wide as the embedding."""
+    float32 range, and an optional (slots, m, d) stack of unit prototypes as wide
+    as the embedding."""
     dims = enc.EncoderDims(*(draw(st.integers(1, 5)) for _ in range(4)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     params = enc.init(0, dims)
@@ -173,8 +174,9 @@ def checkpoint_contents(draw):
     params = params.from_vector(scale * rng.standard_normal(params.flat.size))
     protos = None
     if draw(st.booleans()):
-        protos = proto.PrototypeSet(_unit(rng.standard_normal((draw(st.integers(1, 4)),
-                                                                dims.embed))))
+        slots, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        protos = proto.PrototypeSet(_unit(rng.standard_normal((slots * m, dims.embed)))
+                                    .reshape(slots, m, dims.embed))
     return params, protos, draw(st.integers(0, 1000))
 
 

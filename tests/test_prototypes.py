@@ -29,7 +29,7 @@ def best_two_partition(X):
 def test_fit_k1_normalized_mean():
     X = np.array([[1.0, 0.0], [0.0, 1.0]])
     result = proto.fit(X, k=1, seed=0)
-    assert np.allclose(result.vectors[0], np.sqrt([0.5, 0.5]), atol=1e-12)
+    assert np.allclose(result.vectors[0, 0], np.sqrt([0.5, 0.5]), atol=1e-12)
 
 
 def test_fit_k_equals_n():
@@ -37,7 +37,7 @@ def test_fit_k_equals_n():
     X = _unit_rows(6, 4, rng)
     result = proto.fit(X, k=6, seed=1)
     assert result.objective_trace[-1] == pytest.approx(1.0, abs=1e-12)
-    sims = X @ result.vectors.T
+    sims = X @ result.vectors[0].T
     assert np.allclose(np.max(sims, axis=1), 1.0, atol=1e-9)
 
 
@@ -50,7 +50,7 @@ def test_fit_antipodal_clusters():
     cluster_b = -cluster_a
     X = np.vstack([cluster_a, cluster_b])
     result = proto.fit(X, k=2, seed=3)
-    sims = result.vectors @ np.stack([base, -base]).T
+    sims = result.vectors[0] @ np.stack([base, -base]).T
     # one prototype per direction
     assert sorted(np.argmax(sims, axis=1).tolist()) == [0, 1]
     assert np.min(np.max(sims, axis=1)) > 0.99
@@ -63,7 +63,7 @@ def test_fit_matches_exhaustive_oracle(monkeypatch):
         n = int(rng.integers(4, 13))
         X = _unit_rows(n, 3, rng)
         result = proto.fit(X, k=2, seed=trial)
-        got = np.argmax(X @ result.vectors.T, axis=1)
+        got = np.argmax(X @ result.vectors[0].T, axis=1)
         _, best_mask = best_two_partition(X)
         groups = {frozenset(np.flatnonzero(got == 0).tolist()),
                   frozenset(np.flatnonzero(got == 1).tolist())}
@@ -130,10 +130,12 @@ def test_fit_objective_nondecreasing():
 
 
 def test_fit_unit_norm_centroids():
+    # One fit is one slot: a (1, k, d) stack.
     rng = np.random.default_rng(6)
     X = _unit_rows(40, 8, rng)
     result = proto.fit(X, k=5, seed=0)
-    assert np.allclose(np.linalg.norm(result.vectors, axis=1), 1.0, atol=1e-9)
+    assert result.vectors.shape == (1, 5, 8)
+    assert np.allclose(np.linalg.norm(result.vectors, axis=-1), 1.0, atol=1e-9)
 
 
 def test_fit_deterministic():
@@ -152,8 +154,16 @@ def test_fit_rejects_k_above_n():
 
 
 def test_prototype_set_rejects_non_unit():
-    with pytest.raises(ValidationError):
-        proto.PrototypeSet(np.array([[1.0, 1.0]]))
+    with pytest.raises(ValidationError, match="unit-norm"):
+        proto.PrototypeSet(np.array([[[1.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 2), (0, 2, 2), (2, 0, 2), (1, 1, 1, 2)])
+def test_prototype_set_is_a_nonempty_stack_of_slots(shape):
+    vectors = np.zeros(shape)
+    vectors[..., 0] = 1.0
+    with pytest.raises(ValidationError, match=r"nonempty \(slots, m, d\) stack"):
+        proto.PrototypeSet(vectors)
 
 
 def test_refresh_every_epoch():
@@ -201,7 +211,8 @@ def test_refresh_warm_start_tracks_drifting_embeddings():
     drifted /= np.linalg.norm(drifted, axis=1, keepdims=True)
     warm = proto.refresh(state, drifted, epoch=1, period=1)
     cold = proto.fit(drifted, k=3, seed=0)
-    assert np.allclose(np.linalg.norm(warm.vectors, axis=1), 1.0, atol=1e-9)
+    assert warm.vectors.shape == (1, 3, 4)
+    assert np.allclose(np.linalg.norm(warm.vectors, axis=-1), 1.0, atol=1e-9)
     assert warm.objective_trace[-1] >= cold.objective_trace[-1] - 1e-9
 
 
@@ -209,21 +220,21 @@ def test_prototype_vectors_are_read_only():
     # Sets are shared instead of copied (e.g. as a best-epoch snapshot).
     state = proto.fit(_unit_rows(20, 4, np.random.default_rng(0)), k=2, seed=0)
     with pytest.raises(ValueError):
-        state.vectors[0, 0] = 0.0
-    own = np.eye(2)
+        state.vectors[0, 0, 0] = 0.0
+    own = np.eye(2)[None]
     proto.PrototypeSet(own)
-    own[0, 0] = 1.0    # the caller's array stays writable
+    own[0, 0, 0] = 1.0    # the caller's array stays writable
 
 
 @pytest.mark.parametrize("mode", ["elsa", "elsa_plus"])
 def test_fit_prototypes_fits_each_slot_on_its_own_rows_alone(mode):
-    # Slot-major: k/S prototypes per slot, each block equal to a fit of that
-    # slot's rows alone; with one slot, the plain fit of every row.
+    # A (S, k/S, d) stack, each block equal to a fit of that slot's rows alone;
+    # with one slot, the plain fit of every row.
     rc = preset("smoke").replace(mode=mode)
     slots = rc.shift_count
     rows = _unit_rows(30 * slots, 8, np.random.default_rng(3))
     got = rc.fit_prototypes(rows)
-    assert got.k == rc.n_prototypes
-    for block, own in zip(np.split(got.vectors, slots), np.split(rows, slots)):
+    assert got.vectors.shape == (slots, rc.n_prototypes // slots, 8)
+    for block, own in zip(got.vectors, np.split(rows, slots)):
         assert np.array_equal(block, proto.fit(own, rc.n_prototypes // slots,
-                                               seed=rc.seed + 4).vectors)
+                                               seed=rc.seed + 4).vectors[0])
