@@ -5,6 +5,8 @@ Weak augmentations perturb a sample while preserving its identity (the two
 maps whose index the model must predict, standing in for 90-degree image
 rotations. Strong augmentations wreck content on purpose; their outputs act
 as tentative anomalies for the early-stop score.
+The recipe's magnitudes are this module's constants, read at call time, but
+for the noise sigmas: the two configs carry those, scaled to the data.
 """
 from __future__ import annotations
 
@@ -18,21 +20,21 @@ from .mathcore import as_f64
 
 _ORTHO_TOL = 1e-9
 
+MASK_FRACTION = 0.1                  # share of coordinates a weak view zeroes
+SCALE_JITTER = (0.9, 1.1)            # range of a weak view's per-row scale
+STRONG_OPS = 3                       # transforms drawn per strong view
+STRONG_APPLY_PROBABILITY = 0.8       # chance each drawn transform applies
+
 
 @dataclass(frozen=True)
 class WeakAugConfig:
-    """Scale jitter + small Gaussian noise + light coordinate masking."""
+    """Scale jitter (``SCALE_JITTER``) + small Gaussian noise + light coordinate
+    masking (``MASK_FRACTION``); only the noise sigma is set per run."""
 
     noise_sigma: float = 0.05
-    mask_fraction: float = 0.1
-    scale_jitter: Tuple[float, float] = (0.9, 1.1)
 
     def __post_init__(self):
-        require((self.noise_sigma >= 0, f"noise_sigma must be >= 0, got {self.noise_sigma}"),
-                (0.0 <= self.mask_fraction < 0.5,
-                 f"mask_fraction must lie in [0, 0.5), got {self.mask_fraction}"),
-                (0.0 < self.scale_jitter[0] <= self.scale_jitter[1] < 2.0,
-                 f"scale_jitter must satisfy 0 < lo <= hi < 2, got {self.scale_jitter}"))
+        require((self.noise_sigma >= 0, f"noise_sigma must be >= 0, got {self.noise_sigma}"))
 
 
 # The strong transforms, and the factor ranges of "scale" (shrink or blow up).
@@ -45,19 +47,12 @@ _BLOWUP_RANGE = (3.0, 6.0)
 class StrongAugConfig:
     """Heavy distortions drawn from a fixed set of destructive transforms.
 
-    ``n_ops`` transforms are sampled per call, each applied with
-    ``apply_probability``. The set deliberately excludes the shifting
-    transforms so strong views stay distinguishable from shifted ones.
+    ``STRONG_OPS`` transforms are sampled per call, each applied with
+    ``STRONG_APPLY_PROBABILITY``; only the noise sigma is set per run. The set
+    excludes the shifting transforms so strong views stay unlike shifted ones.
     """
 
     noise_sigma: float = 0.3
-    n_ops: int = 3
-    apply_probability: float = 0.8
-
-    def __post_init__(self):
-        require((self.n_ops >= 0, f"n_ops must be >= 0, got {self.n_ops}"),
-                (0.0 <= self.apply_probability <= 1.0,
-                 f"apply_probability must lie in [0, 1], got {self.apply_probability}"))
 
 
 class ShiftFamily:
@@ -135,13 +130,13 @@ def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator,
     are alive at once: the view, the draws and ``argsort``'s indices.
     """
     n, d = X.shape
-    lo, hi = cfg.scale_jitter
+    lo, hi = SCALE_JITTER
     out = np.multiply(X, rng.uniform(lo, hi, size=(n, 1)), out=out)
     if cfg.noise_sigma > 0:
         scratch = rng.standard_normal((n, d), out=scratch)
         scratch *= cfg.noise_sigma
         out += scratch
-    n_mask = int(cfg.mask_fraction * d)
+    n_mask = int(MASK_FRACTION * d)
     if n_mask > 0:
         # Per-row random coordinate subset of fixed size.
         cols = np.argsort(rng.random((n, d), out=scratch), axis=1)[:, :n_mask]
@@ -151,12 +146,12 @@ def weak_batch(X: np.ndarray, cfg: WeakAugConfig, rng: np.random.Generator,
 
 
 def strong_batch(X: np.ndarray, cfg: StrongAugConfig, rng: np.random.Generator) -> np.ndarray:
-    """Apply ``n_ops`` randomly chosen destructive transforms per row."""
+    """Apply ``STRONG_OPS`` randomly chosen destructive transforms per row."""
     out = X.copy()
     n, d = out.shape
-    for _ in range(cfg.n_ops):
+    for _ in range(STRONG_OPS):
         ops = rng.integers(0, len(_STRONG_TRANSFORMS), size=n)
-        gate = rng.random(n) < cfg.apply_probability
+        gate = rng.random(n) < STRONG_APPLY_PROBABILITY
         for op_idx, name in enumerate(_STRONG_TRANSFORMS):
             rows = np.flatnonzero(gate & (ops == op_idx))
             if len(rows) == 0:

@@ -9,11 +9,11 @@ config checks the single fields it receives, and ``violations`` checks the
 types and the rules no one stage can see. It collects *all* violations: one
 entry per failing stage names every rule of that stage that fails, and a
 valid configuration builds every stage.
-The augmentations read no field: their magnitudes are constants scaled to
-the data spread. Nor do the shift slots, a fact of the mode (ELSA: one;
-ELSA+: one per shifting transform), which own ``n_prototypes`` / slots
-prototypes each, or the refresh that follows from them. The cluster spread
-of the synthetic data is ``SyntheticSpec``'s default alone.
+The augmentations read no field: their noise sigmas scale to the data spread
+and the rest of their recipe is constants in ``augment``. Nor do the shift
+slots, a fact of the mode (ELSA: one; ELSA+: one per shifting transform),
+which own ``n_prototypes`` / slots prototypes each, or the refresh that follows
+from them. The cluster spread of the synthetic data is ``data.CLUSTER_SPREAD``.
 """
 from __future__ import annotations
 

@@ -27,6 +27,7 @@ LABELED_NORMAL = 1
 LABELED_ANOMALY = -1
 
 _MEAN_RETRIES = 200
+CLUSTER_SPREAD = 1.0     # scale of the component means, and half their least distance
 
 
 class ValidationError(ValueError):
@@ -47,14 +48,13 @@ class SyntheticSpec:
 
     The normal class (class 0) is a mixture of ``normal_subclusters``
     Gaussians; every anomaly class is a single Gaussian. All component means
-    are kept at pairwise distance >= 2 * cluster_spread so that subcluster
-    structure is actually recoverable.
+    are kept at pairwise distance >= 2 * ``CLUSTER_SPREAD``, a module constant,
+    so that subcluster structure is actually recoverable.
     """
 
     input_dim: int = 32
     normal_subclusters: int = 4
     anomaly_classes: int = 9
-    cluster_spread: float = 1.0
     within_spread: float = 0.65
     samples_per_class: int = 1000
     seed: int = 0
@@ -67,9 +67,9 @@ class SyntheticSpec:
                  f"anomaly_classes must be >= 0, got {self.anomaly_classes}"),
                 (self.samples_per_class >= 1,
                  f"samples_per_class must be >= 1, got {self.samples_per_class}"),
-                (0.0 <= self.within_spread < self.cluster_spread,
+                (0.0 <= self.within_spread < CLUSTER_SPREAD,
                  f"within_spread must satisfy 0 <= within_spread < cluster_spread, got "
-                 f"{self.within_spread} and {self.cluster_spread}"))
+                 f"{self.within_spread} and {CLUSTER_SPREAD}"))
 
 
 @dataclass
@@ -158,16 +158,16 @@ def clustering_pool(dataset: Dataset) -> np.ndarray:
 def _component_means(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
     """Component means, normal subclusters first, drawn from ``rng``.
 
-    Each mean is rejection-sampled from N(0, cluster_spread^2 I) until it
-    sits at distance >= 2 * cluster_spread from every earlier one; each gets
+    Each mean is rejection-sampled from N(0, CLUSTER_SPREAD^2 I) until it
+    sits at distance >= 2 * CLUSTER_SPREAD from every earlier one; each gets
     a bounded retry budget, after which placement fails.
     """
     n_components = spec.normal_subclusters + spec.anomaly_classes
-    min_dist = 2.0 * spec.cluster_spread
+    min_dist = 2.0 * CLUSTER_SPREAD
     means = np.empty((n_components, spec.input_dim))
     for c in range(n_components):
         for attempt in range(_MEAN_RETRIES + 1):
-            cand = rng.normal(0.0, spec.cluster_spread, size=spec.input_dim)
+            cand = rng.normal(0.0, CLUSTER_SPREAD, size=spec.input_dim)
             if c == 0 or np.min(np.linalg.norm(means[:c] - cand, axis=1)) >= min_dist:
                 means[c] = cand
                 break

@@ -30,6 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import data
 from . import encoder as enc
 from . import objective as obj
 from .config import RunConfig, fits
@@ -47,9 +48,8 @@ _OUT_ID_OFFSET = 20_000_000
 def _shifted_pool(rc: RunConfig, seed_offset: int, direction: float,
                   class_offset: int, id_offset: int) -> Pool:
     """A second synthetic distribution: same geometry, displaced means; one build."""
-    spec = rc.synthetic_spec(seed_offset=seed_offset)
-    aux = generate(spec)
-    aux.features += direction * spec.cluster_spread
+    aux = generate(rc.synthetic_spec(seed_offset=seed_offset))
+    aux.features += direction * data.CLUSTER_SPREAD
     aux.true_class += class_offset
     aux.ids += id_offset
     aux.means = None

@@ -156,8 +156,11 @@ def refresh(state: PrototypeSet, embeddings: np.ndarray, epoch: int, period: int
     """``state`` refit on ``embeddings`` when ``refresh_due(epoch, period)``, else ``state``.
 
     The refit warm-starts from the one slot of ``state``, ``vectors[0]``, and so
-    draws nothing: ``seed`` is unused.
+    draws nothing: ``seed`` is unused. A set of several slots is refused.
     """
+    slots = len(state.vectors)
+    if slots != 1:
+        raise ValidationError(f"refresh refits a one-slot prototype set, got {slots} slots")
     if not refresh_due(epoch, period):
         return state
     return fit(embeddings, state.vectors.shape[1], init_vectors=state.vectors[0])

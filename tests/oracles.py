@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 
+from protoad import augment
 from protoad import encoder as enc
 from protoad.data import Pool, SyntheticSpec, ValidationError, _component_means
 from protoad.evalharness import _average_ranks
@@ -104,14 +105,22 @@ def loss_shift_by_copy(logits, shift_ids):
     return loss, grad / n
 
 
+def exact_weak_cfg(monkeypatch) -> augment.WeakAugConfig:
+    """A weak configuration whose views equal their inputs for the rest of the
+    test: no noise, and ``monkeypatch`` sets no mask and a unit scale."""
+    monkeypatch.setattr(augment, "MASK_FRACTION", 0.0)
+    monkeypatch.setattr(augment, "SCALE_JITTER", (1.0, 1.0))
+    return augment.WeakAugConfig(noise_sigma=0.0)
+
+
 def weak_batch_by_copy(X, cfg, rng) -> np.ndarray:
     """``augment.weak_batch`` with out-of-place noise: the same draws in the same order."""
     n, d = X.shape
-    lo, hi = cfg.scale_jitter
+    lo, hi = augment.SCALE_JITTER
     out = X * rng.uniform(lo, hi, size=(n, 1))
     if cfg.noise_sigma > 0:
         out = out + cfg.noise_sigma * rng.standard_normal((n, d))
-    n_mask = int(cfg.mask_fraction * d)
+    n_mask = int(augment.MASK_FRACTION * d)
     if n_mask > 0:
         cols = np.argsort(rng.random((n, d)), axis=1)[:, :n_mask]
         out[np.arange(n)[:, None], cols] = 0.0

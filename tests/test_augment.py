@@ -3,19 +3,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from protoad import augment
 from protoad.augment import (ShiftFamily, StrongAugConfig, WeakAugConfig,
                              strong_batch, weak_batch)
 from protoad.config import RunConfig
 from protoad.data import ValidationError
 
-from oracles import weak_batch_by_copy
+from oracles import exact_weak_cfg, weak_batch_by_copy
 
 
 # ------------------------------------------------------------------- weak
 
-def test_weak_identity_configuration():
+def test_weak_identity_configuration(monkeypatch):
     x = np.array([1.0, -2.0, 3.0, 0.5])
-    cfg = WeakAugConfig(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
+    cfg = exact_weak_cfg(monkeypatch)
     out = weak_batch(x[None, :], cfg, np.random.default_rng(0))
     assert np.array_equal(out, x[None, :])
 
@@ -37,9 +38,12 @@ def test_weak_equals_out_of_place_noise_bitwise(cfg):
     assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("cfg", [WeakAugConfig(), WeakAugConfig(noise_sigma=0.0),
-                                 WeakAugConfig(mask_fraction=0.0)])
-def test_weak_into_given_buffers_equals_out_of_place_noise_bitwise(cfg):
+# (noise sigma, mask fraction): both draws, no noise, and no mask.
+@pytest.mark.parametrize("cfg", [(0.05, 0.1), (0.0, 0.1), (0.05, 0.0)])
+def test_weak_into_given_buffers_equals_out_of_place_noise_bitwise(cfg, monkeypatch):
+    noise_sigma, mask_fraction = cfg
+    monkeypatch.setattr(augment, "MASK_FRACTION", mask_fraction)
+    cfg = WeakAugConfig(noise_sigma=noise_sigma)
     X = np.random.default_rng(1).normal(size=(300, 32))
     X_before = X.copy()
     out, scratch = np.full_like(X, np.nan), np.full_like(X, np.nan)
@@ -79,12 +83,9 @@ def test_weak_masks_exactly_floor_fraction():
 
 
 def test_weak_config_validation():
-    with pytest.raises(ValidationError, match=r"mask_fraction must lie in \[0, 0.5\), got 0.5"):
-        WeakAugConfig(mask_fraction=0.5)
-    with pytest.raises(ValidationError, match="scale_jitter must satisfy 0 < lo <= hi < 2"):
-        WeakAugConfig(scale_jitter=(0.0, 1.0))
-    with pytest.raises(ValidationError, match="scale_jitter must satisfy"):
-        WeakAugConfig(scale_jitter=(1.1, 0.9))
+    with pytest.raises(ValidationError, match="noise_sigma must be >= 0, got -0.1"):
+        WeakAugConfig(noise_sigma=-0.1)
+    WeakAugConfig(noise_sigma=0.0)
 
 
 def test_weak_output_finite():
@@ -180,8 +181,9 @@ def test_shift_expand_layout():
 
 # ----------------------------------------------------------------- strong
 
-def test_strong_zero_probability_is_identity():
-    cfg = StrongAugConfig(apply_probability=0.0)
+def test_strong_zero_probability_is_identity(monkeypatch):
+    monkeypatch.setattr(augment, "STRONG_APPLY_PROBABILITY", 0.0)
+    cfg = StrongAugConfig()
     x = np.linspace(-2, 2, 16)
     assert np.array_equal(strong_batch(x[None, :], cfg, np.random.default_rng(0)),
                           x[None, :])
@@ -205,15 +207,6 @@ def test_strong_dominates_weak_displacement():
     sd = np.linalg.norm(strong_batch(X, strong_cfg, np.random.default_rng(2)) - X,
                         axis=1).mean()
     assert sd / wd >= 4.0
-
-
-def test_strong_config_validation():
-    with pytest.raises(ValidationError, match="n_ops must be >= 0, got -1"):
-        StrongAugConfig(n_ops=-1)
-    for p in (-0.1, 1.5):
-        with pytest.raises(ValidationError, match=r"apply_probability must lie in \[0, 1\]"):
-            StrongAugConfig(apply_probability=p)
-    StrongAugConfig(n_ops=0, apply_probability=1.0)
 
 
 def test_strong_output_finite():

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from protoad.augment import StrongAugConfig, WeakAugConfig
+from protoad.augment import WeakAugConfig
 from protoad.config import PRESETS, ConfigError, RunConfig, preset
 from protoad.data import ScenarioConfig, SyntheticSpec, ValidationError
 from protoad.encoder import EncoderDims
@@ -61,11 +61,7 @@ STAGE_OBJECTS = [
     (EncoderDims, {"input": 0, "shifts": 0},
      ["encoder dim input must be positive, got 0",
       "encoder dim shifts must be positive, got 0"]),
-    (WeakAugConfig, {"noise_sigma": -1.0, "mask_fraction": 0.5, "scale_jitter": (1.1, 0.9)},
-     ["noise_sigma must be >= 0, got -1.0", "mask_fraction must lie in [0, 0.5), got 0.5",
-      "scale_jitter must satisfy 0 < lo <= hi < 2, got (1.1, 0.9)"]),
-    (StrongAugConfig, {"n_ops": -1, "apply_probability": 1.5},
-     ["n_ops must be >= 0, got -1", "apply_probability must lie in [0, 1], got 1.5"]),
+    (WeakAugConfig, {"noise_sigma": -1.0}, ["noise_sigma must be >= 0, got -1.0"]),
     (PretrainConfig, {"epochs": -1, "batch_size": 1, "lr": 0.0, "tau": 0.0},
      ["epochs must be >= 0, got -1", "batch_size must be >= 2, got 1",
       "lr must be positive, got 0.0", "tau must be positive, got 0.0"]),

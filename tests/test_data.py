@@ -91,7 +91,7 @@ def test_generate_traced_peak_is_about_one_pool():
 
 def test_spec_validation():
     with pytest.raises(ValidationError):
-        SyntheticSpec(within_spread=2.0, cluster_spread=1.0)
+        SyntheticSpec(within_spread=2.0)
     with pytest.raises(ValidationError):
         SyntheticSpec(normal_subclusters=0)
 

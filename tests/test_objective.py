@@ -14,7 +14,7 @@ from protoad.data import ValidationError
 from protoad.mathcore import NumericError, softmax_rows
 
 from gradcheck import grad_check
-from oracles import (energy_score_by_copy, energy_score_grad_two_pass,
+from oracles import (energy_score_by_copy, energy_score_grad_two_pass, exact_weak_cfg,
                      logsumexp_rows_by_copy, loss_shift_by_copy, prototype_posterior,
                      score_ensemble_by_copy, spearman)
 
@@ -503,14 +503,14 @@ def _tiny_encoder(dim=6):
     return enc.init(0, enc.EncoderDims(input=dim, hidden=max(16, dim), embed=5, shifts=2))
 
 
-def test_ensemble_degenerate_equals_plain_energy():
+def test_ensemble_degenerate_equals_plain_energy(monkeypatch):
     params = _tiny_encoder()
     rng = np.random.default_rng(5)
     X = rng.normal(size=(7, 6))
     P = rng.normal(size=(4, 5))
     P /= np.linalg.norm(P, axis=1, keepdims=True)
     plain = obj.energy_score(enc.embed(params, X), P, 0.5)
-    identity = WeakAugConfig(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
+    identity = exact_weak_cfg(monkeypatch)
     ens = obj.score_ensemble(X, params, P, 0.5, identity, ShiftFamily.random(6, count=1),
                              1, np.random.default_rng(0))
     assert np.allclose(ens, plain, atol=1e-12)

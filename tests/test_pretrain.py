@@ -17,6 +17,7 @@ from protoad.pretrain import (ContrastiveBatch, PretrainConfig, _pair_terms,
                               two_views)
 
 from gradcheck import grad_check
+from oracles import exact_weak_cfg
 
 LN_E2_PLUS_2 = 2.2395447662218845  # log(e^2 + 2), 40-digit evaluation
 ONE_SLOT = ShiftFamily.random(8, count=1)    # ELSA: the identity alone
@@ -279,12 +280,12 @@ def test_pretrain_never_touches_labeled_anomalies(monkeypatch):
 
 
 @pytest.mark.parametrize("shift_first", [True, False])
-def test_two_views_layout(shift_first):
+def test_two_views_layout(shift_first, monkeypatch):
     # With no noise, no mask and unit scale a weak view equals its input
     # exactly, so every row must be its sample under its shift, bit for bit.
     X = np.random.default_rng(8).normal(size=(6, 8))
     shifts = ShiftFamily.random(8, count=4, seed=1)
-    exact = WeakAugConfig(noise_sigma=0.0, mask_fraction=0.0, scale_jitter=(1.0, 1.0))
+    exact = exact_weak_cfg(monkeypatch)
     rows, shift_ids, sample = two_views(X, exact, shifts, np.random.default_rng(0),
                                         shift_first=shift_first)
     assert len(rows) == len(shift_ids) == len(sample) == 2 * shifts.count * len(X)

@@ -216,6 +216,18 @@ def test_refresh_warm_start_tracks_drifting_embeddings():
     assert warm.objective_trace[-1] >= cold.objective_trace[-1] - 1e-9
 
 
+@pytest.mark.parametrize("epoch", [1, 2])
+def test_refresh_refuses_a_set_of_several_slots(epoch):
+    # The refit warm-starts from one slot; a stacked ELSA+ set would come
+    # back as its first slot alone, so it is refused, due or not.
+    rng = np.random.default_rng(14)
+    X = _unit_rows(20, 4, rng)
+    stack = proto.PrototypeSet(np.concatenate([proto.fit(X, k=2, seed=s).vectors
+                                               for s in range(3)]))
+    with pytest.raises(ValidationError, match="one-slot prototype set, got 3 slots"):
+        proto.refresh(stack, X, epoch=epoch, period=2)
+
+
 def test_prototype_vectors_are_read_only():
     # Sets are shared instead of copied (e.g. as a best-epoch snapshot).
     state = proto.fit(_unit_rows(20, 4, np.random.default_rng(0)), k=2, seed=0)

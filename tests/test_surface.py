@@ -43,10 +43,22 @@ A seventh keeps one fit site and one refit site for the prototypes:
 splits the set into shift slots, and by ``prototypes.refresh``; and
 ``prototypes.refresh`` only by ``evalharness.finetune_loop``, where the
 refresh follows from the slot count.
+
+An eighth keeps the stage configs to the fields the program sets: every field
+of each class in ``STAGE_CONFIGS`` is passed, by keyword or by position, at
+some call of that class in ``src/protoad``. A field that no construction site
+passes holds its default everywhere and belongs in a module constant.
 """
 import ast
+import dataclasses
 from collections import Counter
 from pathlib import Path
+
+from protoad.augment import StrongAugConfig, WeakAugConfig
+from protoad.data import ScenarioConfig, SyntheticSpec
+from protoad.encoder import EncoderDims
+from protoad.evalharness import FinetuneConfig
+from protoad.pretrain import PretrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE, BENCH = ROOT / "src" / "protoad", ROOT / "perfbench"
@@ -70,6 +82,9 @@ ENTRY_SITES = {
     "prototypes.PrototypeSet.__post_init__", "augment.ShiftFamily.__init__",
     "evalharness.auroc",
 }
+
+STAGE_CONFIGS = (WeakAugConfig, StrongAugConfig, SyntheticSpec, ScenarioConfig,
+                 EncoderDims, PretrainConfig, FinetuneConfig)
 
 IMPORT_OWNERS = {"threading": {"objective", "blas"}, "ctypes": {"blas"},
                  "concurrent": set(), "multiprocessing": set(), "os": set()}
@@ -230,3 +245,23 @@ def importers(modules) -> dict:
 
 def test_threads_and_foreign_calls_are_imported_only_by_their_owners():
     assert importers(IMPORT_OWNERS) == IMPORT_OWNERS
+
+
+def passed_fields(cls) -> set:
+    """The fields of dataclass ``cls`` that some call of it in ``src/protoad``
+    passes, by keyword or by position."""
+    order = [f.name for f in dataclasses.fields(cls)]
+    out = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Call) and cls.__name__ in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                out |= set(order[:len(node.args)])
+                out |= {kw.arg for kw in node.keywords}
+    return out
+
+
+def test_every_stage_config_field_is_passed_at_a_construction_site():
+    unset = {f"{cls.__name__}.{f.name}" for cls in STAGE_CONFIGS
+             for f in dataclasses.fields(cls) if f.name not in passed_fields(cls)}
+    assert not unset, f"fields no construction site passes: {sorted(unset)}"
